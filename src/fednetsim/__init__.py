@@ -11,7 +11,6 @@ from fednetsim.adversary import (
     AttackPlan,
     ContributionLedger,
     ObservationMode,
-    RoundObservation,
     drop_filter,
     identification_score,
     identify_clients,
@@ -35,7 +34,7 @@ from fednetsim.datasets import (
     load_idx_dataset,
     partition,
 )
-from fednetsim.defense import DefensePlan, UpsamplingDefender, server_identify, upsample_probabilities
+from fednetsim.defense import DefensePlan, UpsamplingDefender, upsample_probabilities
 from fednetsim.models import ModelSpec, forward_eval, init_model, local_train, loss_gradient
 from fednetsim.poisoning import PoisonPlan, craft_poison_update, flip_labels
 from fednetsim.protocol import (

@@ -34,7 +34,6 @@ class ObservationMode:
 
     kind: str
     visible_set: frozenset[int] | None = None
-    alpha_v: float | None = None
 
     def __post_init__(self):
         if self.kind not in OBSERVATION_KINDS:
@@ -43,42 +42,34 @@ class ObservationMode:
             raise ValueError("encrypted_limited requires a visible_set")
 
 
-@dataclass(frozen=True)
-class RoundObservation:
-    """One round as seen by a single party.
+class ContributionLedger:
+    """Per-client running sums and counts of observed loss differences.
 
-    ``local_models`` maps client id to that client's local model and is
-    present only under plain observation.
+    Values are added in arrival order, so ``mean`` equals the left-to-right
+    sum of a client's values divided by their count.
     """
 
-    t: int
-    participants: tuple[int, ...]
-    global_before: np.ndarray
-    global_after: np.ndarray
-    local_models: dict[int, np.ndarray] | None = None
-
-
-class ContributionLedger:
-    """Per-client lists of observed loss differences."""
-
     def __init__(self):
-        self.entries: dict[int, list[float]] = {}
+        self.sums: dict[int, float] = {}
+        self.counts: dict[int, int] = {}
 
     def record(self, client_id: int, value: float):
-        self.entries.setdefault(int(client_id), []).append(float(value))
+        j = int(client_id)
+        self.sums[j] = self.sums.get(j, 0.0) + float(value)
+        self.counts[j] = self.counts.get(j, 0) + 1
 
     def rounds_seen(self, client_id: int) -> int:
-        return len(self.entries.get(client_id, []))
+        return self.counts.get(client_id, 0)
 
     def mean(self, client_id: int) -> float:
-        values = self.entries[client_id]
-        return float(sum(values) / len(values))
-
-    def observed_clients(self) -> list[int]:
-        return sorted(self.entries)
+        return self.sums[client_id] / self.counts[client_id]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ContributionLedger) and self.entries == other.entries
+        return (
+            isinstance(other, ContributionLedger)
+            and self.sums == other.sums
+            and self.counts == other.counts
+        )
 
 
 @dataclass(frozen=True)
@@ -128,34 +119,39 @@ def sample_visible_set(
 
 def record_round(
     ledger: ContributionLedger,
-    obs: RoundObservation,
+    trace: RoundTrace,
+    models: dict[int, np.ndarray] | None,
     mode: ObservationMode,
     target_set: ExampleSet,
     spec: ModelSpec,
 ) -> ContributionLedger:
     """Accumulate this round's loss differences into the ledger.
 
-    Plain: each participant j is credited with
-    ``loss(global_before) - loss(local_model_j)`` on the target set.
+    ``models`` is the per-client model dict the observing party can see:
+    the sent models for a network attacker, the received ones for a server,
+    None under encrypted observation.
+
+    Plain: each participant j in ``models`` is credited with
+    ``loss(global_before) - loss(models[j])`` on the target set.
     Encrypted: the single global difference
     ``loss(global_before) - loss(global_after)`` is credited to every
     (visible) participant.
     """
-    loss_before = forward_eval(obs.global_before, spec, target_set).mean_loss
+    loss_before = forward_eval(trace.global_before, spec, target_set).mean_loss
     if mode.kind == "plain":
-        if obs.local_models is None:
+        if models is None:
             raise ValueError("plain observation requires per-client local models")
-        for j in sorted(obs.local_models):
-            if j not in obs.participants:
+        for j in sorted(models):
+            if j not in trace.participants:
                 continue
-            loss_local = forward_eval(obs.local_models[j], spec, target_set).mean_loss
+            loss_local = forward_eval(models[j], spec, target_set).mean_loss
             ledger.record(j, loss_before - loss_local)
         return ledger
 
-    visible = obs.participants
+    visible = trace.participants
     if mode.kind == "encrypted_limited":
         visible = tuple(j for j in visible if j in mode.visible_set)
-    loss_after = forward_eval(obs.global_after, spec, target_set).mean_loss
+    loss_after = forward_eval(trace.global_after, spec, target_set).mean_loss
     change = loss_before - loss_after
     for j in sorted(visible):
         ledger.record(j, change)
@@ -170,7 +166,7 @@ def identify_clients(ledger: ContributionLedger, k_n: int) -> list[int]:
     """
     if k_n < 0:
         raise ValueError("k_n must be >= 0")
-    ranked = sorted(ledger.entries, key=lambda j: (-ledger.mean(j), j))
+    ranked = sorted(ledger.counts, key=lambda j: (-ledger.mean(j), j))
     return ranked[:k_n]
 
 
@@ -224,16 +220,10 @@ class TargetedDropAttacker:
 
     def observe(self, trace: RoundTrace):
         mode = self.plan.mode
-        frozen = mode.kind != "plain" and self._dropped_last > 0
-        if not frozen:
-            obs = RoundObservation(
-                t=trace.t,
-                participants=trace.participants,
-                global_before=trace.global_before,
-                global_after=trace.global_after,
-                local_models=trace.sent_models if mode.kind == "plain" else None,
-            )
-            record_round(self.ledger, obs, mode, self.plan.target_set, self.spec)
+        if mode.kind == "plain":
+            record_round(self.ledger, trace, trace.sent_models, mode, self.plan.target_set, self.spec)
+        elif self._dropped_last == 0:
+            record_round(self.ledger, trace, None, mode, self.plan.target_set, self.spec)
         if trace.t == self.plan.t_n or (self.plan.refresh and trace.t > self.plan.t_n):
             self.identified = identify_clients(self.ledger, self.plan.k_n)
         self._dropped_last = 0

@@ -35,6 +35,11 @@ MC_GRID = tuple(
     for k_n in (1, k)
 )
 
+# Largest expected encrypted simulation, in trials x rounds, that
+# ``monte_carlo_rounds`` will start; the benchmark grid's largest point is
+# below 1e6.
+MC_ENCRYPTED_BUDGET = 1e8
+
 
 def harmonic(i: int) -> float:
     """i-th harmonic number, with H_0 = 0."""
@@ -171,7 +176,9 @@ def monte_carlo_rounds(
 
     ``plain`` counts (fractional) batches until k_n distinct targets have
     been drawn; ``encrypted`` counts whole rounds until enough distinct
-    non-targets have appeared in target-free batches (requires ``alpha``).
+    non-targets have appeared in target-free batches (requires ``alpha``);
+    it raises ValueError when the expected cost, trials times the expected
+    rounds, exceeds ``MC_ENCRYPTED_BUDGET``.
     """
     if trials < 100:
         raise ValueError("trials must be >= 100")
@@ -190,8 +197,17 @@ def monte_carlo_rounds(
             raise ValueError("encrypted mode requires alpha")
         if not 0 < alpha <= 1:
             raise ValueError("alpha must be in (0, 1]")
-        if math.ceil(k / alpha) > n:
+        clear_to = math.ceil(k / alpha)
+        if clear_to > n:
             raise ValueError(f"precision alpha={alpha} needs k/alpha <= n")
+        # Refuse, rather than hang on, runs where target-free batches are rare.
+        p = prob_nontarget_batch_exact(n, k, m)
+        cost = trials * (n / m) * (harmonic(n - k) - harmonic(clear_to - k)) / p if p > 0 else 0.0
+        if cost > MC_ENCRYPTED_BUDGET:
+            raise ValueError(
+                f"encrypted simulation would take about {cost:.3g} trial-rounds, "
+                f"over the budget of {MC_ENCRYPTED_BUDGET:.0e}"
+            )
         samples = _simulate_encrypted(n, m, k, alpha, trials, rng)
     mean = float(samples.mean())
     stderr = float(samples.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0

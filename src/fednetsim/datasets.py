@@ -73,14 +73,8 @@ class DatasetSource:
 class PartitionPlan:
     """Assignment of pooled example indices to n disjoint client shards."""
 
-    n: int
-    k: int
-    target_class: int
     target_client_ids: tuple[int, ...]
     shards: tuple[np.ndarray, ...]
-    alpha_t: float
-    alpha_d: float
-    local_size: int
 
 
 def gen_synthetic(
@@ -209,16 +203,7 @@ def partition(
         shard = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
         shards.append(np.sort(shard))
 
-    return PartitionPlan(
-        n=n,
-        k=k,
-        target_class=target_class,
-        target_client_ids=tuple(target_ids),
-        shards=tuple(shards),
-        alpha_t=alpha_t,
-        alpha_d=alpha_d,
-        local_size=local_size,
-    )
+    return PartitionPlan(target_client_ids=tuple(target_ids), shards=tuple(shards))
 
 
 # IDX raster format (big-endian): magic 0x00000803 = images, 0x00000801 = labels.
@@ -226,10 +211,18 @@ _IDX_IMAGES_MAGIC = 0x00000803
 _IDX_LABELS_MAGIC = 0x00000801
 
 
+def _read_idx_header(fh, path, fmt: str) -> tuple[int, ...]:
+    size = struct.calcsize(fmt)
+    header = fh.read(size)
+    if len(header) < size:
+        raise ValueError(f"{path}: truncated IDX header ({len(header)} of {size} bytes)")
+    return struct.unpack(fmt, header)
+
+
 def load_idx_images(path) -> np.ndarray:
     """Flattened images from an IDX file, pixel values normalized to [0, 1]."""
     with open(path, "rb") as fh:
-        magic, count, rows, cols = struct.unpack(">IIII", fh.read(16))
+        magic, count, rows, cols = _read_idx_header(fh, path, ">IIII")
         if magic != _IDX_IMAGES_MAGIC:
             raise ValueError(f"{path}: bad image magic 0x{magic:08x}")
         raw = np.frombuffer(fh.read(count * rows * cols), dtype=np.uint8)
@@ -241,7 +234,7 @@ def load_idx_images(path) -> np.ndarray:
 def load_idx_labels(path) -> np.ndarray:
     """Label vector from an IDX file."""
     with open(path, "rb") as fh:
-        magic, count = struct.unpack(">II", fh.read(8))
+        magic, count = _read_idx_header(fh, path, ">II")
         if magic != _IDX_LABELS_MAGIC:
             raise ValueError(f"{path}: bad label magic 0x{magic:08x}")
         raw = np.frombuffer(fh.read(count), dtype=np.uint8)

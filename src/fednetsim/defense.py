@@ -1,4 +1,4 @@
-"""Server-side defenses: defensive up-sampling and the clipping policy.
+"""Server-side defense: defensive up-sampling of high-contribution clients.
 
 The server runs the same loss-difference identification as the attacker,
 but with server knowledge: per-client updates in standard deployments
@@ -6,20 +6,15 @@ but with server knowledge: per-client updates in standard deployments
 aggregation (``aggregate_only``). Identified high-contribution clients get
 their selection probability raised to ``lam / n`` while everyone else drops
 to ``(n - k_s * lam) / (n^2 - k_s * n)``, which keeps the distribution
-normalized exactly.
+normalized exactly. Update clipping, the other defense, is part of
+aggregation (``fednetsim.protocol.aggregate``).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from fednetsim.adversary import (
-    ContributionLedger,
-    ObservationMode,
-    RoundObservation,
-    identify_clients,
-    record_round,
-)
+from fednetsim.adversary import ContributionLedger, ObservationMode, identify_clients, record_round
 from fednetsim.datasets import ExampleSet
 from fednetsim.models import ModelSpec
 from fednetsim.protocol import RoundTrace
@@ -29,14 +24,13 @@ SERVER_MODES = ("plain", "aggregate_only")
 
 @dataclass(frozen=True)
 class DefensePlan:
-    """Up-sampling defense parameters plus the optional clipping norm."""
+    """Up-sampling defense parameters."""
 
     t_s: int
     k_s: int
     upsample_factor: float
     valid_set: ExampleSet
     server_mode: str = "plain"
-    clip_norm: float | None = None
 
     def __post_init__(self):
         if self.t_s < 1:
@@ -47,8 +41,6 @@ class DefensePlan:
             raise ValueError("upsample_factor must be >= 1")
         if self.server_mode not in SERVER_MODES:
             raise ValueError(f"server_mode must be one of {SERVER_MODES}")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ValueError("clip_norm must be > 0 when set")
 
 
 def upsample_probabilities(identified, n: int, factor: float) -> np.ndarray:
@@ -70,11 +62,6 @@ def upsample_probabilities(identified, n: int, factor: float) -> np.ndarray:
     p = np.full(n, (n - k_s * factor) / (n * n - k_s * n))
     p[z] = factor / n
     return p
-
-
-def server_identify(ledger: ContributionLedger, k_s: int) -> list[int]:
-    """Server-side client identification; same ranking rule as the attacker's."""
-    return identify_clients(ledger, k_s)
 
 
 class UpsamplingDefender:
@@ -101,13 +88,7 @@ class UpsamplingDefender:
         return upsample_probabilities(self.identified, n, self.plan.upsample_factor)
 
     def observe(self, trace: RoundTrace):
-        obs = RoundObservation(
-            t=trace.t,
-            participants=trace.participants,
-            global_before=trace.global_before,
-            global_after=trace.global_after,
-            local_models=trace.received_models if self._mode.kind == "plain" else None,
-        )
-        record_round(self.ledger, obs, self._mode, self.plan.valid_set, self.spec)
+        models = trace.received_models if self._mode.kind == "plain" else None
+        record_round(self.ledger, trace, models, self._mode, self.plan.valid_set, self.spec)
         if trace.t >= self.plan.t_s:
-            self.identified = server_identify(self.ledger, self.plan.k_s)
+            self.identified = identify_clients(self.ledger, self.plan.k_s)

@@ -12,21 +12,17 @@ All emitted files are byte-deterministic for a fixed configuration.
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from dataclasses import replace as dc_replace
 
 import numpy as np
 
 from fednetsim.adversary import (
     AttackPlan,
-    ContributionLedger,
     FixedSetDropper,
     ObservationMode,
-    RoundObservation,
     TargetedDropAttacker,
     identification_score,
-    identify_clients,
-    record_round,
     sample_visible_set,
 )
 from fednetsim.config import ConfigError, PoisonConfig, ScenarioConfig, validate_scenario
@@ -99,8 +95,26 @@ class RunSummary:
         return out
 
 
-def _build_sources(cfg: ScenarioConfig, trial_seed: int) -> tuple[DatasetSource, DatasetSource]:
-    ds = cfg.dataset
+@dataclass(frozen=True)
+class World:
+    """Everything a trial runs in: model, client shards, eval data, protocol.
+
+    ``compromised`` are the k_p target-class holders turned poisoners;
+    ``honest_targets`` are the remaining holders, the clients an attacker
+    is scored on.
+    """
+
+    spec: ModelSpec
+    shards: list[ExampleSet]
+    compromised: tuple[int, ...]
+    honest_targets: tuple[int, ...]
+    eval_sets: EvalSets
+    proto: ProtocolConfig
+
+
+def build_world(cfg: ScenarioConfig, trial_seed: int) -> World:
+    """Data, model spec, partition (k + k_p holders), poisoners, eval sets, protocol."""
+    ds, part = cfg.dataset, cfg.partition
     if ds.kind == "synthetic":
         # One pooled draw per trial, split per class, so train and eval share
         # the same class geometry and differ only in sampled points.
@@ -111,35 +125,16 @@ def _build_sources(cfg: ScenarioConfig, trial_seed: int) -> tuple[DatasetSource,
             ds.separation,
             spawn_seed(trial_seed, TAG_DATA),
         )
-        train_idx = []
-        eval_idx = []
-        for c in range(ds.class_count):
-            idx = np.flatnonzero(pooled.y == c)
-            train_idx.append(idx[: ds.per_class])
-            eval_idx.append(idx[ds.per_class :])
-        train_idx = np.concatenate(train_idx)
-        eval_idx = np.concatenate(eval_idx)
-        train = DatasetSource(pooled.x[train_idx], pooled.y[train_idx], ds.class_count)
-        test = DatasetSource(pooled.x[eval_idx], pooled.y[eval_idx], ds.class_count)
-        return train, test
-    train = load_idx_dataset(ds.train_images, ds.train_labels, ds.class_count)
-    test = load_idx_dataset(ds.test_images, ds.test_labels, ds.class_count)
-    return train, test
-
-
-def _subsample(examples: ExampleSet, size: int, rng: np.random.Generator) -> ExampleSet:
-    size = min(size, len(examples))
-    idx = np.sort(rng.choice(len(examples), size=size, replace=False))
-    return examples.subset(idx)
-
-
-def run_trial(cfg: ScenarioConfig, trial_seed: int) -> TrialSeries:
-    """One independent run of the configured scenario."""
-    part = cfg.partition
-    train_src, test_src = _build_sources(cfg, trial_seed)
-    input_dim = train_src.x.shape[1]
+        by_class = [np.flatnonzero(pooled.y == c) for c in range(ds.class_count)]
+        train_idx = np.concatenate([idx[: ds.per_class] for idx in by_class])
+        eval_idx = np.concatenate([idx[ds.per_class :] for idx in by_class])
+        train_src = DatasetSource(pooled.x[train_idx], pooled.y[train_idx], ds.class_count)
+        test_src = DatasetSource(pooled.x[eval_idx], pooled.y[eval_idx], ds.class_count)
+    else:
+        train_src = load_idx_dataset(ds.train_images, ds.train_labels, ds.class_count)
+        test_src = load_idx_dataset(ds.test_images, ds.test_labels, ds.class_count)
     spec = ModelSpec(
-        input_dim=input_dim,
+        input_dim=train_src.x.shape[1],
         hidden_dims=cfg.model.hidden_dims,
         class_count=train_src.class_count,
         activation=cfg.model.activation,
@@ -156,22 +151,39 @@ def run_trial(cfg: ScenarioConfig, trial_seed: int) -> TrialSeries:
         part.local_size,
         spawn_seed(trial_seed, TAG_PARTITION),
     )
-    shards = [train_src.subset(idx) for idx in plan.shards]
-
     holder_ids = list(plan.target_client_ids)
+    compromised = ()
     if k_p > 0:
         rng = spawn_rng(trial_seed, TAG_COMPROMISE)
-        compromised = sorted(int(i) for i in rng.choice(holder_ids, size=k_p, replace=False))
-    else:
-        compromised = []
-    honest_targets = tuple(i for i in holder_ids if i not in set(compromised))
+        compromised = tuple(sorted(int(i) for i in rng.choice(holder_ids, size=k_p, replace=False)))
 
-    target_pool = test_src.class_examples(part.target_class)
-    eval_sets = EvalSets(
-        target_set=target_pool,
-        test_set=test_src.all_examples(),
-        target_class=part.target_class,
+    return World(
+        spec=spec,
+        shards=[train_src.subset(idx) for idx in plan.shards],
+        compromised=compromised,
+        honest_targets=tuple(i for i in holder_ids if i not in compromised),
+        eval_sets=EvalSets(
+            target_set=test_src.class_examples(part.target_class),
+            test_set=test_src.all_examples(),
+            target_class=part.target_class,
+        ),
+        proto=ProtocolConfig(n=part.n, **asdict(cfg.protocol)),
     )
+
+
+def _subsample(examples: ExampleSet, size: int, rng: np.random.Generator) -> ExampleSet:
+    size = min(size, len(examples))
+    idx = np.sort(rng.choice(len(examples), size=size, replace=False))
+    return examples.subset(idx)
+
+
+def run_trial(cfg: ScenarioConfig, trial_seed: int) -> TrialSeries:
+    """One independent run of the configured scenario."""
+    part = cfg.partition
+    world = build_world(cfg, trial_seed)
+    spec = world.spec
+    honest_targets = world.honest_targets
+    target_pool = world.eval_sets.target_set
 
     attacker = None
     if cfg.attack is not None:
@@ -185,7 +197,7 @@ def run_trial(cfg: ScenarioConfig, trial_seed: int) -> TrialSeries:
                     atk.alpha_v,
                     spawn_seed(trial_seed, TAG_VISIBLE),
                 )
-                mode = ObservationMode("encrypted_limited", visible, atk.alpha_v)
+                mode = ObservationMode("encrypted_limited", visible)
             else:
                 mode = ObservationMode(atk.mode)
             dstar = _subsample(target_pool, atk.target_set_size, spawn_rng(trial_seed, TAG_ATTACK_DSTAR))
@@ -204,21 +216,21 @@ def run_trial(cfg: ScenarioConfig, trial_seed: int) -> TrialSeries:
             attacker = FixedSetDropper(drop_ids)
 
     poisoner = None
-    if cfg.poison is not None and k_p > 0:
+    if world.compromised:
         flip_to = (
             cfg.poison.flip_to
             if cfg.poison.flip_to is not None
-            else default_flip_to(part.target_class, train_src.class_count)
+            else default_flip_to(part.target_class, spec.class_count)
         )
         start_round = (
             cfg.poison.start_round if cfg.poison.start_round is not None else cfg.attack.t_n
         )
         flipped = {
-            j: flip_labels(shards[j], part.target_class, flip_to) for j in compromised
+            j: flip_labels(world.shards[j], part.target_class, flip_to) for j in world.compromised
         }
         poisoner = ModelReplacementPoisoner(
             PoisonPlan(
-                compromised_ids=tuple(compromised),
+                compromised_ids=world.compromised,
                 boost=cfg.poison.boost,
                 target_class=part.target_class,
                 flip_to=flip_to,
@@ -232,7 +244,7 @@ def run_trial(cfg: ScenarioConfig, trial_seed: int) -> TrialSeries:
         )
 
     defender = None
-    clip_norm = cfg.protocol.clip_norm
+    proto = world.proto
     if cfg.defense is not None:
         dfn = cfg.defense
         valid_set = _subsample(target_pool, dfn.valid_set_size, spawn_rng(trial_seed, TAG_SERVER_DSTAR))
@@ -243,25 +255,12 @@ def run_trial(cfg: ScenarioConfig, trial_seed: int) -> TrialSeries:
                 upsample_factor=dfn.upsample_factor,
                 valid_set=valid_set,
                 server_mode=dfn.server_mode,
-                clip_norm=dfn.clip_norm,
             ),
             spec,
             part.n,
         )
         if dfn.clip_norm is not None:
-            clip_norm = dfn.clip_norm
-
-    proto = ProtocolConfig(
-        n=part.n,
-        m=cfg.protocol.m,
-        rounds=cfg.protocol.rounds,
-        server_lr=cfg.protocol.server_lr,
-        local_epochs=cfg.protocol.local_epochs,
-        local_lr=cfg.protocol.local_lr,
-        batch_size=cfg.protocol.batch_size,
-        clip_norm=clip_norm,
-        denominator_mode=cfg.protocol.denominator_mode,
-    )
+            proto = dc_replace(proto, clip_norm=dfn.clip_norm)
 
     hits_series: list[int] = []
     observers = []
@@ -280,9 +279,9 @@ def run_trial(cfg: ScenarioConfig, trial_seed: int) -> TrialSeries:
 
     records = run_protocol(
         proto,
-        shards,
+        world.shards,
         spec,
-        eval_sets,
+        world.eval_sets,
         trial_seed,
         filter_hook=attacker.filter_updates if attacker is not None else None,
         poison_hook=poisoner.poison_update if poisoner is not None else None,
@@ -409,109 +408,51 @@ def emit_sweep(results: dict[tuple[int, int], RunSummary], out_dir) -> str:
     return matrix_path
 
 
-class IdentificationProbe:
-    """Passive observer scoring identification quality at checkpoint rounds."""
-
-    def __init__(self, mode: ObservationMode, target_set: ExampleSet, spec: ModelSpec, k_n: int, checkpoints):
-        self.mode = mode
-        self.target_set = target_set
-        self.spec = spec
-        self.k_n = k_n
-        self.checkpoints = set(int(c) for c in checkpoints)
-        self.ledger = ContributionLedger()
-        self.snapshots: dict[int, list[int]] = {}
-
-    def observe(self, trace: RoundTrace):
-        obs = RoundObservation(
-            t=trace.t,
-            participants=trace.participants,
-            global_before=trace.global_before,
-            global_after=trace.global_after,
-            local_models=trace.sent_models if self.mode.kind == "plain" else None,
-        )
-        record_round(self.ledger, obs, self.mode, self.target_set, self.spec)
-        if trace.t in self.checkpoints:
-            self.snapshots[trace.t] = identify_clients(self.ledger, self.k_n)
-
-
 def identify_bench(
     cfg: ScenarioConfig, checkpoint_rounds, k_n: int | None = None
 ) -> dict[str, dict[int, list[int]]]:
     """Identification hit counts per mode and checkpoint round, per trial.
 
     Runs the protocol without any interference (training proceeds
-    normally) and snapshots what a plain and an encrypted observer would
-    identify at each checkpoint. Returns
-    ``{mode: {round: [hits per trial]}}``.
+    normally) next to a passive plain and a passive encrypted attacker
+    (no filter hook, so they never drop), and scores what each has
+    identified at every checkpoint. Returns ``{mode: {round: [hits per trial]}}``.
     """
     validate_scenario(cfg)
     checkpoints = sorted(set(int(c) for c in checkpoint_rounds))
     if not checkpoints or checkpoints[0] < 1:
         raise ConfigError("checkpoint rounds must be positive")
-    part = cfg.partition
     if k_n is None:
-        k_n = part.k
+        k_n = cfg.partition.k
     bench_cfg = cfg.replace(
         attack=None,
         poison=None,
         defense=None,
         protocol=dc_replace(cfg.protocol, rounds=checkpoints[-1]),
     )
+    size = cfg.attack.target_set_size if cfg.attack is not None else 100
 
-    results = {mode: {c: [] for c in checkpoints} for mode in ("plain", "encrypted")}
+    modes = ("plain", "encrypted")
+    results = {mode: {c: [] for c in checkpoints} for mode in modes}
     for i in range(bench_cfg.trials):
         trial_seed = bench_cfg.base_seed + i
-        train_src, test_src = _build_sources(bench_cfg, trial_seed)
-        spec = ModelSpec(
-            input_dim=train_src.x.shape[1],
-            hidden_dims=bench_cfg.model.hidden_dims,
-            class_count=train_src.class_count,
-            activation=bench_cfg.model.activation,
-        )
-        plan = partition(
-            train_src,
-            part.n,
-            part.k,
-            part.target_class,
-            part.alpha_t,
-            part.alpha_d,
-            part.local_size,
-            spawn_seed(trial_seed, TAG_PARTITION),
-        )
-        shards = [train_src.subset(idx) for idx in plan.shards]
-        target_pool = test_src.class_examples(part.target_class)
-        size = cfg.attack.target_set_size if cfg.attack is not None else 100
-        dstar = _subsample(target_pool, size, spawn_rng(trial_seed, TAG_ATTACK_DSTAR))
-        eval_sets = EvalSets(
-            target_set=target_pool, test_set=test_src.all_examples(), target_class=part.target_class
-        )
-        probes = {
-            mode: IdentificationProbe(ObservationMode(mode), dstar, spec, k_n, checkpoints)
-            for mode in ("plain", "encrypted")
+        world = build_world(bench_cfg, trial_seed)
+        dstar = _subsample(world.eval_sets.target_set, size, spawn_rng(trial_seed, TAG_ATTACK_DSTAR))
+        watchers = {
+            mode: TargetedDropAttacker(
+                AttackPlan(t_n=1, k_n=k_n, mode=ObservationMode(mode), target_set=dstar), world.spec
+            )
+            for mode in modes
         }
-        proto = ProtocolConfig(
-            n=part.n,
-            m=bench_cfg.protocol.m,
-            rounds=checkpoints[-1],
-            server_lr=bench_cfg.protocol.server_lr,
-            local_epochs=bench_cfg.protocol.local_epochs,
-            local_lr=bench_cfg.protocol.local_lr,
-            batch_size=bench_cfg.protocol.batch_size,
-            clip_norm=bench_cfg.protocol.clip_norm,
-            denominator_mode=bench_cfg.protocol.denominator_mode,
-        )
-        run_protocol(
-            proto,
-            shards,
-            spec,
-            eval_sets,
-            trial_seed,
-            observers=[probes["plain"].observe, probes["encrypted"].observe],
-        )
-        for mode, probe in probes.items():
-            for c in checkpoints:
-                hits = identification_score(probe.snapshots[c], plan.target_client_ids).hits
-                results[mode][c].append(hits)
+
+        def score(trace: RoundTrace):
+            if trace.t in checkpoints:
+                for mode, watcher in watchers.items():
+                    hits = identification_score(watcher.identified, world.honest_targets).hits
+                    results[mode][trace.t].append(hits)
+
+        observers = [w.observe for w in watchers.values()] + [score]
+        run_protocol(world.proto, world.shards, world.spec, world.eval_sets, trial_seed, observers=observers)
     return results
 
 

@@ -33,10 +33,6 @@ class PoisonPlan:
         if self.start_round < 0:
             raise ValueError("start_round must be >= 0")
 
-    @property
-    def k_p(self) -> int:
-        return len(self.compromised_ids)
-
 
 def default_flip_to(target_class: int, class_count: int) -> int:
     return (target_class + 1) % class_count

@@ -70,8 +70,6 @@ class RoundRecord:
     t: int
     participants: tuple[int, ...]
     received: tuple[int, ...]
-    global_before: np.ndarray
-    global_after: np.ndarray
     target_loss: float
     target_acc: float
     overall_acc: float
@@ -256,8 +254,6 @@ def run_protocol(
                 t=t,
                 participants=tuple(participants),
                 received=tuple(sorted(u.client_id for u in received)),
-                global_before=f,
-                global_after=f_next,
                 target_loss=target_eval.mean_loss,
                 target_acc=target_eval.accuracy,
                 overall_acc=overall_eval.accuracy,

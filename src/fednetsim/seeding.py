@@ -14,7 +14,6 @@ TAG_INIT = 101
 TAG_SELECT = 102
 TAG_TRAIN = 103
 TAG_DATA = 201
-TAG_EVAL_DATA = 202
 TAG_PARTITION = 203
 TAG_COMPROMISE = 204
 TAG_ATTACK = 301

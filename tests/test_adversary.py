@@ -1,13 +1,17 @@
 """Observation modes, the contribution ledger, identification, and dropping."""
 
+import functools
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fednetsim.adversary import (
     AttackPlan,
     ContributionLedger,
     ObservationMode,
-    RoundObservation,
     TargetedDropAttacker,
     drop_filter,
     identification_score,
@@ -80,13 +84,15 @@ class LedgerWorld:
     def loss(self, params):
         return forward_eval(params, self.spec, self.target_set).mean_loss
 
-    def obs(self, participants, local_models=None, t=1):
-        return RoundObservation(
+    def trace(self, participants, local_models=None, t=1):
+        models = local_models or {}
+        return RoundTrace(
             t=t,
             participants=tuple(participants),
             global_before=self.f_before,
             global_after=self.f_after,
-            local_models=local_models,
+            sent_models=models,
+            received_models=models,
         )
 
 
@@ -94,24 +100,26 @@ class TestRecordRound:
     def test_encrypted_credits_all_participants(self):
         w = LedgerWorld()
         ledger = ContributionLedger()
-        record_round(ledger, w.obs((3, 7)), ObservationMode("encrypted"), w.target_set, w.spec)
+        record_round(ledger, w.trace((3, 7)), None, ObservationMode("encrypted"), w.target_set, w.spec)
         change = w.loss(w.f_before) - w.loss(w.f_after)
-        assert ledger.entries == {3: [change], 7: [change]}
+        assert ledger.counts == {3: 1, 7: 1}
+        assert ledger.mean(3) == ledger.mean(7) == change
 
     def test_plain_zero_difference_for_unchanged_model(self):
         w = LedgerWorld()
         ledger = ContributionLedger()
         local = {5: w.f_before.copy(), 6: w.f_before + 0.1}
-        record_round(ledger, w.obs((5, 6), local), ObservationMode("plain"), w.target_set, w.spec)
-        assert ledger.entries[5] == [0.0]
+        trace = w.trace((5, 6), local)
+        record_round(ledger, trace, trace.sent_models, ObservationMode("plain"), w.target_set, w.spec)
+        assert ledger.rounds_seen(5) == 1 and ledger.mean(5) == 0.0
         assert ledger.rounds_seen(6) == 1
 
     def test_limited_visibility_intersects(self):
         w = LedgerWorld()
         ledger = ContributionLedger()
         mode = ObservationMode("encrypted_limited", frozenset({3}))
-        record_round(ledger, w.obs((3, 7)), mode, w.target_set, w.spec)
-        assert set(ledger.entries) == {3}
+        record_round(ledger, w.trace((3, 7)), None, mode, w.target_set, w.spec)
+        assert set(ledger.counts) == {3}
 
     def test_full_visible_set_equals_encrypted(self):
         w = LedgerWorld()
@@ -119,14 +127,15 @@ class TestRecordRound:
         encrypted = ContributionLedger()
         mode_lim = ObservationMode("encrypted_limited", frozenset(range(10)))
         for t, parts in enumerate([(0, 4), (2, 9, 5), (1,)], start=1):
-            record_round(limited, w.obs(parts, t=t), mode_lim, w.target_set, w.spec)
-            record_round(encrypted, w.obs(parts, t=t), ObservationMode("encrypted"), w.target_set, w.spec)
+            trace = w.trace(parts, t=t)
+            record_round(limited, trace, None, mode_lim, w.target_set, w.spec)
+            record_round(encrypted, trace, None, ObservationMode("encrypted"), w.target_set, w.spec)
         assert limited == encrypted
 
     def test_plain_requires_local_models(self):
         w = LedgerWorld()
         with pytest.raises(ValueError, match="local models"):
-            record_round(ContributionLedger(), w.obs((1,)), ObservationMode("plain"), w.target_set, w.spec)
+            record_round(ContributionLedger(), w.trace((1,)), None, ObservationMode("plain"), w.target_set, w.spec)
 
     def test_limited_requires_visible_set(self):
         with pytest.raises(ValueError, match="visible_set"):
@@ -158,6 +167,44 @@ class TestIdentifyClients:
         # never outrank a positive-mean client
         ledger = make_ledger({4: [0.0, 0.0, 0.0], 8: [1e-9]})
         assert identify_clients(ledger, 1) == [8]
+
+
+# (client, loss difference) observations.
+EVENTS = st.lists(
+    st.tuples(st.integers(0, 6), st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)),
+    max_size=40,
+)
+
+
+def per_client_lists(events) -> dict[int, list[float]]:
+    values: dict[int, list[float]] = {}
+    for client, value in events:
+        values.setdefault(client, []).append(value)
+    return values
+
+
+def left_sum(values) -> float:
+    # Left-to-right float sum, which is what ``sum`` computes up to Python
+    # 3.11 (3.12 compensates the rounding error, so it can differ).
+    return functools.reduce(operator.add, values, 0.0)
+
+
+class TestLedgerProperties:
+    @settings(deadline=None)
+    @given(EVENTS)
+    def test_mean_is_bit_equal_to_list_mean(self, events):
+        ledger = make_ledger(per_client_lists(events))
+        for client, values in per_client_lists(events).items():
+            assert ledger.rounds_seen(client) == len(values)
+            assert ledger.mean(client) == left_sum(values) / len(values)
+
+    @settings(deadline=None)
+    @given(EVENTS, st.integers(0, 9))
+    def test_identify_matches_reference_ranking(self, events, k_n):
+        ledger = make_ledger(per_client_lists(events))
+        means = {j: left_sum(v) / len(v) for j, v in per_client_lists(events).items()}
+        reference = sorted(means, key=lambda j: (-means[j], j))[:k_n]
+        assert identify_clients(ledger, k_n) == reference
 
 
 class TestDropFilter:

@@ -1,12 +1,24 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from fednetsim.cli import main
 
-CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
+
+
+def run_cli(*argv, timeout):
+    """``python -m fednetsim.cli`` in a fresh interpreter, killed after ``timeout`` seconds."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-m", "fednetsim.cli", *argv]
+    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=timeout)
 
 
 class TestRun:
@@ -57,6 +69,27 @@ class TestRun:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    def test_truncated_idx_header_exits_two(self, tmp_path):
+        short = tmp_path / "short.idx"
+        short.write_bytes(b"\x00\x00\x08")
+        cfg = tmp_path / "idx.yaml"
+        cfg.write_text(
+            "dataset:\n"
+            "  kind: idx\n"
+            "  class_count: 3\n"
+            f"  train_images: {short}\n"
+            f"  train_labels: {short}\n"
+            f"  test_images: {short}\n"
+            f"  test_labels: {short}\n"
+            "partition:\n  n: 4\n  k: 1\n  local_size: 5\n"
+            "protocol:\n  m: 2\n  rounds: 1\n"
+            "trials: 1\n"
+        )
+        proc = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out"), timeout=60)
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_usage_error_exits_one(self):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--out", "somewhere"])
@@ -80,6 +113,16 @@ class TestAnalyze:
         rc = main(["analyze", "--n", "60", "--m", "10", "--k", "15", "--kn", "20"])
         assert rc == 1
         assert "configuration error" in capsys.readouterr().err
+
+    def test_unaffordable_encrypted_simulation_exits_one_quickly(self):
+        # target-free 44-of-60 batches have probability ~1e-12: simulating
+        # them would never finish, so the command refuses at once
+        proc = run_cli(
+            "analyze", "--n", "60", "--m", "44", "--k", "15", "--kn", "15",
+            "--alpha", "0.5", "--mc-trials", "100", timeout=5,
+        )
+        assert proc.returncode == 1
+        assert "budget" in proc.stderr
 
 
 class TestSweepCommand:

@@ -10,6 +10,8 @@ from fednetsim.datasets import (
     PartitionError,
     gen_synthetic,
     load_idx_dataset,
+    load_idx_images,
+    load_idx_labels,
     partition,
 )
 from fednetsim.models import ModelSpec, forward_eval, init_model, local_train
@@ -168,3 +170,12 @@ class TestIdxLoader:
         _, lab2 = self.write_idx(tmp_path, rng.integers(0, 256, (2, 2, 2)), np.array([0, 1]), stem="b")
         with pytest.raises(ValueError, match="counts differ"):
             load_idx_dataset(img_path, lab2)
+
+    @pytest.mark.parametrize("loader", [load_idx_images, load_idx_labels])
+    @pytest.mark.parametrize("size", [0, 3, 7])
+    def test_truncated_header_rejected(self, tmp_path, loader, size):
+        path = tmp_path / "short.idx"
+        path.write_bytes(bytes(size))
+        with pytest.raises(ValueError, match="truncated IDX header") as exc:
+            loader(path)
+        assert str(path) in str(exc.value)

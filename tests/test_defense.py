@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
-from fednetsim.adversary import ContributionLedger, ObservationMode, RoundObservation, record_round
+from fednetsim.adversary import (
+    AttackPlan,
+    ContributionLedger,
+    ObservationMode,
+    TargetedDropAttacker,
+    record_round,
+)
 from fednetsim.datasets import gen_synthetic
-from fednetsim.defense import DefensePlan, UpsamplingDefender, server_identify, upsample_probabilities
+from fednetsim.defense import DefensePlan, UpsamplingDefender, upsample_probabilities
 from fednetsim.models import ModelSpec, init_model
 from fednetsim.protocol import RoundTrace, select_participants
 
@@ -67,12 +73,25 @@ class TestUpsampleProbabilities:
 
 class TestServerIdentify:
     def test_shares_attacker_ranking(self):
-        ledger = ContributionLedger()
-        for client, values in {1: [0.9], 2: [0.3, 0.1], 5: [-0.4]}.items():
-            for v in values:
-                ledger.record(client, v)
-        assert server_identify(ledger, 2) == [1, 2]
-        assert server_identify(ledger, 10) == [1, 2, 5]
+        # an aggregate-only server and an encrypted attacker that watch the
+        # same rounds rank clients by the same rule
+        spec = ModelSpec(4, (), 3)
+        valid = gen_synthetic(3, 4, 40, 2.0, seed=2).class_examples(0)
+        f0 = init_model(spec, 0)
+        defender = UpsamplingDefender(
+            DefensePlan(t_s=1, k_s=2, upsample_factor=2.0, valid_set=valid, server_mode="aggregate_only"),
+            spec,
+            n=10,
+        )
+        attacker = TargetedDropAttacker(
+            AttackPlan(t_n=1, k_n=2, mode=ObservationMode("encrypted"), target_set=valid), spec
+        )
+        for t, (parts, step) in enumerate([((1, 5), 0.03), ((2, 5), -0.02), ((1, 9), 0.01)], start=1):
+            trace = RoundTrace(t, parts, f0, f0 + step, {}, {})
+            defender.observe(trace)
+            attacker.observe(trace)
+        assert len(defender.identified) == 2
+        assert defender.identified == attacker.identified
 
 
 class TestUpsamplingDefender:
@@ -115,7 +134,7 @@ class TestUpsamplingDefender:
         plan = DefensePlan(t_s=5, k_s=2, upsample_factor=2.0, valid_set=valid, server_mode="plain")
         defender = UpsamplingDefender(plan, spec, n=10)
         defender.observe(self.make_trace(f0, 1, (1, 2, 3), (1, 3)))
-        assert set(defender.ledger.entries) == {1, 3}
+        assert set(defender.ledger.counts) == {1, 3}
 
     def test_aggregate_only_credits_all_participants(self):
         spec, valid, f0 = self.world()
@@ -124,7 +143,7 @@ class TestUpsamplingDefender:
         )
         defender = UpsamplingDefender(plan, spec, n=10)
         defender.observe(self.make_trace(f0, 1, (1, 2, 3), (1, 3)))
-        assert set(defender.ledger.entries) == {1, 2, 3}
+        assert set(defender.ledger.counts) == {1, 2, 3}
 
     def test_aggregate_only_matches_encrypted_attacker_ledger(self):
         # same observations, shared ranking code path: ledgers must be
@@ -138,13 +157,7 @@ class TestUpsamplingDefender:
         for t, parts in enumerate([(0, 3), (2, 5, 8), (1, 3)], start=1):
             trace = self.make_trace(f0, t, parts, parts)
             defender.observe(trace)
-            obs = RoundObservation(
-                t=t,
-                participants=trace.participants,
-                global_before=trace.global_before,
-                global_after=trace.global_after,
-            )
-            record_round(attacker_ledger, obs, ObservationMode("encrypted"), valid, spec)
+            record_round(attacker_ledger, trace, None, ObservationMode("encrypted"), valid, spec)
         assert defender.ledger == attacker_ledger
 
     def test_oversized_plan_rejected(self):
@@ -170,11 +183,18 @@ class TestUpsamplingDefender:
             spec,
             n=8,
         )
+        models = {"defended": [], "undefended": []}
+
+        def keep(name):
+            return lambda trace: models[name].append(trace.global_after)
+
         defended = run_protocol(
             cfg, shards, spec, eval_sets, seed=6,
-            resample_hook=defender.resample, observers=[defender.observe],
+            resample_hook=defender.resample, observers=[defender.observe, keep("defended")],
         )
-        undefended = run_protocol(cfg, shards, spec, eval_sets, seed=6)
+        undefended = run_protocol(cfg, shards, spec, eval_sets, seed=6, observers=[keep("undefended")])
         for a, b in zip(defended, undefended):
             assert a.participants == b.participants
-            assert np.array_equal(a.global_after, b.global_after)
+        assert len(models["defended"]) == cfg.rounds
+        for a, b in zip(models["defended"], models["undefended"]):
+            assert np.array_equal(a, b)

@@ -140,6 +140,14 @@ def small_world(seed=1, n=8, k=2, classes=4, rounds=12):
     return cfg, shards, spec, eval_sets, plan
 
 
+def run_with_models(*args, **kwargs):
+    """``run_protocol`` records plus each round's (global_before, global_after)."""
+    models = []
+    observers = [lambda trace: models.append((trace.global_before, trace.global_after))]
+    records = run_protocol(*args, observers=observers, **kwargs)
+    return records, models
+
+
 class TestRunProtocol:
     def test_identical_shards_equal_centralized_step(self):
         # one round, all clients hold the same data: FedAvg step equals one
@@ -151,23 +159,24 @@ class TestRunProtocol:
         n = 5
         cfg = ProtocolConfig(n=n, m=n, rounds=1, server_lr=1.0, local_epochs=1, local_lr=0.1)
         eval_sets = EvalSets(src.class_examples(0), shard, 0)
-        records = run_protocol(cfg, [shard] * n, spec, eval_sets, seed=3)
-        f0 = records[0].global_before
+        _, models = run_with_models(cfg, [shard] * n, spec, eval_sets, seed=3)
+        f0, f1 = models[0]
         centralized = f0 + local_train(f0, spec, shard, 1, 0.1, None, 12345)
-        assert np.allclose(records[0].global_after, centralized, atol=1e-12)
+        assert np.allclose(f1, centralized, atol=1e-12)
 
     def test_drop_everything_fixpoint(self):
         cfg, shards, spec, eval_sets, _ = small_world()
-        records = run_protocol(cfg, shards, spec, eval_sets, seed=5, filter_hook=lambda ups, t: [])
-        assert np.array_equal(records[-1].global_after, records[0].global_before)
+        records, models = run_with_models(cfg, shards, spec, eval_sets, seed=5, filter_hook=lambda ups, t: [])
+        assert np.array_equal(models[-1][1], models[0][0])
         assert all(len(r.received) == 0 for r in records)
 
     def test_bit_identical_reruns(self):
         cfg, shards, spec, eval_sets, _ = small_world()
-        a = run_protocol(cfg, shards, spec, eval_sets, seed=8)
-        b = run_protocol(cfg, shards, spec, eval_sets, seed=8)
+        a, models_a = run_with_models(cfg, shards, spec, eval_sets, seed=8)
+        b, models_b = run_with_models(cfg, shards, spec, eval_sets, seed=8)
+        for (_, fa), (_, fb) in zip(models_a, models_b):
+            assert np.array_equal(fa, fb)
         for ra, rb in zip(a, b):
-            assert np.array_equal(ra.global_after, rb.global_after)
             assert ra.target_loss == rb.target_loss
             assert ra.participants == rb.participants
 
@@ -202,30 +211,26 @@ class TestRunProtocol:
         def keep_only_one(ups, t):
             return [u for u in ups if u.client_id == 1]
 
-        records = run_protocol(
+        records, models = run_with_models(
             cfg, shards, spec, eval_sets, seed=11, poison_hook=poison, filter_hook=keep_only_one
         )
-        arrived = [r for r in records if 1 in r.received]
+        arrived = [i for i, r in enumerate(records) if 1 in r.received]
         assert arrived
-        for r in arrived:
-            assert np.array_equal(r.global_after, r.global_before)
+        for i in arrived:
+            assert np.array_equal(models[i][1], models[i][0])
 
     def test_fixed_m_denominator_shrinks_partial_rounds(self):
         cfg, shards, spec, eval_sets, _ = small_world(rounds=1)
         keep_first = lambda ups, t: ups[:1]
-        rec_received = run_protocol(
-            cfg, shards, spec, eval_sets, seed=12, filter_hook=keep_first
-        )[0]
+        _, (received_models,) = run_with_models(cfg, shards, spec, eval_sets, seed=12, filter_hook=keep_first)
         cfg_fixed = ProtocolConfig(
             n=cfg.n, m=cfg.m, rounds=1, server_lr=cfg.server_lr,
             local_epochs=cfg.local_epochs, local_lr=cfg.local_lr,
             denominator_mode="fixed_m",
         )
-        rec_fixed = run_protocol(
-            cfg_fixed, shards, spec, eval_sets, seed=12, filter_hook=keep_first
-        )[0]
-        step_received = rec_received.global_after - rec_received.global_before
-        step_fixed = rec_fixed.global_after - rec_fixed.global_before
+        _, (fixed_models,) = run_with_models(cfg_fixed, shards, spec, eval_sets, seed=12, filter_hook=keep_first)
+        step_received = received_models[1] - received_models[0]
+        step_fixed = fixed_models[1] - fixed_models[0]
         assert np.allclose(step_fixed * cfg.m, step_received, atol=1e-12)
 
     def test_wrong_shard_count_rejected(self):
