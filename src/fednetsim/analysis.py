@@ -35,10 +35,12 @@ MC_GRID = tuple(
     for k_n in (1, k)
 )
 
-# Largest expected encrypted simulation, in trials x rounds, that
-# ``monte_carlo_rounds`` will start; the benchmark grid's largest point is
-# below 1e6.
-MC_ENCRYPTED_BUDGET = 1e8
+# Largest expected encrypted simulation, in uniform random draws (trials x
+# rounds x n, one draw per client per simulated round), that
+# ``monte_carlo_rounds`` will start. Wall time follows draws far more
+# closely than trial-rounds; the benchmark grid's largest point needs
+# about 8e7 draws.
+MC_ENCRYPTED_BUDGET = 1e9
 
 
 def harmonic(i: int) -> float:
@@ -178,7 +180,7 @@ def monte_carlo_rounds(
     been drawn; ``encrypted`` counts whole rounds until enough distinct
     non-targets have appeared in target-free batches (requires ``alpha``);
     it raises ValueError when the expected cost, trials times the expected
-    rounds, exceeds ``MC_ENCRYPTED_BUDGET``.
+    rounds times n random draws, exceeds ``MC_ENCRYPTED_BUDGET``.
     """
     if trials < 100:
         raise ValueError("trials must be >= 100")
@@ -202,10 +204,11 @@ def monte_carlo_rounds(
             raise ValueError(f"precision alpha={alpha} needs k/alpha <= n")
         # Refuse, rather than hang on, runs where target-free batches are rare.
         p = prob_nontarget_batch_exact(n, k, m)
-        cost = trials * (n / m) * (harmonic(n - k) - harmonic(clear_to - k)) / p if p > 0 else 0.0
-        if cost > MC_ENCRYPTED_BUDGET:
+        rounds = (n / m) * (harmonic(n - k) - harmonic(clear_to - k)) / p if p > 0 else 0.0
+        draws = trials * rounds * n
+        if draws > MC_ENCRYPTED_BUDGET:
             raise ValueError(
-                f"encrypted simulation would take about {cost:.3g} trial-rounds, "
+                f"encrypted simulation would take about {draws:.3g} random draws, "
                 f"over the budget of {MC_ENCRYPTED_BUDGET:.0e}"
             )
         samples = _simulate_encrypted(n, m, k, alpha, trials, rng)

@@ -162,11 +162,7 @@ def build_world(cfg: ScenarioConfig, trial_seed: int) -> World:
         shards=[train_src.subset(idx) for idx in plan.shards],
         compromised=compromised,
         honest_targets=tuple(i for i in holder_ids if i not in compromised),
-        eval_sets=EvalSets(
-            target_set=test_src.class_examples(part.target_class),
-            test_set=test_src.all_examples(),
-            target_class=part.target_class,
-        ),
+        eval_sets=EvalSets(test_src.all_examples(), part.target_class),
         proto=ProtocolConfig(n=part.n, **asdict(cfg.protocol)),
     )
 

@@ -53,10 +53,15 @@ class ModelSpec:
 class EvalResult(NamedTuple):
     mean_loss: float
     accuracy: float
+    correct: int
 
 
 def _layer_views(params: np.ndarray, spec: ModelSpec) -> list[tuple[np.ndarray, np.ndarray]]:
     """(weight, bias) views into the flat vector, one pair per layer."""
+    if params.shape != (spec.param_count(),):
+        raise ValueError(
+            f"parameter vector length {params.shape} does not match spec ({spec.param_count()})"
+        )
     dims = spec.layer_dims
     out = []
     offset = 0
@@ -94,22 +99,54 @@ def _check_batch(spec: ModelSpec, batch: ExampleSet, context: str):
         raise ValueError("labels out of range for class_count")
 
 
-def _forward(params: np.ndarray, spec: ModelSpec, x: np.ndarray):
-    """Logits plus per-layer (input, pre-activation) pairs for backprop."""
-    if params.shape != (spec.param_count(),):
-        raise ValueError(
-            f"parameter vector length {params.shape} does not match spec ({spec.param_count()})"
-        )
-    layers = _layer_views(params, spec)
+def _forward(layers, activation: str, x: np.ndarray):
+    """Logits plus the input of every layer (x, then each hidden activation)."""
     h = x
-    cache = []
+    inputs = []
     for w, b in layers[:-1]:
-        z = h @ w + b
-        cache.append((h, z))
-        h = np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z)
+        inputs.append(h)
+        h = h @ w
+        h += b
+        if activation == "relu":
+            np.maximum(h, 0.0, out=h)
+        else:
+            np.tanh(h, out=h)
     w, b = layers[-1]
-    cache.append((h, None))
-    return h @ w + b, cache
+    inputs.append(h)
+    logits = h @ w
+    logits += b
+    return logits, inputs
+
+
+def _backprop(layers, grads, activation: str, x: np.ndarray, y: np.ndarray):
+    """Write the gradient of the mean cross-entropy over (x, y) into ``grads``.
+
+    ``layers`` and ``grads`` are (weight, bias) views of the parameter and
+    gradient vectors; inputs are not validated.
+    """
+    dz, inputs = _forward(layers, activation, x)
+    n = len(y)
+
+    # softmax(logits) - onehot(y), over n, computed in place
+    dz -= dz.max(axis=1, keepdims=True)
+    np.exp(dz, out=dz)
+    dz /= dz.sum(axis=1, keepdims=True)
+    dz[np.arange(n), y] -= 1.0
+    dz /= n
+
+    for i in range(len(layers) - 1, -1, -1):
+        h_in = inputs[i]
+        gw, gb = grads[i]
+        np.matmul(h_in.T, dz, out=gw)
+        np.add.reduce(dz, axis=0, out=gb)
+        if i > 0:
+            dz = dz @ layers[i][0].T
+            # h_in is the previous layer's activation output: relu(z) > 0
+            # exactly where z > 0, and tanh'(z) = 1 - tanh(z)^2.
+            if activation == "relu":
+                dz *= h_in > 0
+            else:
+                dz *= 1.0 - h_in**2
 
 
 def _per_example_losses(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -119,49 +156,27 @@ def _per_example_losses(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def forward_eval(params: np.ndarray, spec: ModelSpec, batch: ExampleSet) -> EvalResult:
-    """Mean softmax cross-entropy and argmax accuracy on a batch.
+    """Mean softmax cross-entropy, argmax accuracy and correct count on a batch.
 
     Ties in the argmax go to the lowest class id. The loss mean is computed
     over value-sorted per-example losses, so permuting the batch cannot
     change the result.
     """
     _check_batch(spec, batch, "evaluation set")
-    logits, _ = _forward(params, spec, batch.x)
+    logits, _ = _forward(_layer_views(params, spec), spec.activation, batch.x)
     losses = _per_example_losses(logits, batch.y)
     mean_loss = float(np.sort(losses).sum() / len(batch))
-    accuracy = float((logits.argmax(axis=1) == batch.y).sum() / len(batch))
-    return EvalResult(mean_loss, accuracy)
+    correct = int((logits.argmax(axis=1) == batch.y).sum())
+    return EvalResult(mean_loss, correct / len(batch), correct)
 
 
 def loss_gradient(params: np.ndarray, spec: ModelSpec, batch: ExampleSet) -> np.ndarray:
     """Gradient of the mean cross-entropy over the batch, as a flat vector."""
     _check_batch(spec, batch, "gradient batch")
-    logits, cache = _forward(params, spec, batch.x)
-    n = len(batch)
-
-    zmax = logits.max(axis=1, keepdims=True)
-    expz = np.exp(logits - zmax)
-    probs = expz / expz.sum(axis=1, keepdims=True)
-    dz = probs
-    dz[np.arange(n), batch.y] -= 1.0
-    dz /= n
-
     layers = _layer_views(params, spec)
-    grads: list[np.ndarray | None] = [None] * len(layers)
-    for i in range(len(layers) - 1, -1, -1):
-        h_in, z_in = cache[i]
-        w, _ = layers[i]
-        gw = h_in.T @ dz
-        gb = dz.sum(axis=0)
-        grads[i] = np.concatenate([gw.ravel(), gb])
-        if i > 0:
-            dh = dz @ w.T
-            _, z_prev = cache[i - 1]
-            if spec.activation == "relu":
-                dz = dh * (z_prev > 0)
-            else:
-                dz = dh * (1.0 - np.tanh(z_prev) ** 2)
-    return np.concatenate(grads)
+    grad = np.empty(params.shape)
+    _backprop(layers, _layer_views(grad, spec), spec.activation, batch.x, batch.y)
+    return grad
 
 
 def local_train(
@@ -177,7 +192,9 @@ def local_train(
 
     batch_size of None (the default) takes the whole shard in one step per
     epoch. The per-epoch shuffle order is fixed by the seed, so the result
-    is bit-reproducible.
+    is bit-reproducible. Each step is ``theta -= lr * loss_gradient(...)`` on
+    the next slice of the epoch's permutation; the shard and parameters are
+    validated once, before the first step.
     """
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
@@ -185,17 +202,21 @@ def local_train(
         raise ValueError("learning rate must be > 0")
     if epochs == 0:
         return np.zeros_like(global_params)
-    if len(shard) == 0:
-        raise ValueError("empty local dataset")
     _check_batch(spec, shard, "local dataset")
 
+    theta = global_params.copy()
+    layers = _layer_views(theta, spec)
+    grad = np.empty_like(theta)
+    grads = _layer_views(grad, spec)
     rng = spawn_rng(seed, 4)
+    x, y = shard.x, shard.y
     n = len(shard)
     step = n if batch_size is None or batch_size <= 0 else min(batch_size, n)
-    theta = global_params.copy()
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, step):
             idx = order[start : start + step]
-            theta -= lr * loss_gradient(theta, spec, ExampleSet(shard.x[idx], shard.y[idx]))
+            _backprop(layers, grads, spec.activation, x[idx], y[idx])
+            grad *= lr
+            theta -= grad
     return theta - global_params

@@ -12,7 +12,7 @@ from a stream keyed on (seed, round, client), so a run is a pure function
 of its configuration and seed.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -95,11 +95,26 @@ class RoundTrace:
 
 @dataclass(frozen=True)
 class EvalSets:
-    """Held-out data evaluated after every round."""
+    """Held-out data evaluated after every round.
 
-    target_set: ExampleSet
+    ``target_set`` and ``nontarget_set`` are the rows of ``test_set`` whose
+    label is, and is not, ``target_class``; ``nontarget_set`` is None when
+    every row is of the target class.
+    """
+
     test_set: ExampleSet
     target_class: int
+    target_set: ExampleSet = field(init=False)
+    nontarget_set: ExampleSet | None = field(init=False)
+
+    def __post_init__(self):
+        is_target = self.test_set.y == self.target_class
+        if not is_target.any():
+            raise ValueError(f"test set has no example of target class {self.target_class}")
+        object.__setattr__(self, "target_set", self.test_set.subset(np.flatnonzero(is_target)))
+        nontarget_idx = np.flatnonzero(~is_target)
+        nontarget_set = self.test_set.subset(nontarget_idx) if len(nontarget_idx) else None
+        object.__setattr__(self, "nontarget_set", nontarget_set)
 
 
 def weighted_sample_without_replacement(
@@ -206,10 +221,6 @@ def run_protocol(
     f = init_params.copy() if init_params is not None else init_model(spec, spawn_seed(seed, TAG_INIT))
     uniform = np.full(cfg.n, 1.0 / cfg.n)
 
-    test_y = eval_sets.test_set.y
-    nontarget_idx = np.flatnonzero(test_y != eval_sets.target_class)
-    nontarget_set = eval_sets.test_set.subset(nontarget_idx) if len(nontarget_idx) else None
-
     records = []
     for t in range(1, cfg.rounds + 1):
         p = None
@@ -232,11 +243,14 @@ def run_protocol(
         received = filter_hook(list(updates), t) if filter_hook is not None else updates
         f_next = aggregate(f, received, cfg.server_lr, cfg.clip_norm, cfg.denominator_mode, cfg.m)
 
+        # The target and non-target rows partition the test set, so their
+        # correct counts give the overall accuracy without a third pass.
         target_eval = forward_eval(f_next, spec, eval_sets.target_set)
-        overall_eval = forward_eval(f_next, spec, eval_sets.test_set)
-        nontarget_acc = (
-            forward_eval(f_next, spec, nontarget_set).accuracy if nontarget_set is not None else 0.0
-        )
+        correct, nontarget_acc = target_eval.correct, 0.0
+        if eval_sets.nontarget_set is not None:
+            nontarget_eval = forward_eval(f_next, spec, eval_sets.nontarget_set)
+            correct += nontarget_eval.correct
+            nontarget_acc = nontarget_eval.accuracy
 
         trace = RoundTrace(
             t=t,
@@ -256,7 +270,7 @@ def run_protocol(
                 received=tuple(sorted(u.client_id for u in received)),
                 target_loss=target_eval.mean_loss,
                 target_acc=target_eval.accuracy,
-                overall_acc=overall_eval.accuracy,
+                overall_acc=correct / len(eval_sets.test_set),
                 nontarget_acc=nontarget_acc,
             )
         )

@@ -115,14 +115,21 @@ class TestAnalyze:
         assert "configuration error" in capsys.readouterr().err
 
     def test_unaffordable_encrypted_simulation_exits_one_quickly(self):
-        # target-free 44-of-60 batches have probability ~1e-12: simulating
-        # them would never finish, so the command refuses at once
-        proc = run_cli(
-            "analyze", "--n", "60", "--m", "44", "--k", "15", "--kn", "15",
-            "--alpha", "0.5", "--mc-trials", "100", timeout=5,
-        )
-        assert proc.returncode == 1
-        assert "budget" in proc.stderr
+        cases = [
+            # target-free 44-of-60 batches have probability ~1e-12: simulating
+            # them would never finish
+            (60, 44, 15, 100),
+            # about 9.5e9 random draws each, a minute or more of simulation
+            (100, 90, 5, 100),
+            (100, 37, 15, 10000),
+        ]
+        for n, m, k, trials in cases:
+            proc = run_cli(
+                "analyze", "--n", str(n), "--m", str(m), "--k", str(k), "--kn", str(k),
+                "--alpha", "0.5", "--mc-trials", str(trials), timeout=5,
+            )
+            assert proc.returncode == 1
+            assert "budget" in proc.stderr
 
 
 class TestSweepCommand:

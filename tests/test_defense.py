@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fednetsim.adversary import (
     AttackPlan,
@@ -44,6 +46,18 @@ class TestUpsampleProbabilities:
                     p = upsample_probabilities(list(range(k_s)), n, factor)
                     assert abs(p.sum() - 1.0) < 1e-12
                     assert p.min() >= 0.0
+
+    @settings(deadline=None)
+    @given(st.data(), st.integers(1, 200), st.floats(1.0, 50.0))
+    def test_sums_to_one_or_rejects(self, data, n, factor):
+        identified = data.draw(st.sets(st.integers(0, n - 1)))
+        if len(identified) * factor >= n:
+            with pytest.raises(ValueError, match="too large"):
+                upsample_probabilities(identified, n, factor)
+            return
+        p = upsample_probabilities(identified, n, factor)
+        assert abs(p.sum() - 1.0) <= 1e-12
+        assert p.min() >= 0.0
 
     def test_oversized_factor_rejected(self):
         with pytest.raises(ValueError, match="too large"):
@@ -176,7 +190,7 @@ class TestUpsamplingDefender:
         src = gen_synthetic(3, 5, 400, 2.0, seed=4)
         plan = partition(src, 8, 2, 0, 0.5, 1.0, 30, seed=5)
         shards = [src.subset(idx) for idx in plan.shards]
-        eval_sets = EvalSets(src.class_examples(0), src.all_examples(), 0)
+        eval_sets = EvalSets(src.all_examples(), 0)
         cfg = ProtocolConfig(n=8, m=3, rounds=8, server_lr=0.3, local_epochs=1, local_lr=0.1)
         defender = UpsamplingDefender(
             DefensePlan(t_s=2, k_s=0, upsample_factor=2.0, valid_set=eval_sets.target_set),

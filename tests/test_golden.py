@@ -15,7 +15,7 @@ from dataclasses import replace as dc_replace
 import pytest
 
 from fednetsim.cli import main
-from fednetsim.config import AttackConfig, DefenseConfig, PoisonConfig, load_scenario
+from fednetsim.config import AttackConfig, DefenseConfig, ModelConfig, PoisonConfig, load_scenario
 from fednetsim.harness import emit_metrics, run_scenario
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -29,6 +29,18 @@ GOLDEN = {
     "smoke_identify_bench": {
         "identify_bench.csv": "b7cf98f5db97da66a6d881fbff5dfead03aea6fd9110cf6a6accf2ad2ab0538a",
         "identify_bench_summary.json": "f27e87c6ecbf6905724a73427b5ac9df3e50187f105f3224b86fd51d48669fb5",
+    },
+    "smoke_tanh_deep": {
+        "metrics.csv": "5c7c02279380cf82752a2a822b05aa0913877379c45b206071edf8949b6d7c3a",
+        "metrics_summary.json": "d71f1cae4da0a4a6a6e5668ebd72a203a6bf935dd5a50a6dccbdc6274ce7ffc0",
+    },
+    "smoke_logistic": {
+        "metrics.csv": "a25fde53c25c7618b88cf2721843a9cd5d2a5754d086381b3ac25e6588c15ce9",
+        "metrics_summary.json": "e2546870ae3476972fbd79d4f2062799d7fbabf847a9ed617b51b3eb43844648",
+    },
+    "smoke_partial_batch": {
+        "metrics.csv": "e8f5940bcb6966829b8b29ff770c4dcf3c6aa03213b965be86f67b24bd11e293",
+        "metrics_summary.json": "bc5e10a034f2b0fb4ebd79078188c38fa90af4c81fb7ff3baeaa3138b15c2b85",
     },
     "smoke_sweep": {
         "sweep_matrix.csv": "21a9d3aa7916744cb74cc4476a1d126215b8e15f22611302cf935a4dcfbd58f5",
@@ -54,6 +66,12 @@ def _standard_short():
     return cfg.replace(trials=2, protocol=dc_replace(cfg.protocol, rounds=30))
 
 
+def _smoke_variant(model=None, **protocol):
+    """``configs/smoke.yaml`` with another model and protocol settings."""
+    cfg = load_scenario(SMOKE)
+    return cfg.replace(model=model or cfg.model, protocol=dc_replace(cfg.protocol, **protocol))
+
+
 def _defended(cfg):
     """Plain dropper, k_p=5 boosted poisoners, clipping plain up-sampling defender."""
     return cfg.replace(
@@ -76,6 +94,13 @@ def _produce(case: str, out: pathlib.Path):
         _cli(["identify-bench", "--config", SMOKE, "--rounds", "3,10", "--out", str(out)])
     elif case == "smoke_sweep":
         _cli(["sweep", "--config", SMOKE, "--kn", "0,3", "--kp", "0,2", "--out", str(out)])
+    elif case == "smoke_tanh_deep":
+        emit_metrics(run_scenario(_smoke_variant(ModelConfig(hidden_dims=(16, 8), activation="tanh"))), out)
+    elif case == "smoke_logistic":
+        emit_metrics(run_scenario(_smoke_variant(ModelConfig(hidden_dims=()))), out)
+    elif case == "smoke_partial_batch":
+        # local_size is 40, so every epoch ends on a 10-row batch
+        emit_metrics(run_scenario(_smoke_variant(batch_size=30)), out)
     elif case == "standard_short":
         emit_metrics(run_scenario(_standard_short()), out)
     elif case == "standard_short_defended":

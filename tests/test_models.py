@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fednetsim.models as models
 from fednetsim.datasets import ExampleSet
 from fednetsim.models import (
     ModelSpec,
@@ -13,6 +16,7 @@ from fednetsim.models import (
     local_train,
     loss_gradient,
 )
+from fednetsim.seeding import spawn_rng
 
 
 def random_batch(rng, spec, size):
@@ -202,3 +206,65 @@ class TestLocalTrain:
         # batch_size 6 over 20 examples: 4 batches per epoch, all examples used
         delta = local_train(self.params, self.spec, self.shard, 1, 0.1, 6, 5)
         assert delta.any()
+
+
+def reference_local_train(params, spec, shard, epochs, lr, batch_size, seed):
+    """SGD as a loop of validated ``loss_gradient`` calls; the oracle for local_train."""
+    rng = spawn_rng(seed, 4)
+    n = len(shard)
+    step = n if batch_size is None else min(batch_size, n)
+    theta = params.copy()
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, step):
+            idx = order[start : start + step]
+            theta -= lr * loss_gradient(theta, spec, ExampleSet(shard.x[idx], shard.y[idx]))
+    return theta - params
+
+
+class TestLocalTrainMatchesReference:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        activation=st.sampled_from(["relu", "tanh"]),
+        hidden=st.lists(st.integers(1, 6), min_size=0, max_size=2),
+        class_count=st.integers(2, 4),
+        shard_size=st.integers(1, 17),
+        batch=st.sampled_from(["none", "divisor", "non_divisor", "larger"]),
+        epochs=st.integers(1, 3),
+        seed=st.integers(0, 2**31),
+    )
+    def test_bit_equal_to_reference_loop(
+        self, activation, hidden, class_count, shard_size, batch, epochs, seed
+    ):
+        spec = ModelSpec(3, tuple(hidden), class_count, activation)
+        rng = np.random.default_rng(seed)
+        params = init_model(spec, seed) + 0.1 * rng.standard_normal(spec.param_count())
+        shard = random_batch(rng, spec, shard_size)
+        batch_size = {
+            "none": None,
+            "divisor": 1 if shard_size < 4 else next(d for d in (4, 3, 2, 1) if shard_size % d == 0),
+            "non_divisor": shard_size - 1 if shard_size > 2 else None,
+            "larger": shard_size + 5,
+        }[batch]
+        delta = local_train(params, spec, shard, epochs, 0.2, batch_size, seed)
+        expected = reference_local_train(params, spec, shard, epochs, 0.2, batch_size, seed)
+        assert np.array_equal(delta, expected)
+
+    @pytest.mark.parametrize(
+        "params_len, x_dim, labels, match",
+        [
+            (-1, 5, [0, 1, 2], "parameter vector length"),
+            (0, 4, [0, 1, 2], "feature dimension"),
+            (0, 5, [0, 1, 3], "labels out of range"),
+            (0, 5, [-1, 1, 2], "labels out of range"),
+        ],
+    )
+    def test_bad_inputs_raise_before_any_step(self, monkeypatch, params_len, x_dim, labels, match):
+        spec = ModelSpec(5, (7,), 3)
+        params = np.zeros(spec.param_count() + params_len)
+        shard = ExampleSet(np.zeros((3, x_dim)), np.array(labels))
+        steps = []
+        monkeypatch.setattr(models, "_backprop", lambda *args: steps.append(args))
+        with pytest.raises(ValueError, match=match):
+            local_train(params, spec, shard, 1, 0.1, 1, 0)
+        assert steps == []

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fednetsim.datasets import gen_synthetic, partition
-from fednetsim.models import ModelSpec, local_train
+from fednetsim.datasets import ExampleSet, gen_synthetic, partition
+from fednetsim.models import ModelSpec, forward_eval, local_train
 from fednetsim.protocol import (
     EvalSets,
     LocalUpdate,
@@ -33,6 +35,23 @@ class TestSelectParticipants:
         assert a != select_participants(20, 6, p, seed=3, t=5) or a != select_participants(
             20, 6, p, seed=4, t=4
         )
+
+    @settings(deadline=None)
+    @given(
+        st.data(),
+        st.integers(1, 30),
+        st.integers(0, 2**31),
+        st.integers(1, 500),
+    )
+    def test_distinct_sorted_and_deterministic(self, data, n, seed, t):
+        m = data.draw(st.integers(1, n))
+        weights = np.array(data.draw(st.lists(st.integers(1, 9), min_size=n, max_size=n)), float)
+        p = weights / weights.sum()
+        ids = select_participants(n, m, p, seed=seed, t=t)
+        assert len(ids) == m
+        assert ids == sorted(set(ids))
+        assert all(0 <= j < n for j in ids)
+        assert select_participants(n, m, p, seed=seed, t=t) == ids
 
     def test_uniform_frequencies(self):
         # 10,000 simulated rounds at n=60, m=10: empirical per-client
@@ -111,6 +130,27 @@ class TestAggregate:
         out = aggregate(self.f, ups, lr, clip_norm=clip)
         assert np.linalg.norm(out - self.f) <= lr * clip + 1e-12
 
+    @settings(deadline=None)
+    @given(
+        st.data(),
+        st.integers(1, 8),
+        st.one_of(st.none(), st.floats(1e-3, 10.0)),
+        st.sampled_from(["received_count", "fixed_m"]),
+    )
+    def test_order_invariance_and_clip_bound(self, data, count, clip, mode):
+        finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+        deltas = [np.array(data.draw(st.lists(finite, min_size=4, max_size=4))) for _ in range(count)]
+        ups = [LocalUpdate(j, d) for j, d in enumerate(deltas)]
+        shuffled = data.draw(st.permutations(ups))
+        m = count + 2
+        a = aggregate(self.f, ups, 0.3, clip, mode, m)
+        assert np.array_equal(a, aggregate(self.f, shuffled, 0.3, clip, mode, m))
+        if clip is not None:
+            # each clipped delta alone: lr 1, denominator 1
+            for u in ups:
+                clipped = aggregate(np.zeros(4), [u], 1.0, clip)
+                assert np.linalg.norm(clipped) <= clip * (1 + 1e-12)
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             aggregate(self.f, [LocalUpdate(0, np.zeros(3))], 1.0)
@@ -134,7 +174,7 @@ def small_world(seed=1, n=8, k=2, classes=4, rounds=12):
     plan = partition(src, n, k, 0, 0.5, 1.0, 30, seed=seed + 1)
     shards = [src.subset(idx) for idx in plan.shards]
     holdout = gen_synthetic(classes, 5, 60, 2.5, seed=seed)  # same seed: same geometry
-    eval_sets = EvalSets(holdout.class_examples(0), holdout.all_examples(), 0)
+    eval_sets = EvalSets(holdout.all_examples(), 0)
     spec = ModelSpec(5, (6,), classes)
     cfg = ProtocolConfig(n=n, m=4, rounds=rounds, server_lr=0.5, local_epochs=1, local_lr=0.1)
     return cfg, shards, spec, eval_sets, plan
@@ -158,7 +198,7 @@ class TestRunProtocol:
         spec = ModelSpec(4, (), 3)
         n = 5
         cfg = ProtocolConfig(n=n, m=n, rounds=1, server_lr=1.0, local_epochs=1, local_lr=0.1)
-        eval_sets = EvalSets(src.class_examples(0), shard, 0)
+        eval_sets = EvalSets(shard, 0)
         _, models = run_with_models(cfg, [shard] * n, spec, eval_sets, seed=3)
         f0, f1 = models[0]
         centralized = f0 + local_train(f0, spec, shard, 1, 0.1, None, 12345)
@@ -232,6 +272,27 @@ class TestRunProtocol:
         step_received = received_models[1] - received_models[0]
         step_fixed = fixed_models[1] - fixed_models[0]
         assert np.allclose(step_fixed * cfg.m, step_received, atol=1e-12)
+
+    def test_overall_acc_is_accuracy_on_the_whole_test_set(self):
+        cfg, shards, spec, eval_sets, _ = small_world()
+        records, models = run_with_models(cfg, shards, spec, eval_sets, seed=4)
+        for r, (_, after) in zip(records, models):
+            assert r.overall_acc == forward_eval(after, spec, eval_sets.test_set).accuracy
+            assert r.target_acc == forward_eval(after, spec, eval_sets.target_set).accuracy
+            assert r.nontarget_acc == forward_eval(after, spec, eval_sets.nontarget_set).accuracy
+
+    def test_eval_sets_split_the_test_set_by_target_class(self):
+        _, _, _, eval_sets, _ = small_world()
+        test = eval_sets.test_set
+        assert np.array_equal(eval_sets.target_set.x, test.x[test.y == 0])
+        assert np.array_equal(eval_sets.nontarget_set.y, test.y[test.y != 0])
+        only_target = EvalSets(eval_sets.target_set, 0)
+        assert only_target.nontarget_set is None
+
+    def test_eval_sets_without_target_rows_rejected(self):
+        test = ExampleSet(np.zeros((3, 5)), np.array([1, 2, 3]))
+        with pytest.raises(ValueError, match="target class 0"):
+            EvalSets(test, 0)
 
     def test_wrong_shard_count_rejected(self):
         cfg, shards, spec, eval_sets, _ = small_world()
