@@ -16,7 +16,11 @@ times into coupon-collector quantities:
 ``prob_nontarget_batch_exact`` gives the without-replacement refinement
 ``C(n-k, m) / C(n, m)`` for comparison, and ``monte_carlo_rounds`` samples
 the stopping times directly so the formulas can be cross-checked by
-simulation.
+simulation. The encrypted simulation uses true m-distinct-of-n batches and
+steps from one target-free round to the next: the wait is Geometric(p) with
+p the exact target-free probability, and a target-free batch, a uniform
+m-subset of the n - k non-targets, newly clears Hypergeometric(n-k-s, s, m)
+of them when s are already cleared.
 """
 
 import math
@@ -34,14 +38,6 @@ MC_GRID = tuple(
     for k in (5, 15)
     for k_n in (1, k)
 )
-
-# Largest expected encrypted simulation, in uniform random draws (trials x
-# rounds x n, one draw per client per simulated round), that
-# ``monte_carlo_rounds`` will start. Wall time follows draws far more
-# closely than trial-rounds; the benchmark grid's largest point needs
-# about 8e7 draws.
-MC_ENCRYPTED_BUDGET = 1e9
-
 
 def harmonic(i: int) -> float:
     """i-th harmonic number, with H_0 = 0."""
@@ -139,28 +135,26 @@ def _simulate_plain(n, m, k, k_n, trials, rng) -> np.ndarray:
     return draws / m
 
 
-def _simulate_encrypted(n, m, k, alpha, trials, rng) -> np.ndarray:
-    needed = n - math.ceil(k / alpha)
-    if needed <= 0:
-        return np.zeros(trials)
-    if m > n - k:
-        raise ValueError("no batch can avoid target clients (m > n - k)")
+def _simulate_encrypted(n, m, k, needed, trials, rng) -> np.ndarray:
     rounds = np.zeros(trials)
-    seen = np.zeros((trials, n - k), dtype=bool)
+    if needed <= 0:
+        return rounds
+    p = prob_nontarget_batch_exact(n, k, m)
+    # At least ceil(needed/m) target-free rounds of mean 1/p rounds each; past
+    # 2**53 rounds float64 counts are inexact and one wait can saturate int64.
+    clean_rounds = -(-needed // m)
+    if p * 2.0**53 < clean_rounds:
+        raise ValueError(
+            f"target-free batches are too rare to count rounds: at p={p:.3g} per round, "
+            f"the {clean_rounds} needed are expected to take over 2**53 rounds"
+        )
+    seen = np.zeros(trials, dtype=np.int64)
     active = np.arange(trials)
-    t = 0
     while active.size:
-        t += 1
-        if t > 10_000_000:
-            raise RuntimeError("encrypted simulation failed to terminate")
-        batches = np.argpartition(rng.random((active.size, n)), m - 1, axis=1)[:, :m]
-        clean = ~(batches < k).any(axis=1)
-        if clean.any():
-            rows = np.flatnonzero(clean)
-            seen[active[rows][:, None], batches[rows] - k] = True
-        done = seen[active].sum(axis=1) >= needed
-        rounds[active[done]] = t
-        active = active[~done]
+        rounds[active] += rng.geometric(p, size=active.size)
+        s = seen[active]
+        seen[active] = s + rng.hypergeometric(n - k - s, s, m)
+        active = active[seen[active] < needed]
     return rounds
 
 
@@ -179,8 +173,8 @@ def monte_carlo_rounds(
     ``plain`` counts (fractional) batches until k_n distinct targets have
     been drawn; ``encrypted`` counts whole rounds until enough distinct
     non-targets have appeared in target-free batches (requires ``alpha``);
-    it raises ValueError when the expected cost, trials times the expected
-    rounds times n random draws, exceeds ``MC_ENCRYPTED_BUDGET``.
+    it raises ValueError when target-free batches are too rare for the
+    round counts to fit in 2**53.
     """
     if trials < 100:
         raise ValueError("trials must be >= 100")
@@ -202,16 +196,7 @@ def monte_carlo_rounds(
         clear_to = math.ceil(k / alpha)
         if clear_to > n:
             raise ValueError(f"precision alpha={alpha} needs k/alpha <= n")
-        # Refuse, rather than hang on, runs where target-free batches are rare.
-        p = prob_nontarget_batch_exact(n, k, m)
-        rounds = (n / m) * (harmonic(n - k) - harmonic(clear_to - k)) / p if p > 0 else 0.0
-        draws = trials * rounds * n
-        if draws > MC_ENCRYPTED_BUDGET:
-            raise ValueError(
-                f"encrypted simulation would take about {draws:.3g} random draws, "
-                f"over the budget of {MC_ENCRYPTED_BUDGET:.0e}"
-            )
-        samples = _simulate_encrypted(n, m, k, alpha, trials, rng)
+        samples = _simulate_encrypted(n, m, k, n - clear_to, trials, rng)
     mean = float(samples.mean())
     stderr = float(samples.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return MonteCarloResult(mean, stderr)

@@ -120,14 +120,22 @@ class EvalSets:
 def weighted_sample_without_replacement(
     rng: np.random.Generator, weights: np.ndarray, size: int
 ) -> list[int]:
-    """Sequential draws proportional to ``weights``, renormalizing after each."""
+    """Sequential draws proportional to ``weights``, renormalizing after each.
+
+    Each draw inverts the normalized cumulative weights at one uniform, as
+    ``rng.choice(len(weights), p=weights / weights.sum())`` does, so the
+    selections equal a loop of such calls.
+    """
     remaining = np.asarray(weights, dtype=np.float64).copy()
+    if not np.all(np.isfinite(remaining) & (remaining >= 0)):
+        raise ValueError("weights must be finite and >= 0")
     if size > int(np.count_nonzero(remaining > 0)):
         raise ValueError(f"cannot draw {size} items from {np.count_nonzero(remaining > 0)} with positive weight")
     chosen = []
-    for _ in range(size):
-        probs = remaining / remaining.sum()
-        idx = int(rng.choice(len(remaining), p=probs))
+    for u in rng.random(size):
+        cdf = np.cumsum(remaining / remaining.sum())
+        cdf /= cdf[-1]
+        idx = int(cdf.searchsorted(u, side="right"))
         chosen.append(idx)
         remaining[idx] = 0.0
     return chosen

@@ -22,11 +22,26 @@ TAG_ATTACK_DSTAR = 303
 TAG_SERVER_DSTAR = 304
 
 
+def _entropy(keys) -> np.ndarray:
+    # The little-endian 32-bit words of each key, [0] for a zero key: the
+    # words SeedSequence derives from the int list, without its coercion cost.
+    words = []
+    for key in keys:
+        key = int(key)
+        if key < 0:
+            raise ValueError(f"stream keys must be >= 0, got {key}")
+        words.append(key & 0xFFFFFFFF)
+        while key > 0xFFFFFFFF:
+            key >>= 32
+            words.append(key & 0xFFFFFFFF)
+    return np.array(words, dtype=np.uint32)
+
+
 def spawn_rng(*keys: int) -> np.random.Generator:
     """Generator for the stream named by an integer key tuple."""
-    return np.random.default_rng(np.random.SeedSequence([int(k) for k in keys]))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(_entropy(keys))))
 
 
 def spawn_seed(*keys: int) -> int:
     """Single integer seed derived from a key tuple (for seed-taking APIs)."""
-    return int(np.random.SeedSequence([int(k) for k in keys]).generate_state(1)[0])
+    return int(np.random.SeedSequence(_entropy(keys)).generate_state(1)[0])

@@ -15,6 +15,32 @@ from fednetsim.analysis import (
     prob_nontarget_batch_exact,
 )
 
+# Encrypted points of the benchmark's Monte-Carlo grid, then k = 0 and alpha = 1.
+ENCRYPTED_POINTS = (
+    (60, 10, 15, 0.3),
+    (100, 10, 15, 0.3),
+    (60, 5, 15, 0.5),
+    (100, 5, 15, 0.5),
+    (30, 5, 0, 0.5),
+    (60, 10, 15, 1.0),
+)
+
+
+def expected_rounds_encrypted_exact(n, m, k, alpha):
+    """Exact mean of the encrypted stopping time, by a DP over the seen count.
+
+    From s seen non-targets, a target-free batch of m distinct clients clears
+    j new ones with hypergeometric probability; every target-free batch costs
+    1/p rounds in expectation, so E[rounds] = E[target-free batches] / p.
+    """
+    needed = n - math.ceil(k / alpha)
+    pool = n - k
+    batches = [0.0] * (pool + m + 1)
+    for s in range(needed - 1, -1, -1):
+        pj = [math.comb(pool - s, j) * math.comb(s, m - j) / math.comb(pool, m) for j in range(m + 1)]
+        batches[s] = (1 + sum(pj[j] * batches[s + j] for j in range(1, m + 1))) / (1 - pj[0])
+    return batches[0] / prob_nontarget_batch_exact(n, k, m)
+
 
 class TestHarmonic:
     def test_base_cases(self):
@@ -128,6 +154,23 @@ class TestMonteCarlo:
     def test_encrypted_below_upper_bound(self):
         res = monte_carlo_rounds(60, 10, 15, 0, "encrypted", 10000, seed=42, alpha=0.3)
         assert res.mean <= 1.15 * expected_rounds_encrypted(60, 10, 15, 0.3)
+
+    @pytest.mark.parametrize("n, m, k, alpha", ENCRYPTED_POINTS)
+    def test_encrypted_matches_exact_mean(self, n, m, k, alpha):
+        res = monte_carlo_rounds(n, m, k, 0, "encrypted", 10000, seed=42, alpha=alpha)
+        expected = expected_rounds_encrypted_exact(n, m, k, alpha)
+        assert abs(res.mean - expected) <= 4 * res.stderr
+
+    def test_encrypted_nothing_to_clear(self):
+        # ceil(k/alpha) = n: every non-target may stay unseen
+        res = monte_carlo_rounds(30, 5, 15, 0, "encrypted", 100, seed=0, alpha=0.5)
+        assert res == (0.0, 0.0)
+
+    def test_encrypted_rejects_uncountable_rounds(self):
+        with pytest.raises(ValueError, match="p="):
+            monte_carlo_rounds(200, 150, 40, 0, "encrypted", 100, seed=0, alpha=0.5)
+        with pytest.raises(ValueError, match="p=0"):
+            monte_carlo_rounds(10, 5, 6, 0, "encrypted", 100, seed=0, alpha=1.0)
 
     def test_encrypted_requires_alpha(self):
         with pytest.raises(ValueError, match="alpha"):

@@ -1,9 +1,12 @@
 """Synthetic generation, non-IID partitioning, and the IDX loader."""
 
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fednetsim.datasets import (
     DatasetSource,
@@ -89,6 +92,35 @@ class TestPartition:
         assert len(np.unique(all_idx)) == len(all_idx)
         for shard in plan.shards:
             assert len(shard) == 35
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.data(),
+        st.integers(2, 5),
+        st.integers(1, 12),
+        st.integers(1, 20),
+        st.floats(0.01, 1.0),
+        st.floats(0.05, 10.0),
+        st.integers(0, 2**32),
+    )
+    def test_disjoint_shards_with_exact_class_counts(
+        self, data, classes, n, local_size, alpha_t, alpha_d, seed
+    ):
+        k = data.draw(st.integers(0, n))
+        target_class = data.draw(st.integers(0, classes - 1))
+        # every pool can cover every shard, so no class runs out
+        src = gen_synthetic(classes, 3, n * local_size, 1.0, seed=seed)
+        plan = partition(src, n, k, target_class, alpha_t, alpha_d, local_size, seed=seed)
+        assert len(plan.target_client_ids) == k
+        assert list(plan.target_client_ids) == sorted(set(plan.target_client_ids))
+        assert len(plan.shards) == n
+        assert all(len(shard) == local_size for shard in plan.shards)
+        rows = np.concatenate(plan.shards)
+        assert len(np.unique(rows)) == len(rows)
+        quota = math.ceil(alpha_t * local_size)
+        for client, shard in enumerate(plan.shards):
+            held = int((src.y[shard] == target_class).sum())
+            assert held == (quota if client in plan.target_client_ids else 0)
 
     def test_high_concentration_is_near_uniform(self):
         # alpha_d -> inf concentrates the Dirichlet at uniform proportions;

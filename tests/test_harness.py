@@ -1,9 +1,15 @@
 """Scenario orchestration, metric emission, sweeps, and the identification bench."""
 
 import json
+import math
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fednetsim.config import (
     AttackConfig,
@@ -12,6 +18,7 @@ from fednetsim.config import (
     DefenseConfig,
     ModelConfig,
     PartitionConfig,
+    ATTACK_KINDS,
     PoisonConfig,
     ProtocolSection,
     ScenarioConfig,
@@ -28,6 +35,105 @@ from fednetsim.harness import (
     sweep_grid,
 )
 from conftest import tiny_scenario
+
+POSITIVE = st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False)
+OPTIONAL_POSITIVE = st.none() | POSITIVE
+
+
+@st.composite
+def scenarios(draw):
+    """Scenario configs that pass ``validate_scenario``."""
+    classes = draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        path = st.text(st.characters(codec="utf-8", exclude_categories=("Cc", "Cs")), min_size=1)
+        dataset = DatasetConfig(
+            kind="idx",
+            class_count=classes,
+            train_images=draw(path),
+            train_labels=draw(path),
+            test_images=draw(path),
+            test_labels=draw(path),
+        )
+    else:
+        dataset = DatasetConfig(
+            class_count=classes,
+            input_dim=draw(st.integers(1, 64)),
+            per_class=draw(st.integers(1, 10**6)),
+            separation=draw(st.floats(0, 100)),
+            eval_per_class=draw(st.integers(1, 10**4)),
+        )
+    n = draw(st.integers(1, 200))
+    k = draw(st.integers(0, n))
+    target_class = draw(st.integers(0, classes - 1))
+    part = PartitionConfig(
+        n=n,
+        k=k,
+        target_class=target_class,
+        alpha_t=draw(st.floats(1e-6, 1.0)),
+        alpha_d=draw(POSITIVE),
+        local_size=draw(st.integers(1, 10**4)),
+    )
+    model = ModelConfig(
+        hidden_dims=tuple(draw(st.lists(st.integers(1, 512), max_size=3))),
+        activation=draw(st.sampled_from(["relu", "tanh"])),
+    )
+    proto = ProtocolSection(
+        m=draw(st.integers(1, n)),
+        rounds=draw(st.integers(1, 10**4)),
+        server_lr=draw(POSITIVE),
+        local_epochs=draw(st.integers(0, 20)),
+        local_lr=draw(POSITIVE),
+        batch_size=draw(st.none() | st.integers(1, 10**4)),
+        clip_norm=draw(OPTIONAL_POSITIVE),
+        denominator_mode=draw(st.sampled_from(["received_count", "fixed_m"])),
+    )
+    attack = None
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(ATTACK_KINDS))
+        mode = draw(st.sampled_from(["plain", "encrypted", "encrypted_limited"]))
+        limited = kind == "targeted" and mode == "encrypted_limited"
+        attack = AttackConfig(
+            kind=kind,
+            mode=mode,
+            t_n=draw(st.integers(1, 10**4)),
+            k_n=draw(st.integers(0, k if kind == "perfect_knowledge" else n)),
+            refresh=draw(st.booleans()),
+            target_set_size=draw(st.integers(1, 10**4)),
+            visible_size=draw(st.integers(1, n)) if limited else draw(st.none() | st.integers(1, n)),
+            alpha_v=draw(POSITIVE) if limited else draw(OPTIONAL_POSITIVE),
+        )
+    poison = None
+    if draw(st.booleans()):
+        targeted = attack is not None and attack.kind == "targeted"
+        flips = [c for c in range(classes) if c != target_class]
+        poison = PoisonConfig(
+            k_p=draw(st.integers(0, n - k)),
+            boost=draw(POSITIVE),
+            flip_to=draw(st.none() | st.sampled_from(flips)),
+            start_round=draw((st.none() if targeted else st.nothing()) | st.integers(0, 10**4)),
+        )
+    defense = None
+    if n >= 2 and draw(st.booleans()):
+        factor = draw(st.floats(1.0, float(n) - 0.5))
+        defense = DefenseConfig(
+            t_s=draw(st.integers(1, 10**4)),
+            k_s=draw(st.integers(0, math.ceil(n / factor) - 1).filter(lambda k_s: k_s * factor < n)),
+            upsample_factor=factor,
+            server_mode=draw(st.sampled_from(["plain", "aggregate_only"])),
+            valid_set_size=draw(st.integers(1, 10**4)),
+            clip_norm=draw(OPTIONAL_POSITIVE),
+        )
+    return ScenarioConfig(
+        dataset=dataset,
+        partition=part,
+        model=model,
+        protocol=proto,
+        attack=attack,
+        poison=poison,
+        defense=defense,
+        trials=draw(st.integers(1, 100)),
+        base_seed=draw(st.integers(0, 2**63)),
+    )
 
 
 class TestRunScenario:
@@ -294,9 +400,15 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="train_images"):
             scenario_from_dict({"dataset": {"kind": "idx"}})
 
-    def test_checked_in_configs_load(self):
-        import pathlib
+    @settings(deadline=None)
+    @given(scenarios())
+    def test_to_dict_yaml_round_trip(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "scenario.yaml"
+            path.write_text(yaml.safe_dump(cfg.to_dict()), encoding="utf-8")
+            assert load_scenario(path) == cfg
 
+    def test_checked_in_configs_load(self):
         root = pathlib.Path(__file__).resolve().parent.parent / "configs"
         std = load_scenario(root / "standard.yaml")
         assert std.partition.n == 60 and std.partition.k == 15

@@ -14,7 +14,19 @@ from fednetsim.protocol import (
     aggregate,
     run_protocol,
     select_participants,
+    weighted_sample_without_replacement,
 )
+
+
+def choice_loop_sample(rng, weights, size):
+    """Reference: one ``rng.choice`` per draw, renormalizing after each."""
+    remaining = np.asarray(weights, dtype=np.float64).copy()
+    chosen = []
+    for _ in range(size):
+        idx = int(rng.choice(len(remaining), p=remaining / remaining.sum()))
+        chosen.append(idx)
+        remaining[idx] = 0.0
+    return chosen
 
 
 class TestSelectParticipants:
@@ -52,6 +64,34 @@ class TestSelectParticipants:
         assert ids == sorted(set(ids))
         assert all(0 <= j < n for j in ids)
         assert select_participants(n, m, p, seed=seed, t=t) == ids
+
+    @settings(deadline=None)
+    @given(
+        st.data(),
+        st.integers(1, 80),
+        st.integers(0, 2**63),
+        st.sampled_from(["uniform", "dirichlet", "sparse"]),
+    )
+    def test_sample_equals_choice_loop(self, data, n, seed, kind):
+        shape = np.random.default_rng(seed)
+        if kind == "uniform":
+            weights = np.full(n, 1 / n)
+        elif kind == "dirichlet":
+            weights = shape.dirichlet(np.full(n, data.draw(st.sampled_from([0.1, 1.0, 10.0]))))
+        else:
+            weights = shape.random(n) * (shape.random(n) < 0.5)
+            weights[shape.integers(n)] = 1.0
+        size = data.draw(st.integers(0, int(np.count_nonzero(weights > 0))))
+        got = weighted_sample_without_replacement(np.random.default_rng([seed, 1]), weights, size)
+        assert got == choice_loop_sample(np.random.default_rng([seed, 1]), weights, size)
+
+    def test_sample_rejects_bad_weights(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="positive weight"):
+            weighted_sample_without_replacement(rng, np.array([1.0, 0.0, 0.0]), 2)
+        for bad in ([1.0, -0.5, 1.0], [1.0, np.nan, 1.0], [1.0, np.inf, 1.0]):
+            with pytest.raises(ValueError, match="finite"):
+                weighted_sample_without_replacement(rng, np.array(bad), 1)
 
     def test_uniform_frequencies(self):
         # 10,000 simulated rounds at n=60, m=10: empirical per-client
