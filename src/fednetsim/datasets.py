@@ -9,6 +9,7 @@ classes. Assignment is without replacement, so no example appears in two
 shards.
 """
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -219,15 +220,25 @@ def _read_idx_header(fh, path, fmt: str) -> tuple[int, ...]:
     return struct.unpack(fmt, header)
 
 
+def _read_idx_body(fh, path, nbytes: int, what: str) -> np.ndarray:
+    """The next ``nbytes`` bytes as uint8, refused before reading if the file is shorter.
+
+    The count comes from the header, so it is checked against the file size
+    rather than trusted with an allocation.
+    """
+    available = os.fstat(fh.fileno()).st_size - fh.tell()
+    if nbytes > available:
+        raise ValueError(f"{path}: truncated {what} data (header declares {nbytes} bytes, {available} follow)")
+    return np.frombuffer(fh.read(nbytes), dtype=np.uint8)
+
+
 def load_idx_images(path) -> np.ndarray:
     """Flattened images from an IDX file, pixel values normalized to [0, 1]."""
     with open(path, "rb") as fh:
         magic, count, rows, cols = _read_idx_header(fh, path, ">IIII")
         if magic != _IDX_IMAGES_MAGIC:
             raise ValueError(f"{path}: bad image magic 0x{magic:08x}")
-        raw = np.frombuffer(fh.read(count * rows * cols), dtype=np.uint8)
-    if raw.size != count * rows * cols:
-        raise ValueError(f"{path}: truncated image data")
+        raw = _read_idx_body(fh, path, count * rows * cols, "image")
     return raw.reshape(count, rows * cols).astype(np.float64) / 255.0
 
 
@@ -237,9 +248,7 @@ def load_idx_labels(path) -> np.ndarray:
         magic, count = _read_idx_header(fh, path, ">II")
         if magic != _IDX_LABELS_MAGIC:
             raise ValueError(f"{path}: bad label magic 0x{magic:08x}")
-        raw = np.frombuffer(fh.read(count), dtype=np.uint8)
-    if raw.size != count:
-        raise ValueError(f"{path}: truncated label data")
+        raw = _read_idx_body(fh, path, count, "label")
     return raw.astype(np.int64)
 
 

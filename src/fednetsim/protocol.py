@@ -10,10 +10,18 @@ number of updates that actually arrived (``received_count``).
 Deltas are summed in ascending client-id order and every random draw comes
 from a stream keyed on (seed, round, client), so a run is a pure function
 of its configuration and seed.
+
+An update is computed only when it is aggregated or observed: a dropped
+update that no observer reads is never trained, and the poison hook is
+never called for it. Hooks must therefore be pure functions of their
+arguments; when, and whether, one is called for a dropped client is not
+part of the contract.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -55,12 +63,39 @@ class ProtocolConfig:
             raise ValueError(f"denominator_mode must be one of {DENOMINATOR_MODES}")
 
 
-@dataclass(frozen=True)
 class LocalUpdate:
-    """One client's parameter delta for a round."""
+    """One client's parameter delta for a round.
 
-    client_id: int
-    delta: np.ndarray
+    Built either from the delta itself, ``LocalUpdate(j, delta)``, or from
+    a zero-argument ``train`` callable that is run on the first read of
+    ``delta``; its result is then kept.
+    """
+
+    __slots__ = ("client_id", "_delta", "_train")
+
+    def __init__(
+        self,
+        client_id: int,
+        delta: np.ndarray | None = None,
+        *,
+        train: Callable[[], np.ndarray] | None = None,
+    ):
+        if (delta is None) == (train is None):
+            raise ValueError("give exactly one of delta and train")
+        self.client_id = client_id
+        self._delta = delta
+        self._train = train
+
+    @property
+    def delta(self) -> np.ndarray:
+        if self._delta is None:
+            self._delta = self._train()
+            self._train = None
+        return self._delta
+
+    def __repr__(self) -> str:
+        state = "computed" if self._delta is not None else "pending"
+        return f"LocalUpdate(client_id={self.client_id}, {state})"
 
 
 @dataclass(frozen=True)
@@ -76,21 +111,47 @@ class RoundRecord:
     nontarget_acc: float
 
 
+class LocalModels(Mapping):
+    """Read-only client id -> local model ``global_before + delta``.
+
+    A model is computed on each access, so reading a dropped client's model
+    is what trains its update.
+    """
+
+    def __init__(self, global_before: np.ndarray, updates: Iterable[LocalUpdate]):
+        self._global_before = global_before
+        self._updates = {u.client_id: u for u in updates}
+
+    def __getitem__(self, client_id: int) -> np.ndarray:
+        return self._global_before + self._updates[client_id].delta
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._updates)
+
+    def __len__(self) -> int:
+        return len(self._updates)
+
+
 @dataclass(frozen=True)
 class RoundTrace:
     """Full per-round information handed to observers (attacker, defender).
 
     ``sent_models`` are the local models as transmitted by every
     participant (visible on the wire); ``received_models`` are the subset
-    that survived adversarial dropping (visible to the server).
+    that survived adversarial dropping (visible to the server). In a
+    protocol run both are ``LocalModels``: an update is computed only when
+    it is aggregated or observed, so a sent model that is not also received
+    is trained only if an observer reads it. The hooks that produce the
+    updates must be pure functions of their arguments; the poison hook may
+    not be called for a dropped client.
     """
 
     t: int
     participants: tuple[int, ...]
     global_before: np.ndarray
     global_after: np.ndarray
-    sent_models: dict[int, np.ndarray]
-    received_models: dict[int, np.ndarray]
+    sent_models: Mapping[int, np.ndarray]
+    received_models: Mapping[int, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -202,6 +263,25 @@ ResampleHook = Callable[[int, int], np.ndarray | None]
 Observer = Callable[[RoundTrace], None]
 
 
+def _client_delta(
+    cfg: ProtocolConfig,
+    spec: ModelSpec,
+    shard: ExampleSet,
+    poison_hook: PoisonHook | None,
+    f: np.ndarray,
+    seed: int,
+    t: int,
+    j: int,
+) -> np.ndarray:
+    """Client j's round-t delta from global model f: the poison hook's, else local SGD."""
+    train_seed = spawn_seed(seed, TAG_TRAIN, t, j)
+    if poison_hook is not None:
+        delta = poison_hook(t, j, f, train_seed)
+        if delta is not None:
+            return delta
+    return local_train(f, spec, shard, cfg.local_epochs, cfg.local_lr, cfg.batch_size, train_seed)
+
+
 def run_protocol(
     cfg: ProtocolConfig,
     shards: Sequence[ExampleSet],
@@ -219,8 +299,9 @@ def run_protocol(
     Hooks: ``resample_hook(t, n)`` may return the selection distribution for
     round t (None keeps uniform); ``poison_hook(t, client_id, f_prev, seed)``
     may return a replacement delta for a compromised client; ``filter_hook``
-    removes dropped updates before aggregation. All hooks default to
-    identity behavior.
+    removes dropped updates before aggregation; reading an update's delta
+    trains it, so a filter that decides by client id alone saves the
+    training of what it drops. All hooks default to identity behavior.
     """
     if len(shards) != cfg.n:
         raise ValueError(f"expected {cfg.n} shards, got {len(shards)}")
@@ -236,19 +317,13 @@ def run_protocol(
             p = resample_hook(t, cfg.n)
         participants = select_participants(cfg.n, cfg.m, uniform if p is None else p, seed, t)
 
-        updates = []
-        for j in participants:
-            train_seed = spawn_seed(seed, TAG_TRAIN, t, j)
-            delta = None
-            if poison_hook is not None:
-                delta = poison_hook(t, j, f, train_seed)
-            if delta is None:
-                delta = local_train(
-                    f, spec, shards[j], cfg.local_epochs, cfg.local_lr, cfg.batch_size, train_seed
-                )
-            updates.append(LocalUpdate(j, delta))
-
+        updates = [
+            LocalUpdate(j, train=partial(_client_delta, cfg, spec, shards[j], poison_hook, f, seed, t, j))
+            for j in participants
+        ]
         received = filter_hook(list(updates), t) if filter_hook is not None else updates
+        for u in received:
+            u.delta  # train what the server receives before, not inside, aggregation
         f_next = aggregate(f, received, cfg.server_lr, cfg.clip_norm, cfg.denominator_mode, cfg.m)
 
         # The target and non-target rows partition the test set, so their
@@ -265,8 +340,8 @@ def run_protocol(
             participants=tuple(participants),
             global_before=f,
             global_after=f_next,
-            sent_models={u.client_id: f + u.delta for u in updates},
-            received_models={u.client_id: f + u.delta for u in received},
+            sent_models=LocalModels(f, updates),
+            received_models=LocalModels(f, received),
         )
         for obs in observers:
             obs(trace)

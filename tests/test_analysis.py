@@ -134,6 +134,11 @@ class TestExpectedRoundsEncrypted:
         with pytest.raises(ValueError):
             expected_rounds_encrypted(60, 10, 15, 0.2)  # k/alpha = 75 > 60
 
+    def test_not_an_upper_bound_when_m_nears_n_minus_k(self):
+        # the independent-draw p = 3.2e-6 overstates the exact 3.0e-13, so the
+        # estimate is below even the mean wait for one target-free batch
+        assert expected_rounds_encrypted(60, 44, 15, 0.5) < 1 / prob_nontarget_batch_exact(60, 15, 44)
+
 
 class TestMonteCarlo:
     def test_kn_zero(self):

@@ -3,6 +3,7 @@
 import math
 import os
 import pathlib
+import struct
 import subprocess
 import sys
 
@@ -89,6 +90,38 @@ class TestRun:
         proc = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out"), timeout=60)
         assert proc.returncode == 2
         assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "images, labels",
+        [
+            (struct.pack(">IIII", 0x00000803, 2**32 - 1, 0xFFFF, 0xFFFF), None),
+            (struct.pack(">IIII", 0x00000803, 2**20, 2**10, 2**10), None),
+            (struct.pack(">IIII", 0x00000803, 4, 2, 2) + bytes(16), struct.pack(">II", 0x00000801, 2**32 - 1)),
+        ],
+        ids=["image_dims_overflow", "image_body_2**40", "label_body_2**32"],
+    )
+    def test_forged_idx_body_size_exits_two_quickly(self, tmp_path, images, labels):
+        img_path, lab_path = tmp_path / "images.idx", tmp_path / "labels.idx"
+        img_path.write_bytes(images)
+        lab_path.write_bytes(labels if labels is not None else struct.pack(">II", 0x00000801, 4) + bytes(4))
+        cfg = tmp_path / "idx.yaml"
+        cfg.write_text(
+            "dataset:\n"
+            "  kind: idx\n"
+            "  class_count: 3\n"
+            f"  train_images: {img_path}\n"
+            f"  train_labels: {lab_path}\n"
+            f"  test_images: {img_path}\n"
+            f"  test_labels: {lab_path}\n"
+            "partition:\n  n: 4\n  k: 1\n  local_size: 1\n"
+            "protocol:\n  m: 2\n  rounds: 1\n"
+            "trials: 1\n"
+        )
+        proc = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out"), timeout=5)
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr
+        assert "truncated" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_usage_error_exits_one(self):

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,3 +212,41 @@ class TestIdxLoader:
         with pytest.raises(ValueError, match="truncated IDX header") as exc:
             loader(path)
         assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "loader, header",
+        [
+            (load_idx_images, struct.pack(">IIII", 0x00000803, 2**32 - 1, 0xFFFF, 0xFFFF)),
+            (load_idx_images, struct.pack(">IIII", 0x00000803, 2**20, 2**10, 2**10)),
+            (load_idx_labels, struct.pack(">II", 0x00000801, 2**32 - 1)),
+        ],
+        ids=["image_dims_overflow", "image_body_2**40", "label_body_2**32"],
+    )
+    def test_forged_body_size_rejected_without_allocating_it(self, tmp_path, loader, header):
+        path = tmp_path / "forged.idx"
+        path.write_bytes(header + bytes(64))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="truncated .* data") as exc:
+                loader(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(path) in str(exc.value)
+        assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "loader, header",
+        [
+            (load_idx_images, struct.pack(">IIII", 0x00000803, 2, 2, 2)),
+            (load_idx_labels, struct.pack(">II", 0x00000801, 8)),
+        ],
+        ids=["images", "labels"],
+    )
+    def test_body_one_byte_short_rejected(self, tmp_path, loader, header):
+        path = tmp_path / "short_body.idx"
+        path.write_bytes(header + bytes(7))
+        with pytest.raises(ValueError, match="truncated"):
+            loader(path)
+        path.write_bytes(header + bytes(8))
+        assert loader(path).size == 8

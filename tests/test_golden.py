@@ -45,6 +45,22 @@ GOLDEN = {
     "smoke_sweep": {
         "sweep_matrix.csv": "21a9d3aa7916744cb74cc4476a1d126215b8e15f22611302cf935a4dcfbd58f5",
     },
+    "smoke_perfect_knowledge": {
+        "metrics.csv": "b9553863ae4a2d73de79eadde39c670e30e04056e7f751b29dfff51fa4baf9e1",
+        "metrics_summary.json": "72b346660703634af2878a1632558bf6370386303c374a81f90d79ec13234905",
+    },
+    "smoke_random_drop": {
+        "metrics.csv": "5e5ee3dacf08417d6492c1b6d4cf38caa43230c6112d9727d92ad8feed8c5397",
+        "metrics_summary.json": "301219b19469f15380c7d3ad5ce6a5bfcb464efd249adf9f6def3201dd79eb6d",
+    },
+    "smoke_encrypted_limited": {
+        "metrics.csv": "2420c5c1452434ac5fcf243eb02db53843625fafc88bfe34559b6e4696adc2e7",
+        "metrics_summary.json": "b857d7ac84c2b684af93b2b0ac3123cfc9a69e413796cc5d4a068e995700e0b6",
+    },
+    "smoke_aggregate_only": {
+        "metrics.csv": "df3e6a4aa40156254f74c715e6925a38039946ed1378b776d4b4283e6b7ea9b4",
+        "metrics_summary.json": "3af36dc43bd5d12569019af5b7a61e621d78ea45e82be01316e008c858367994",
+    },
     "standard_short": {
         "metrics.csv": "e7d7db5525b59eda3534b28302d00e724b3ac0e097ee17addd7898ed2f285bc6",
         "metrics_summary.json": "6e8986daa7e1d343e6e06f3e6a64d26944c8b72a51f543cabd9b58c4491af081",
@@ -70,6 +86,29 @@ def _smoke_variant(model=None, **protocol):
     """``configs/smoke.yaml`` with another model and protocol settings."""
     cfg = load_scenario(SMOKE)
     return cfg.replace(model=model or cfg.model, protocol=dc_replace(cfg.protocol, **protocol))
+
+
+def _smoke_attack(**attack):
+    """``configs/smoke.yaml`` with other attack settings."""
+    cfg = load_scenario(SMOKE)
+    return cfg.replace(attack=dc_replace(cfg.attack, **attack))
+
+
+def _smoke_random_drop_poisoned():
+    """Smoke with a random fixed drop set and two boosted poisoners over 3 trials.
+
+    The drop set holds a compromised client in trials 2 and 3, so their
+    dropped poisoned updates are never crafted.
+    """
+    cfg = _smoke_attack(kind="random_drop")
+    return cfg.replace(poison=PoisonConfig(k_p=2, boost=10.0, start_round=3), trials=3)
+
+
+def _smoke_aggregate_only():
+    """Smoke with an aggregate-only up-sampling defender beside the encrypted dropper."""
+    return load_scenario(SMOKE).replace(
+        defense=DefenseConfig(t_s=3, k_s=2, upsample_factor=2.0, server_mode="aggregate_only", valid_set_size=30)
+    )
 
 
 def _defended(cfg):
@@ -101,6 +140,14 @@ def _produce(case: str, out: pathlib.Path):
     elif case == "smoke_partial_batch":
         # local_size is 40, so every epoch ends on a 10-row batch
         emit_metrics(run_scenario(_smoke_variant(batch_size=30)), out)
+    elif case == "smoke_perfect_knowledge":
+        emit_metrics(run_scenario(_smoke_attack(kind="perfect_knowledge")), out)
+    elif case == "smoke_random_drop":
+        emit_metrics(run_scenario(_smoke_random_drop_poisoned()), out)
+    elif case == "smoke_encrypted_limited":
+        emit_metrics(run_scenario(_smoke_attack(mode="encrypted_limited", visible_size=6, alpha_v=0.5)), out)
+    elif case == "smoke_aggregate_only":
+        emit_metrics(run_scenario(_smoke_aggregate_only()), out)
     elif case == "standard_short":
         emit_metrics(run_scenario(_standard_short()), out)
     elif case == "standard_short_defended":

@@ -5,17 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fednetsim.protocol as protocol
+from fednetsim.adversary import AttackPlan, FixedSetDropper, ObservationMode, TargetedDropAttacker
 from fednetsim.datasets import ExampleSet, gen_synthetic, partition
-from fednetsim.models import ModelSpec, forward_eval, local_train
+from fednetsim.models import ModelSpec, forward_eval, init_model, local_train
 from fednetsim.protocol import (
     EvalSets,
     LocalUpdate,
     ProtocolConfig,
+    RoundRecord,
     aggregate,
     run_protocol,
     select_participants,
     weighted_sample_without_replacement,
 )
+from fednetsim.seeding import TAG_INIT, TAG_TRAIN, spawn_seed
 
 
 def choice_loop_sample(rng, weights, size):
@@ -338,3 +342,163 @@ class TestRunProtocol:
         cfg, shards, spec, eval_sets, _ = small_world()
         with pytest.raises(ValueError, match="shards"):
             run_protocol(cfg, shards[:-1], spec, eval_sets, seed=1)
+
+
+def count_training(monkeypatch):
+    """Count the protocol's ``local_train`` calls; fail any made inside ``aggregate``."""
+    calls = []
+    inside = []
+
+    def counted(*args, **kwargs):
+        assert not inside, "an update was trained inside aggregate"
+        calls.append(args[6] if len(args) > 6 else kwargs["seed"])
+        return local_train(*args, **kwargs)
+
+    def aggregating(*args, **kwargs):
+        inside.append(True)
+        try:
+            return aggregate(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(protocol, "local_train", counted)
+    monkeypatch.setattr(protocol, "aggregate", aggregating)
+    return calls
+
+
+def eager_reference(cfg, shards, spec, eval_sets, seed, filter_hook, poison_hook=None):
+    """Reference round loop: train every participant, then filter, aggregate, evaluate."""
+    f = init_model(spec, spawn_seed(seed, TAG_INIT))
+    uniform = np.full(cfg.n, 1.0 / cfg.n)
+    records, afters = [], []
+    for t in range(1, cfg.rounds + 1):
+        participants = select_participants(cfg.n, cfg.m, uniform, seed, t)
+        updates = []
+        for j in participants:
+            train_seed = spawn_seed(seed, TAG_TRAIN, t, j)
+            delta = poison_hook(t, j, f, train_seed) if poison_hook is not None else None
+            if delta is None:
+                delta = local_train(f, spec, shards[j], cfg.local_epochs, cfg.local_lr, cfg.batch_size, train_seed)
+            updates.append(LocalUpdate(j, delta))
+        received = filter_hook(updates, t)
+        f_next = aggregate(f, received, cfg.server_lr, cfg.clip_norm, cfg.denominator_mode, cfg.m)
+        target = forward_eval(f_next, spec, eval_sets.target_set)
+        nontarget = forward_eval(f_next, spec, eval_sets.nontarget_set)
+        records.append(
+            RoundRecord(
+                t=t,
+                participants=tuple(participants),
+                received=tuple(sorted(u.client_id for u in received)),
+                target_loss=target.mean_loss,
+                target_acc=target.accuracy,
+                overall_acc=(target.correct + nontarget.correct) / len(eval_sets.test_set),
+                nontarget_acc=nontarget.accuracy,
+            )
+        )
+        afters.append(f_next)
+        f = f_next
+    return records, afters
+
+
+class TestLazyRound:
+    """An update is trained only when it is aggregated or observed."""
+
+    def run_attacked(self, attacker, seed=21):
+        cfg, shards, spec, eval_sets, _ = small_world(rounds=12)
+        return run_protocol(
+            cfg, shards, spec, eval_sets, seed,
+            filter_hook=attacker.filter_updates, observers=[attacker.observe],
+        )
+
+    def targeted(self, kind):
+        _, _, spec, eval_sets, _ = small_world()
+        plan = AttackPlan(t_n=3, k_n=2, mode=ObservationMode(kind), target_set=eval_sets.target_set)
+        return TargetedDropAttacker(plan, spec)
+
+    @pytest.mark.parametrize("make", ["encrypted", "fixed_set"])
+    def test_blind_droppers_train_only_received_updates(self, make, monkeypatch):
+        calls = count_training(monkeypatch)
+        attacker = self.targeted("encrypted") if make == "encrypted" else FixedSetDropper([0, 1, 5])
+        records = self.run_attacked(attacker)
+        received = sum(len(r.received) for r in records)
+        assert received < sum(len(r.participants) for r in records), "nothing was dropped"
+        assert len(calls) == received
+
+    def test_plain_attacker_trains_every_participant(self, monkeypatch):
+        calls = count_training(monkeypatch)
+        records = self.run_attacked(self.targeted("plain"))
+        assert sum(len(r.received) for r in records) < sum(len(r.participants) for r in records)
+        assert len(calls) == sum(len(r.participants) for r in records)
+        assert len(set(calls)) == len(calls)
+
+    def test_delta_read_twice_trains_once(self):
+        calls = []
+
+        def train():
+            calls.append(1)
+            return np.arange(3.0)
+
+        update = LocalUpdate(4, train=train)
+        assert not calls
+        first = update.delta
+        assert update.delta is first
+        assert len(calls) == 1
+        assert np.array_equal(LocalUpdate(4, np.arange(3.0)).delta, first)
+
+    def test_update_needs_exactly_one_source(self):
+        with pytest.raises(ValueError, match="exactly one"):
+            LocalUpdate(0)
+        with pytest.raises(ValueError, match="exactly one"):
+            LocalUpdate(0, np.zeros(2), train=lambda: np.zeros(2))
+
+    def test_sent_model_read_twice_trains_once(self, monkeypatch):
+        calls = count_training(monkeypatch)
+        cfg, shards, spec, eval_sets, _ = small_world(rounds=1)
+        reads = []
+
+        def observe(trace):
+            j = trace.participants[0]
+            reads.append((trace.sent_models[j], trace.sent_models[j]))
+
+        run_protocol(cfg, shards, spec, eval_sets, 3, filter_hook=lambda ups, t: [], observers=[observe])
+        (a, b), = reads
+        assert np.array_equal(a, b)
+        assert len(calls) == 1
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        st.integers(0, 2**32),
+        st.lists(st.frozensets(st.integers(0, 7)), min_size=6, max_size=6),
+        st.frozensets(st.integers(0, 7)),
+        st.booleans(),
+        st.frozensets(st.integers(0, 7)),
+    )
+    def test_records_equal_the_eager_loop(self, seed, drops, poisoned, poison, read):
+        cfg, shards, spec, eval_sets, _ = small_world(rounds=6)
+
+        def drop(ups, t):
+            return [u for u in ups if u.client_id not in drops[t - 1]]
+
+        def poison_hook(t, j, f, train_seed):
+            return np.full_like(f, 0.01 * (j + t)) - 0.1 * f if j in poisoned else None
+
+        hook = poison_hook if poison else None
+        traces = []
+        records = run_protocol(
+            cfg, shards, spec, eval_sets, seed, filter_hook=drop, poison_hook=hook, observers=[traces.append]
+        )
+        ref_records, ref_afters = eager_reference(cfg, shards, spec, eval_sets, seed, drop, hook)
+        assert records == ref_records
+        assert len(traces) == len(ref_afters)
+        for trace, want in zip(traces, ref_afters):
+            assert np.array_equal(trace.global_after, want)
+        # dropped models read after the run still start from their round's global model
+        for trace in traces:
+            for j in sorted(set(trace.participants) - set(trace.received_models)):
+                if j not in read:
+                    continue
+                f, train_seed = trace.global_before, spawn_seed(seed, TAG_TRAIN, trace.t, j)
+                delta = hook(trace.t, j, f, train_seed) if hook is not None else None
+                if delta is None:
+                    delta = local_train(f, spec, shards[j], cfg.local_epochs, cfg.local_lr, cfg.batch_size, train_seed)
+                assert np.array_equal(trace.sent_models[j], f + delta)
