@@ -8,9 +8,7 @@ model-replacement poisoning) and what the server can do about it
 """
 
 from fednetsim.adversary import (
-    AttackPlan,
     ContributionLedger,
-    ObservationMode,
     drop_filter,
     identification_score,
     identify_clients,
@@ -26,6 +24,7 @@ from fednetsim.analysis import (
     prob_nontarget_batch,
     prob_nontarget_batch_exact,
 )
+from fednetsim.config import ProtocolConfig
 from fednetsim.datasets import (
     DatasetSource,
     ExampleSet,
@@ -34,12 +33,11 @@ from fednetsim.datasets import (
     load_idx_dataset,
     partition,
 )
-from fednetsim.defense import DefensePlan, UpsamplingDefender, upsample_probabilities
+from fednetsim.defense import UpsamplingDefender, upsample_probabilities
 from fednetsim.models import ModelSpec, forward_eval, init_model, local_train, loss_gradient
-from fednetsim.poisoning import PoisonPlan, craft_poison_update, flip_labels
+from fednetsim.poisoning import craft_poison_update, flip_labels
 from fednetsim.protocol import (
     LocalUpdate,
-    ProtocolConfig,
     RoundRecord,
     aggregate,
     run_protocol,

@@ -16,30 +16,16 @@ top k are dropped in every round they participate after the observation
 phase ends.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
+from fednetsim.config import AttackConfig
 from fednetsim.datasets import ExampleSet
 from fednetsim.models import ModelSpec, forward_eval
 from fednetsim.protocol import LocalUpdate, RoundTrace, weighted_sample_without_replacement
 from fednetsim.seeding import spawn_rng
-
-OBSERVATION_KINDS = ("plain", "encrypted", "encrypted_limited")
-
-
-@dataclass(frozen=True)
-class ObservationMode:
-    """What the observer can see; ``visible_set`` only applies to encrypted_limited."""
-
-    kind: str
-    visible_set: frozenset[int] | None = None
-
-    def __post_init__(self):
-        if self.kind not in OBSERVATION_KINDS:
-            raise ValueError(f"kind must be one of {OBSERVATION_KINDS}")
-        if self.kind == "encrypted_limited" and self.visible_set is None:
-            raise ValueError("encrypted_limited requires a visible_set")
 
 
 class ContributionLedger:
@@ -70,23 +56,6 @@ class ContributionLedger:
             and self.sums == other.sums
             and self.counts == other.counts
         )
-
-
-@dataclass(frozen=True)
-class AttackPlan:
-    """Targeted dropping campaign parameters."""
-
-    t_n: int
-    k_n: int
-    mode: ObservationMode
-    target_set: ExampleSet
-    refresh: bool = True
-
-    def __post_init__(self):
-        if self.t_n < 1:
-            raise ValueError("t_n must be >= 1")
-        if self.k_n < 0:
-            raise ValueError("k_n must be >= 0")
 
 
 def sample_visible_set(
@@ -120,27 +89,25 @@ def sample_visible_set(
 def record_round(
     ledger: ContributionLedger,
     trace: RoundTrace,
-    models: dict[int, np.ndarray] | None,
-    mode: ObservationMode,
+    models: Mapping[int, np.ndarray] | None,
     target_set: ExampleSet,
     spec: ModelSpec,
+    visible: frozenset[int] | None = None,
 ) -> ContributionLedger:
     """Accumulate this round's loss differences into the ledger.
 
     ``models`` is the per-client model dict the observing party can see:
-    the sent models for a network attacker, the received ones for a server,
-    None under encrypted observation.
+    the sent models for a plain network attacker, the received ones for a
+    plain server, None under encrypted observation.
 
-    Plain: each participant j in ``models`` is credited with
-    ``loss(global_before) - loss(models[j])`` on the target set.
-    Encrypted: the single global difference
+    With models, each participant j in ``models`` is credited separately
+    with ``loss(global_before) - loss(models[j])`` on the target set.
+    Without, the single global difference
     ``loss(global_before) - loss(global_after)`` is credited to every
-    (visible) participant.
+    participant, or only to those in ``visible`` when a visible set is given.
     """
     loss_before = forward_eval(trace.global_before, spec, target_set).mean_loss
-    if mode.kind == "plain":
-        if models is None:
-            raise ValueError("plain observation requires per-client local models")
+    if models is not None:
         for j in sorted(models):
             if j not in trace.participants:
                 continue
@@ -148,12 +115,12 @@ def record_round(
             ledger.record(j, loss_before - loss_local)
         return ledger
 
-    visible = trace.participants
-    if mode.kind == "encrypted_limited":
-        visible = tuple(j for j in visible if j in mode.visible_set)
+    credited = trace.participants
+    if visible is not None:
+        credited = tuple(j for j in credited if j in visible)
     loss_after = forward_eval(trace.global_after, spec, target_set).mean_loss
     change = loss_before - loss_after
-    for j in sorted(visible):
+    for j in sorted(credited):
         ledger.record(j, change)
     return ledger
 
@@ -200,32 +167,43 @@ def identification_score(identified, target_client_ids) -> IdentificationScore:
 class TargetedDropAttacker:
     """Stateful driver wiring identification and dropping into a protocol run.
 
+    ``attack`` is a validated ``targeted`` attack section; ``target_set``
+    is the attacker's target-population sample, and ``visible_set`` the
+    clients an ``encrypted_limited`` attacker can see (None sees everyone).
     Feed it to ``run_protocol`` as both filter hook and observer. In
     encrypted modes the ledger is frozen for rounds in which the attacker
     itself dropped updates: the aggregate it observes in those rounds
     reflects its own interference, not client behavior.
     """
 
-    def __init__(self, plan: AttackPlan, spec: ModelSpec):
-        self.plan = plan
+    def __init__(
+        self,
+        attack: AttackConfig,
+        spec: ModelSpec,
+        target_set: ExampleSet,
+        visible_set: frozenset[int] | None = None,
+    ):
+        self.attack = attack
         self.spec = spec
+        self.target_set = target_set
+        self.visible_set = visible_set
         self.ledger = ContributionLedger()
         self.identified: list[int] = []
         self._dropped_last = 0
 
     def filter_updates(self, updates: list[LocalUpdate], t: int) -> list[LocalUpdate]:
-        kept = drop_filter(updates, self.identified, t, self.plan.t_n)
+        kept = drop_filter(updates, self.identified, t, self.attack.t_n)
         self._dropped_last = len(updates) - len(kept)
         return kept
 
     def observe(self, trace: RoundTrace):
-        mode = self.plan.mode
-        if mode.kind == "plain":
-            record_round(self.ledger, trace, trace.sent_models, mode, self.plan.target_set, self.spec)
+        atk = self.attack
+        if atk.mode == "plain":
+            record_round(self.ledger, trace, trace.sent_models, self.target_set, self.spec)
         elif self._dropped_last == 0:
-            record_round(self.ledger, trace, None, mode, self.plan.target_set, self.spec)
-        if trace.t == self.plan.t_n or (self.plan.refresh and trace.t > self.plan.t_n):
-            self.identified = identify_clients(self.ledger, self.plan.k_n)
+            record_round(self.ledger, trace, None, self.target_set, self.spec, self.visible_set)
+        if trace.t == atk.t_n or (atk.refresh and trace.t > atk.t_n):
+            self.identified = identify_clients(self.ledger, atk.k_n)
         self._dropped_last = 0
 
 

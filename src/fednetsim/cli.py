@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 configuration error, 2 runtime error.
 
 import argparse
 import sys
+from dataclasses import replace
 
 from fednetsim.analysis import (
     expected_rounds_encrypted,
@@ -81,9 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     cfg = load_scenario(args.config)
     if args.seed is not None:
-        cfg = cfg.replace(base_seed=args.seed)
+        cfg = replace(cfg, base_seed=args.seed)
     if args.trials is not None:
-        cfg = cfg.replace(trials=args.trials)
+        cfg = replace(cfg, trials=args.trials)
     summary = run_scenario(cfg)
     csv_path, json_path = emit_metrics(summary, args.out)
     half = max(1, summary.rounds // 2)
@@ -125,7 +126,7 @@ def _cmd_analyze(args) -> int:
     print(f"plain rounds (monte carlo): {mc.mean:.2f} +/- {mc.stderr:.2f} ({args.mc_trials} trials)")
     print(f"non-target batch probability: {p:.4f}")
     if enc is not None:
-        print(f"encrypted rounds bound (alpha={args.alpha}): {enc:.2f}")
+        print(f"encrypted rounds (independent-draw estimate, alpha={args.alpha}): {enc:.2f}")
         print(
             f"encrypted rounds (monte carlo): {mc_enc.mean:.2f} +/- {mc_enc.stderr:.2f} "
             f"({args.mc_trials} trials)"

@@ -1,23 +1,32 @@
-"""Scenario configuration: schema, strict YAML loading, and round-trip echo.
+"""Scenario configuration: the one schema, strict YAML loading, round-trip echo.
 
 A scenario file is a YAML mapping with sections ``dataset``, ``partition``,
 ``model``, ``protocol`` and optional ``attack``, ``poison``, ``defense``,
-plus top-level ``trials`` and ``base_seed``. Unknown keys anywhere are
-errors; validation failures raise :class:`ConfigError` with the dotted path
-of the offending field.
+plus top-level ``trials`` and ``base_seed``. The section types are also the
+parameter types the simulator runs with: ``run_protocol`` takes a
+``ProtocolConfig``, the attacker an ``AttackConfig`` and the defender a
+``DefenseConfig``.
+
+Every rule is checked once, here. Loading checks each value against its
+field's annotation (no ``bool`` for a number, an integer is a float,
+``null`` only where ``| None`` allows it; nothing is coerced), and
+:func:`validate_scenario` checks ranges and cross-field consistency.
+Unknown keys anywhere are errors. Failures raise :class:`ConfigError` with
+the dotted path of the offending field.
 """
 
+import types
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any
+from typing import Any, get_args, get_origin
 
 import yaml
 
-from fednetsim.adversary import OBSERVATION_KINDS
-from fednetsim.defense import SERVER_MODES
 from fednetsim.models import ACTIVATIONS
-from fednetsim.protocol import DENOMINATOR_MODES
 
 ATTACK_KINDS = ("targeted", "perfect_knowledge", "random_drop")
+OBSERVATION_KINDS = ("plain", "encrypted", "encrypted_limited")
+SERVER_MODES = ("plain", "aggregate_only")
+DENOMINATOR_MODES = ("received_count", "fixed_m")
 
 
 class ConfigError(ValueError):
@@ -55,7 +64,9 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
-class ProtocolSection:
+class ProtocolConfig:
+    """Server-side protocol parameters; the client count is the number of shards."""
+
     m: int = 10
     rounds: int = 150
     server_lr: float = 0.25
@@ -101,29 +112,24 @@ class ScenarioConfig:
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     partition: PartitionConfig = field(default_factory=PartitionConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
-    protocol: ProtocolSection = field(default_factory=ProtocolSection)
+    protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
     attack: AttackConfig | None = None
     poison: PoisonConfig | None = None
     defense: DefenseConfig | None = None
     trials: int = 4
     base_seed: int = 1234
 
-    def replace(self, **kwargs) -> "ScenarioConfig":
-        current = {f.name: getattr(self, f.name) for f in fields(self)}
-        current.update(kwargs)
-        return ScenarioConfig(**current)
-
     def to_dict(self) -> dict:
         out = asdict(self)
         out["model"]["hidden_dims"] = list(self.model.hidden_dims)
-        return {k: v for k, v in out.items()}
+        return out
 
 
 _SECTIONS = {
     "dataset": DatasetConfig,
     "partition": PartitionConfig,
     "model": ModelConfig,
-    "protocol": ProtocolSection,
+    "protocol": ProtocolConfig,
     "attack": AttackConfig,
     "poison": PoisonConfig,
     "defense": DefenseConfig,
@@ -131,25 +137,49 @@ _SECTIONS = {
 _OPTIONAL_SECTIONS = ("attack", "poison", "defense")
 
 
+_TYPE_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string", type(None): "null"}
+
+
+def _fits(value, annotation) -> bool:
+    """Whether a loaded value fits a field annotation as it is."""
+    if isinstance(annotation, types.UnionType):
+        return any(_fits(value, a) for a in get_args(annotation))
+    if get_origin(annotation) is tuple:
+        item = get_args(annotation)[0]
+        return isinstance(value, (list, tuple)) and all(_fits(v, item) for v in value)
+    if isinstance(value, bool):
+        return annotation is bool
+    if annotation is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, annotation)
+
+
+def _describe(annotation) -> str:
+    if isinstance(annotation, types.UnionType):
+        return " or ".join(_describe(a) for a in get_args(annotation))
+    if get_origin(annotation) is tuple:
+        return f"list of {_describe(get_args(annotation)[0])}s"
+    return _TYPE_NAMES[annotation]
+
+
+def _check_type(value, annotation, path: str):
+    if not _fits(value, annotation):
+        raise ConfigError(f"{path}: expected {_describe(annotation)}, got {value!r}")
+
+
 def _build_section(cls, data: Any, path: str):
     if data is None:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a mapping")
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(data) - allowed
+    annotations = {f.name: f.type for f in fields(cls)}
+    unknown = set(data) - set(annotations)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    kwargs = dict(data)
-    if cls is ModelConfig and "hidden_dims" in kwargs:
-        dims = kwargs["hidden_dims"]
-        if not isinstance(dims, (list, tuple)) or not all(isinstance(h, int) for h in dims):
-            raise ConfigError(f"{path}.hidden_dims: expected a list of integers")
-        kwargs["hidden_dims"] = tuple(dims)
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    for name, value in data.items():
+        _check_type(value, annotations[name], f"{path}.{name}")
+    # A YAML list is the value of a tuple field.
+    return cls(**{name: tuple(v) if isinstance(v, list) else v for name, v in data.items()})
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
@@ -167,11 +197,11 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
             kwargs[name] = _build_section(cls, data[name], name) if data.get(name) is not None else None
         else:
             kwargs[name] = _build_section(cls, data.get(name), name)
-    cfg = ScenarioConfig(
-        **kwargs,
-        trials=data.get("trials", 4),
-        base_seed=data.get("base_seed", 1234),
-    )
+    for name in ("trials", "base_seed"):
+        if name in data:
+            _check_type(data[name], ScenarioConfig.__annotations__[name], name)
+            kwargs[name] = data[name]
+    cfg = ScenarioConfig(**kwargs)
     validate_scenario(cfg)
     return cfg
 

@@ -10,37 +10,13 @@ normalized exactly. Update clipping, the other defense, is part of
 aggregation (``fednetsim.protocol.aggregate``).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from fednetsim.adversary import ContributionLedger, ObservationMode, identify_clients, record_round
+from fednetsim.adversary import ContributionLedger, identify_clients, record_round
+from fednetsim.config import DefenseConfig
 from fednetsim.datasets import ExampleSet
 from fednetsim.models import ModelSpec
 from fednetsim.protocol import RoundTrace
-
-SERVER_MODES = ("plain", "aggregate_only")
-
-
-@dataclass(frozen=True)
-class DefensePlan:
-    """Up-sampling defense parameters."""
-
-    t_s: int
-    k_s: int
-    upsample_factor: float
-    valid_set: ExampleSet
-    server_mode: str = "plain"
-
-    def __post_init__(self):
-        if self.t_s < 1:
-            raise ValueError("t_s must be >= 1")
-        if self.k_s < 0:
-            raise ValueError("k_s must be >= 0")
-        if self.upsample_factor < 1:
-            raise ValueError("upsample_factor must be >= 1")
-        if self.server_mode not in SERVER_MODES:
-            raise ValueError(f"server_mode must be one of {SERVER_MODES}")
 
 
 def upsample_probabilities(identified, n: int, factor: float) -> np.ndarray:
@@ -67,28 +43,27 @@ def upsample_probabilities(identified, n: int, factor: float) -> np.ndarray:
 class UpsamplingDefender:
     """Stateful driver wiring server identification into participant sampling.
 
-    Feed it to ``run_protocol`` as both resample hook and observer. Unlike
-    the attacker, the server never freezes its ledger: it has no way to
-    know which rounds were corrupted by dropping.
+    ``defense`` is a validated defense section and ``valid_set`` the
+    server's target-population sample. Feed it to ``run_protocol`` as both
+    resample hook and observer. Unlike the attacker, the server never
+    freezes its ledger: it has no way to know which rounds were corrupted
+    by dropping.
     """
 
-    def __init__(self, plan: DefensePlan, spec: ModelSpec, n: int):
-        if plan.k_s * plan.upsample_factor >= n:
-            raise ValueError("upsampling factor too large: need k_s * factor < n")
-        self.plan = plan
+    def __init__(self, defense: DefenseConfig, spec: ModelSpec, valid_set: ExampleSet):
+        self.defense = defense
         self.spec = spec
-        self.n = n
+        self.valid_set = valid_set
         self.ledger = ContributionLedger()
         self.identified: list[int] = []
-        self._mode = ObservationMode("plain" if plan.server_mode == "plain" else "encrypted")
 
     def resample(self, t: int, n: int) -> np.ndarray | None:
-        if t <= self.plan.t_s or not self.identified:
+        if t <= self.defense.t_s or not self.identified:
             return None
-        return upsample_probabilities(self.identified, n, self.plan.upsample_factor)
+        return upsample_probabilities(self.identified, n, self.defense.upsample_factor)
 
     def observe(self, trace: RoundTrace):
-        models = trace.received_models if self._mode.kind == "plain" else None
-        record_round(self.ledger, trace, models, self._mode, self.plan.valid_set, self.spec)
-        if trace.t >= self.plan.t_s:
-            self.identified = identify_clients(self.ledger, self.plan.k_s)
+        models = trace.received_models if self.defense.server_mode == "plain" else None
+        record_round(self.ledger, trace, models, self.valid_set, self.spec)
+        if trace.t >= self.defense.t_s:
+            self.identified = identify_clients(self.ledger, self.defense.k_s)

@@ -12,25 +12,23 @@ All emitted files are byte-deterministic for a fixed configuration.
 
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from dataclasses import replace as dc_replace
 
 import numpy as np
 
 from fednetsim.adversary import (
-    AttackPlan,
     FixedSetDropper,
-    ObservationMode,
     TargetedDropAttacker,
     identification_score,
     sample_visible_set,
 )
-from fednetsim.config import ConfigError, PoisonConfig, ScenarioConfig, validate_scenario
+from fednetsim.config import AttackConfig, ConfigError, PoisonConfig, ScenarioConfig, validate_scenario
 from fednetsim.datasets import DatasetSource, ExampleSet, gen_synthetic, load_idx_dataset, partition
-from fednetsim.defense import DefensePlan, UpsamplingDefender
+from fednetsim.defense import UpsamplingDefender
 from fednetsim.models import ModelSpec
 from fednetsim.poisoning import ModelReplacementPoisoner, PoisonPlan, default_flip_to, flip_labels
-from fednetsim.protocol import EvalSets, ProtocolConfig, RoundTrace, run_protocol
+from fednetsim.protocol import EvalSets, RoundTrace, run_protocol
 from fednetsim.seeding import (
     TAG_ATTACK,
     TAG_ATTACK_DSTAR,
@@ -97,7 +95,7 @@ class RunSummary:
 
 @dataclass(frozen=True)
 class World:
-    """Everything a trial runs in: model, client shards, eval data, protocol.
+    """Everything a trial runs in: model, client shards, eval data.
 
     ``compromised`` are the k_p target-class holders turned poisoners;
     ``honest_targets`` are the remaining holders, the clients an attacker
@@ -109,11 +107,10 @@ class World:
     compromised: tuple[int, ...]
     honest_targets: tuple[int, ...]
     eval_sets: EvalSets
-    proto: ProtocolConfig
 
 
 def build_world(cfg: ScenarioConfig, trial_seed: int) -> World:
-    """Data, model spec, partition (k + k_p holders), poisoners, eval sets, protocol."""
+    """Data, model spec, partition (k + k_p holders), poisoners, eval sets."""
     ds, part = cfg.dataset, cfg.partition
     if ds.kind == "synthetic":
         # One pooled draw per trial, split per class, so train and eval share
@@ -163,7 +160,6 @@ def build_world(cfg: ScenarioConfig, trial_seed: int) -> World:
         compromised=compromised,
         honest_targets=tuple(i for i in holder_ids if i not in compromised),
         eval_sets=EvalSets(test_src.all_examples(), part.target_class),
-        proto=ProtocolConfig(n=part.n, **asdict(cfg.protocol)),
     )
 
 
@@ -185,6 +181,7 @@ def run_trial(cfg: ScenarioConfig, trial_seed: int) -> TrialSeries:
     if cfg.attack is not None:
         atk = cfg.attack
         if atk.kind == "targeted":
+            visible = None
             if atk.mode == "encrypted_limited":
                 visible = sample_visible_set(
                     part.n,
@@ -193,14 +190,8 @@ def run_trial(cfg: ScenarioConfig, trial_seed: int) -> TrialSeries:
                     atk.alpha_v,
                     spawn_seed(trial_seed, TAG_VISIBLE),
                 )
-                mode = ObservationMode("encrypted_limited", visible)
-            else:
-                mode = ObservationMode(atk.mode)
             dstar = _subsample(target_pool, atk.target_set_size, spawn_rng(trial_seed, TAG_ATTACK_DSTAR))
-            attacker = TargetedDropAttacker(
-                AttackPlan(t_n=atk.t_n, k_n=atk.k_n, mode=mode, target_set=dstar, refresh=atk.refresh),
-                spec,
-            )
+            attacker = TargetedDropAttacker(atk, spec, dstar, visible)
         else:
             rng = spawn_rng(trial_seed, TAG_ATTACK)
             if atk.kind == "perfect_knowledge":
@@ -225,36 +216,18 @@ def run_trial(cfg: ScenarioConfig, trial_seed: int) -> TrialSeries:
             j: flip_labels(world.shards[j], part.target_class, flip_to) for j in world.compromised
         }
         poisoner = ModelReplacementPoisoner(
-            PoisonPlan(
-                compromised_ids=world.compromised,
-                boost=cfg.poison.boost,
-                target_class=part.target_class,
-                flip_to=flip_to,
-                start_round=start_round,
-            ),
+            PoisonPlan(compromised_ids=world.compromised, boost=cfg.poison.boost, start_round=start_round),
             spec,
             flipped,
-            cfg.protocol.local_epochs,
-            cfg.protocol.local_lr,
-            cfg.protocol.batch_size,
+            cfg.protocol,
         )
 
     defender = None
-    proto = world.proto
+    proto = cfg.protocol
     if cfg.defense is not None:
         dfn = cfg.defense
         valid_set = _subsample(target_pool, dfn.valid_set_size, spawn_rng(trial_seed, TAG_SERVER_DSTAR))
-        defender = UpsamplingDefender(
-            DefensePlan(
-                t_s=dfn.t_s,
-                k_s=dfn.k_s,
-                upsample_factor=dfn.upsample_factor,
-                valid_set=valid_set,
-                server_mode=dfn.server_mode,
-            ),
-            spec,
-            part.n,
-        )
+        defender = UpsamplingDefender(dfn, spec, valid_set)
         if dfn.clip_norm is not None:
             proto = dc_replace(proto, clip_norm=dfn.clip_norm)
 
@@ -356,7 +329,7 @@ def _cell_config(base: ScenarioConfig, k_n: int, k_p: int, clip_on: bool) -> Sce
         poison = None
     clip = (base.protocol.clip_norm if base.protocol.clip_norm is not None else 1.0) if clip_on else None
     protocol = dc_replace(base.protocol, clip_norm=clip)
-    cfg = base.replace(attack=attack, poison=poison, protocol=protocol)
+    cfg = dc_replace(base, attack=attack, poison=poison, protocol=protocol)
     validate_scenario(cfg)
     return cfg
 
@@ -420,13 +393,14 @@ def identify_bench(
         raise ConfigError("checkpoint rounds must be positive")
     if k_n is None:
         k_n = cfg.partition.k
-    bench_cfg = cfg.replace(
+    bench_cfg = dc_replace(
+        cfg,
         attack=None,
         poison=None,
         defense=None,
         protocol=dc_replace(cfg.protocol, rounds=checkpoints[-1]),
     )
-    size = cfg.attack.target_set_size if cfg.attack is not None else 100
+    size = (cfg.attack or AttackConfig()).target_set_size
 
     modes = ("plain", "encrypted")
     results = {mode: {c: [] for c in checkpoints} for mode in modes}
@@ -435,9 +409,7 @@ def identify_bench(
         world = build_world(bench_cfg, trial_seed)
         dstar = _subsample(world.eval_sets.target_set, size, spawn_rng(trial_seed, TAG_ATTACK_DSTAR))
         watchers = {
-            mode: TargetedDropAttacker(
-                AttackPlan(t_n=1, k_n=k_n, mode=ObservationMode(mode), target_set=dstar), world.spec
-            )
+            mode: TargetedDropAttacker(AttackConfig(mode=mode, t_n=1, k_n=k_n), world.spec, dstar)
             for mode in modes
         }
 
@@ -448,7 +420,9 @@ def identify_bench(
                     results[mode][trace.t].append(hits)
 
         observers = [w.observe for w in watchers.values()] + [score]
-        run_protocol(world.proto, world.shards, world.spec, world.eval_sets, trial_seed, observers=observers)
+        run_protocol(
+            bench_cfg.protocol, world.shards, world.spec, world.eval_sets, trial_seed, observers=observers
+        )
     return results
 
 

@@ -11,27 +11,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from fednetsim.config import ProtocolConfig
 from fednetsim.datasets import ExampleSet
 from fednetsim.models import ModelSpec, local_train
 
 
 @dataclass(frozen=True)
 class PoisonPlan:
-    """Poisoning campaign parameters."""
+    """What a trial derives from a validated poison section."""
 
     compromised_ids: tuple[int, ...]
     boost: float
-    target_class: int
-    flip_to: int
     start_round: int
-
-    def __post_init__(self):
-        if self.boost <= 0:
-            raise ValueError("boost must be > 0")
-        if self.flip_to == self.target_class:
-            raise ValueError("flip_to must differ from target_class")
-        if self.start_round < 0:
-            raise ValueError("start_round must be >= 0")
 
 
 def default_flip_to(target_class: int, class_count: int) -> int:
@@ -75,6 +66,7 @@ class ModelReplacementPoisoner:
     Compromised clients always train on their flipped shard; the boost is
     applied only in rounds after ``start_round``, so before the campaign
     begins they behave as protocol-conforming clients with poisoned data.
+    They train with the protocol's local epochs, learning rate and batch size.
     """
 
     def __init__(
@@ -82,9 +74,7 @@ class ModelReplacementPoisoner:
         plan: PoisonPlan,
         spec: ModelSpec,
         flipped_shards: dict[int, ExampleSet],
-        epochs: int,
-        lr: float,
-        batch_size: int | None = None,
+        protocol: ProtocolConfig,
     ):
         missing = set(plan.compromised_ids) - set(flipped_shards)
         if missing:
@@ -92,9 +82,7 @@ class ModelReplacementPoisoner:
         self.plan = plan
         self.spec = spec
         self.flipped_shards = flipped_shards
-        self.epochs = epochs
-        self.lr = lr
-        self.batch_size = batch_size
+        self.protocol = protocol
 
     def poison_update(
         self, t: int, client_id: int, f_prev: np.ndarray, seed: int
@@ -102,13 +90,14 @@ class ModelReplacementPoisoner:
         if client_id not in self.flipped_shards:
             return None
         boost = self.plan.boost if t > self.plan.start_round else 1.0
+        proto = self.protocol
         return craft_poison_update(
             f_prev,
             self.spec,
             self.flipped_shards[client_id],
-            self.epochs,
-            self.lr,
+            proto.local_epochs,
+            proto.local_lr,
             boost,
             seed,
-            self.batch_size,
+            proto.batch_size,
         )

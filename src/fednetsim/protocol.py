@@ -25,42 +25,10 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from fednetsim.config import DENOMINATOR_MODES, ProtocolConfig
 from fednetsim.datasets import ExampleSet
 from fednetsim.models import ModelSpec, forward_eval, init_model, local_train
 from fednetsim.seeding import TAG_INIT, TAG_SELECT, TAG_TRAIN, spawn_rng, spawn_seed
-
-DENOMINATOR_MODES = ("received_count", "fixed_m")
-
-
-@dataclass(frozen=True)
-class ProtocolConfig:
-    """Server-side protocol parameters."""
-
-    n: int
-    m: int
-    rounds: int
-    server_lr: float
-    local_epochs: int
-    local_lr: float
-    batch_size: int | None = None
-    clip_norm: float | None = None
-    denominator_mode: str = "received_count"
-
-    def __post_init__(self):
-        if not 1 <= self.m <= self.n:
-            raise ValueError("need 1 <= m <= n")
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        if self.server_lr <= 0:
-            raise ValueError("server_lr must be > 0")
-        if self.local_epochs < 0:
-            raise ValueError("local_epochs must be >= 0")
-        if self.local_lr <= 0:
-            raise ValueError("local_lr must be > 0")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ValueError("clip_norm must be > 0 when set")
-        if self.denominator_mode not in DENOMINATOR_MODES:
-            raise ValueError(f"denominator_mode must be one of {DENOMINATOR_MODES}")
 
 
 class LocalUpdate:
@@ -296,26 +264,25 @@ def run_protocol(
 ) -> list[RoundRecord]:
     """Run the full protocol for ``cfg.rounds`` rounds and record each one.
 
-    Hooks: ``resample_hook(t, n)`` may return the selection distribution for
+    Client j holds ``shards[j]``, so there are ``len(shards)`` clients. Hooks: ``resample_hook(t, n)`` may return the selection distribution for
     round t (None keeps uniform); ``poison_hook(t, client_id, f_prev, seed)``
     may return a replacement delta for a compromised client; ``filter_hook``
     removes dropped updates before aggregation; reading an update's delta
     trains it, so a filter that decides by client id alone saves the
     training of what it drops. All hooks default to identity behavior.
     """
-    if len(shards) != cfg.n:
-        raise ValueError(f"expected {cfg.n} shards, got {len(shards)}")
+    n = len(shards)
     observers = tuple(observers)
 
     f = init_params.copy() if init_params is not None else init_model(spec, spawn_seed(seed, TAG_INIT))
-    uniform = np.full(cfg.n, 1.0 / cfg.n)
+    uniform = np.full(n, 1.0 / n)
 
     records = []
     for t in range(1, cfg.rounds + 1):
         p = None
         if resample_hook is not None:
-            p = resample_hook(t, cfg.n)
-        participants = select_participants(cfg.n, cfg.m, uniform if p is None else p, seed, t)
+            p = resample_hook(t, n)
+        participants = select_participants(n, cfg.m, uniform if p is None else p, seed, t)
 
         updates = [
             LocalUpdate(j, train=partial(_client_delta, cfg, spec, shards[j], poison_hook, f, seed, t, j))

@@ -1,5 +1,7 @@
 """Shared scenario factories for harness-level tests."""
 
+from dataclasses import replace
+
 import pytest
 
 from fednetsim.config import (
@@ -8,7 +10,7 @@ from fednetsim.config import (
     ModelConfig,
     PartitionConfig,
     PoisonConfig,
-    ProtocolSection,
+    ProtocolConfig,
     ScenarioConfig,
 )
 
@@ -23,7 +25,7 @@ def tiny_scenario(**overrides) -> ScenarioConfig:
             n=12, k=3, target_class=0, alpha_t=0.6, alpha_d=1.0, local_size=50
         ),
         model=ModelConfig(hidden_dims=(12,)),
-        protocol=ProtocolSection(
+        protocol=ProtocolConfig(
             m=4, rounds=40, server_lr=0.25, local_epochs=2, local_lr=0.1, batch_size=5
         ),
         attack=AttackConfig(kind="targeted", mode="plain", t_n=8, k_n=0),
@@ -31,7 +33,7 @@ def tiny_scenario(**overrides) -> ScenarioConfig:
         trials=2,
         base_seed=21,
     )
-    return cfg.replace(**overrides)
+    return replace(cfg, **overrides)
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ and shared. Everything here is deterministic: fixed seeds, fixed configs.
 """
 
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,13 +40,13 @@ def report(criterion: str, ok: bool, detail: str):
 @pytest.fixture(scope="session")
 def standard_cfg():
     cfg = load_scenario(CONFIGS / "standard.yaml")
-    return cfg.replace(trials=SEEDS)
+    return replace(cfg, trials=SEEDS)
 
 
 @pytest.fixture(scope="session")
 def battery(standard_cfg):
     """Final/half target and non-target accuracies for the scenario variants."""
-    base = standard_cfg.replace(attack=None)
+    base = replace(standard_cfg, attack=None)
     k = standard_cfg.partition.k
     t_n = standard_cfg.attack.t_n
     enc = AttackConfig(kind="targeted", mode="encrypted", t_n=t_n, k_n=k)
@@ -56,13 +57,13 @@ def battery(standard_cfg):
     poison = PoisonConfig(k_p=k // 3, boost=10.0)
     variants = {
         "none": base,
-        "perfect": base.replace(attack=AttackConfig(kind="perfect_knowledge", k_n=k)),
-        "random": base.replace(attack=AttackConfig(kind="random_drop", k_n=k)),
-        "plain": base.replace(attack=AttackConfig(kind="targeted", mode="plain", t_n=t_n, k_n=k)),
-        "enc": base.replace(attack=enc),
-        "enc+ups": base.replace(attack=enc, defense=ups),
-        "enc+poison": base.replace(attack=enc, poison=poison),
-        "enc+poison+clip+ups": base.replace(attack=enc, poison=poison, defense=clip_ups),
+        "perfect": replace(base, attack=AttackConfig(kind="perfect_knowledge", k_n=k)),
+        "random": replace(base, attack=AttackConfig(kind="random_drop", k_n=k)),
+        "plain": replace(base, attack=AttackConfig(kind="targeted", mode="plain", t_n=t_n, k_n=k)),
+        "enc": replace(base, attack=enc),
+        "enc+ups": replace(base, attack=enc, defense=ups),
+        "enc+poison": replace(base, attack=enc, poison=poison),
+        "enc+poison+clip+ups": replace(base, attack=enc, poison=poison, defense=clip_ups),
     }
     out = {}
     for name, cfg in variants.items():

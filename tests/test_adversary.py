@@ -9,9 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fednetsim.adversary import (
-    AttackPlan,
     ContributionLedger,
-    ObservationMode,
     TargetedDropAttacker,
     drop_filter,
     identification_score,
@@ -19,6 +17,7 @@ from fednetsim.adversary import (
     record_round,
     sample_visible_set,
 )
+from fednetsim.config import AttackConfig
 from fednetsim.datasets import gen_synthetic
 from fednetsim.models import ModelSpec, forward_eval, init_model
 from fednetsim.protocol import LocalUpdate, RoundTrace
@@ -100,7 +99,7 @@ class TestRecordRound:
     def test_encrypted_credits_all_participants(self):
         w = LedgerWorld()
         ledger = ContributionLedger()
-        record_round(ledger, w.trace((3, 7)), None, ObservationMode("encrypted"), w.target_set, w.spec)
+        record_round(ledger, w.trace((3, 7)), None, w.target_set, w.spec)
         change = w.loss(w.f_before) - w.loss(w.f_after)
         assert ledger.counts == {3: 1, 7: 1}
         assert ledger.mean(3) == ledger.mean(7) == change
@@ -110,36 +109,25 @@ class TestRecordRound:
         ledger = ContributionLedger()
         local = {5: w.f_before.copy(), 6: w.f_before + 0.1}
         trace = w.trace((5, 6), local)
-        record_round(ledger, trace, trace.sent_models, ObservationMode("plain"), w.target_set, w.spec)
+        record_round(ledger, trace, trace.sent_models, w.target_set, w.spec)
         assert ledger.rounds_seen(5) == 1 and ledger.mean(5) == 0.0
         assert ledger.rounds_seen(6) == 1
 
     def test_limited_visibility_intersects(self):
         w = LedgerWorld()
         ledger = ContributionLedger()
-        mode = ObservationMode("encrypted_limited", frozenset({3}))
-        record_round(ledger, w.trace((3, 7)), None, mode, w.target_set, w.spec)
+        record_round(ledger, w.trace((3, 7)), None, w.target_set, w.spec, frozenset({3}))
         assert set(ledger.counts) == {3}
 
     def test_full_visible_set_equals_encrypted(self):
         w = LedgerWorld()
         limited = ContributionLedger()
         encrypted = ContributionLedger()
-        mode_lim = ObservationMode("encrypted_limited", frozenset(range(10)))
         for t, parts in enumerate([(0, 4), (2, 9, 5), (1,)], start=1):
             trace = w.trace(parts, t=t)
-            record_round(limited, trace, None, mode_lim, w.target_set, w.spec)
-            record_round(encrypted, trace, None, ObservationMode("encrypted"), w.target_set, w.spec)
+            record_round(limited, trace, None, w.target_set, w.spec, frozenset(range(10)))
+            record_round(encrypted, trace, None, w.target_set, w.spec)
         assert limited == encrypted
-
-    def test_plain_requires_local_models(self):
-        w = LedgerWorld()
-        with pytest.raises(ValueError, match="local models"):
-            record_round(ContributionLedger(), w.trace((1,)), None, ObservationMode("plain"), w.target_set, w.spec)
-
-    def test_limited_requires_visible_set(self):
-        with pytest.raises(ValueError, match="visible_set"):
-            ObservationMode("encrypted_limited")
 
 
 class TestIdentifyClients:
@@ -261,8 +249,7 @@ class TestTargetedDropAttacker:
         # identified with k_n = 1 after any round it participated in
         w = LedgerWorld()
         helpful = 4
-        plan = AttackPlan(t_n=2, k_n=1, mode=ObservationMode("plain"), target_set=w.target_set)
-        attacker = TargetedDropAttacker(plan, w.spec)
+        attacker = TargetedDropAttacker(AttackConfig(mode="plain", t_n=2, k_n=1), w.spec, w.target_set)
         # a model with a large positive bias on class 0 lowers the target loss
         better = w.f_before.copy()
         better[-3] += 2.0
@@ -274,8 +261,7 @@ class TestTargetedDropAttacker:
 
     def test_encrypted_freeze_after_own_drop(self):
         w = LedgerWorld()
-        plan = AttackPlan(t_n=1, k_n=1, mode=ObservationMode("encrypted"), target_set=w.target_set)
-        attacker = TargetedDropAttacker(plan, w.spec)
+        attacker = TargetedDropAttacker(AttackConfig(mode="encrypted", t_n=1, k_n=1), w.spec, w.target_set)
         sent = {3: w.f_after.copy()}
         attacker.filter_updates([LocalUpdate(3, np.zeros(len(w.f_before)))], 1)
         attacker.observe(self.make_trace(w, 1, (3,), sent))
@@ -290,8 +276,7 @@ class TestTargetedDropAttacker:
 
     def test_plain_mode_never_freezes(self):
         w = LedgerWorld()
-        plan = AttackPlan(t_n=1, k_n=1, mode=ObservationMode("plain"), target_set=w.target_set)
-        attacker = TargetedDropAttacker(plan, w.spec)
+        attacker = TargetedDropAttacker(AttackConfig(mode="plain", t_n=1, k_n=1), w.spec, w.target_set)
         sent = {3: w.f_after.copy()}
         attacker.filter_updates([LocalUpdate(3, w.f_after - w.f_before)], 1)
         attacker.observe(self.make_trace(w, 1, (3,), sent))
@@ -301,10 +286,8 @@ class TestTargetedDropAttacker:
 
     def test_no_refresh_freezes_identified_set(self):
         w = LedgerWorld()
-        plan = AttackPlan(
-            t_n=1, k_n=1, mode=ObservationMode("encrypted"), target_set=w.target_set, refresh=False
-        )
-        attacker = TargetedDropAttacker(plan, w.spec)
+        attack = AttackConfig(mode="encrypted", t_n=1, k_n=1, refresh=False)
+        attacker = TargetedDropAttacker(attack, w.spec, w.target_set)
         attacker.filter_updates([LocalUpdate(9, np.zeros(len(w.f_before)))], 1)
         attacker.observe(self.make_trace(w, 1, (9,), {9: w.f_after.copy()}))
         first = list(attacker.identified)

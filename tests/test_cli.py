@@ -8,6 +8,7 @@ import subprocess
 import sys
 
 import pytest
+import yaml
 
 from fednetsim.cli import main
 
@@ -52,6 +53,36 @@ class TestRun:
         rc = main(["run", "--config", str(bad), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"trials": "abc"},
+            {"base_seed": None},
+            {"protocol": {"m": "x"}},
+            {"protocol": {"server_lr": "0.5"}},
+            {"attack": {"k_n": [1]}},
+            {"protocol": {"rounds": 3.0}},
+            {"protocol": {"m": 4.0}},
+            {"protocol": {"batch_size": 20.0}},
+            {"defense": {"k_s": True}},
+            {"model": {"hidden_dims": [True]}},
+        ],
+        ids=lambda o: yaml.safe_dump(o, default_flow_style=True).strip(),
+    )
+    def test_wrongly_typed_value_exits_one(self, tmp_path, override):
+        data = yaml.safe_load((CONFIGS / "smoke.yaml").read_text())
+        for key, value in override.items():
+            if isinstance(value, dict):
+                data[key] = {**(data.get(key) or {}), **value}
+            else:
+                data[key] = value
+        cfg = tmp_path / "typed.yaml"
+        cfg.write_text(yaml.safe_dump(data))
+        proc = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out"), timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert "configuration error" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_missing_data_file_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "idx.yaml"
@@ -141,7 +172,7 @@ class TestAnalyze:
         assert "harmonic" in out
         assert "monte carlo" in out
         assert "non-target batch probability" in out
-        assert "encrypted rounds bound" in out
+        assert "encrypted rounds (independent-draw estimate, alpha=0.3)" in out
 
     def test_invalid_inputs_exit_one(self, capsys):
         rc = main(["analyze", "--n", "60", "--m", "10", "--k", "15", "--kn", "20"])

@@ -5,15 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fednetsim.adversary import (
-    AttackPlan,
-    ContributionLedger,
-    ObservationMode,
-    TargetedDropAttacker,
-    record_round,
-)
+from fednetsim.adversary import ContributionLedger, TargetedDropAttacker, record_round
+from fednetsim.config import AttackConfig, DefenseConfig, ProtocolConfig
 from fednetsim.datasets import gen_synthetic
-from fednetsim.defense import DefensePlan, UpsamplingDefender, upsample_probabilities
+from fednetsim.defense import UpsamplingDefender, upsample_probabilities
 from fednetsim.models import ModelSpec, init_model
 from fednetsim.protocol import RoundTrace, select_participants
 
@@ -93,13 +88,9 @@ class TestServerIdentify:
         valid = gen_synthetic(3, 4, 40, 2.0, seed=2).class_examples(0)
         f0 = init_model(spec, 0)
         defender = UpsamplingDefender(
-            DefensePlan(t_s=1, k_s=2, upsample_factor=2.0, valid_set=valid, server_mode="aggregate_only"),
-            spec,
-            n=10,
+            DefenseConfig(t_s=1, k_s=2, upsample_factor=2.0, server_mode="aggregate_only"), spec, valid
         )
-        attacker = TargetedDropAttacker(
-            AttackPlan(t_n=1, k_n=2, mode=ObservationMode("encrypted"), target_set=valid), spec
-        )
+        attacker = TargetedDropAttacker(AttackConfig(mode="encrypted", t_n=1, k_n=2), spec, valid)
         for t, (parts, step) in enumerate([((1, 5), 0.03), ((2, 5), -0.02), ((1, 9), 0.01)], start=1):
             trace = RoundTrace(t, parts, f0, f0 + step, {}, {})
             defender.observe(trace)
@@ -128,16 +119,14 @@ class TestUpsamplingDefender:
 
     def test_uniform_before_warmup(self):
         spec, valid, f0 = self.world()
-        plan = DefensePlan(t_s=3, k_s=2, upsample_factor=2.0, valid_set=valid)
-        defender = UpsamplingDefender(plan, spec, n=10)
+        defender = UpsamplingDefender(DefenseConfig(t_s=3, k_s=2, upsample_factor=2.0), spec, valid)
         assert defender.resample(1, 10) is None
         defender.observe(self.make_trace(f0, 1, (0, 1), (0, 1)))
         assert defender.resample(2, 10) is None
 
     def test_upsamples_after_warmup(self):
         spec, valid, f0 = self.world()
-        plan = DefensePlan(t_s=1, k_s=2, upsample_factor=2.0, valid_set=valid)
-        defender = UpsamplingDefender(plan, spec, n=10)
+        defender = UpsamplingDefender(DefenseConfig(t_s=1, k_s=2, upsample_factor=2.0), spec, valid)
         defender.observe(self.make_trace(f0, 1, (4, 7), (4, 7)))
         p = defender.resample(2, 10)
         assert p is not None
@@ -145,17 +134,15 @@ class TestUpsamplingDefender:
 
     def test_plain_server_skips_dropped_clients(self):
         spec, valid, f0 = self.world()
-        plan = DefensePlan(t_s=5, k_s=2, upsample_factor=2.0, valid_set=valid, server_mode="plain")
-        defender = UpsamplingDefender(plan, spec, n=10)
+        dfn = DefenseConfig(t_s=5, k_s=2, upsample_factor=2.0, server_mode="plain")
+        defender = UpsamplingDefender(dfn, spec, valid)
         defender.observe(self.make_trace(f0, 1, (1, 2, 3), (1, 3)))
         assert set(defender.ledger.counts) == {1, 3}
 
     def test_aggregate_only_credits_all_participants(self):
         spec, valid, f0 = self.world()
-        plan = DefensePlan(
-            t_s=5, k_s=2, upsample_factor=2.0, valid_set=valid, server_mode="aggregate_only"
-        )
-        defender = UpsamplingDefender(plan, spec, n=10)
+        dfn = DefenseConfig(t_s=5, k_s=2, upsample_factor=2.0, server_mode="aggregate_only")
+        defender = UpsamplingDefender(dfn, spec, valid)
         defender.observe(self.make_trace(f0, 1, (1, 2, 3), (1, 3)))
         assert set(defender.ledger.counts) == {1, 2, 3}
 
@@ -163,40 +150,28 @@ class TestUpsamplingDefender:
         # same observations, shared ranking code path: ledgers must be
         # bitwise-identical
         spec, valid, f0 = self.world()
-        plan = DefensePlan(
-            t_s=9, k_s=2, upsample_factor=2.0, valid_set=valid, server_mode="aggregate_only"
-        )
-        defender = UpsamplingDefender(plan, spec, n=10)
+        dfn = DefenseConfig(t_s=9, k_s=2, upsample_factor=2.0, server_mode="aggregate_only")
+        defender = UpsamplingDefender(dfn, spec, valid)
         attacker_ledger = ContributionLedger()
         for t, parts in enumerate([(0, 3), (2, 5, 8), (1, 3)], start=1):
             trace = self.make_trace(f0, t, parts, parts)
             defender.observe(trace)
-            record_round(attacker_ledger, trace, None, ObservationMode("encrypted"), valid, spec)
+            record_round(attacker_ledger, trace, None, valid, spec)
         assert defender.ledger == attacker_ledger
-
-    def test_oversized_plan_rejected(self):
-        spec, valid, _ = self.world()
-        plan = DefensePlan(t_s=1, k_s=5, upsample_factor=2.0, valid_set=valid)
-        with pytest.raises(ValueError, match="too large"):
-            UpsamplingDefender(plan, spec, n=10)
 
     def test_empty_identified_set_is_a_noop(self):
         # k_s = 0 never reweights, so a defended run is bitwise identical to
         # an undefended one
         from fednetsim.datasets import partition
-        from fednetsim.protocol import EvalSets, ProtocolConfig, run_protocol
+        from fednetsim.protocol import EvalSets, run_protocol
 
         spec = ModelSpec(5, (6,), 3)
         src = gen_synthetic(3, 5, 400, 2.0, seed=4)
         plan = partition(src, 8, 2, 0, 0.5, 1.0, 30, seed=5)
         shards = [src.subset(idx) for idx in plan.shards]
         eval_sets = EvalSets(src.all_examples(), 0)
-        cfg = ProtocolConfig(n=8, m=3, rounds=8, server_lr=0.3, local_epochs=1, local_lr=0.1)
-        defender = UpsamplingDefender(
-            DefensePlan(t_s=2, k_s=0, upsample_factor=2.0, valid_set=eval_sets.target_set),
-            spec,
-            n=8,
-        )
+        cfg = ProtocolConfig(m=3, rounds=8, server_lr=0.3, local_epochs=1, local_lr=0.1, batch_size=None)
+        defender = UpsamplingDefender(DefenseConfig(t_s=2, k_s=0, upsample_factor=2.0), spec, eval_sets.target_set)
         models = {"defended": [], "undefended": []}
 
         def keep(name):

@@ -79,19 +79,19 @@ def _digests(out_dir: pathlib.Path, names) -> dict:
 def _standard_short():
     """``configs/standard.yaml`` cut to 30 rounds x 2 trials."""
     cfg = load_scenario(CONFIGS / "standard.yaml")
-    return cfg.replace(trials=2, protocol=dc_replace(cfg.protocol, rounds=30))
+    return dc_replace(cfg, trials=2, protocol=dc_replace(cfg.protocol, rounds=30))
 
 
 def _smoke_variant(model=None, **protocol):
     """``configs/smoke.yaml`` with another model and protocol settings."""
     cfg = load_scenario(SMOKE)
-    return cfg.replace(model=model or cfg.model, protocol=dc_replace(cfg.protocol, **protocol))
+    return dc_replace(cfg, model=model or cfg.model, protocol=dc_replace(cfg.protocol, **protocol))
 
 
 def _smoke_attack(**attack):
     """``configs/smoke.yaml`` with other attack settings."""
     cfg = load_scenario(SMOKE)
-    return cfg.replace(attack=dc_replace(cfg.attack, **attack))
+    return dc_replace(cfg, attack=dc_replace(cfg.attack, **attack))
 
 
 def _smoke_random_drop_poisoned():
@@ -101,19 +101,21 @@ def _smoke_random_drop_poisoned():
     dropped poisoned updates are never crafted.
     """
     cfg = _smoke_attack(kind="random_drop")
-    return cfg.replace(poison=PoisonConfig(k_p=2, boost=10.0, start_round=3), trials=3)
+    return dc_replace(cfg, poison=PoisonConfig(k_p=2, boost=10.0, start_round=3), trials=3)
 
 
 def _smoke_aggregate_only():
     """Smoke with an aggregate-only up-sampling defender beside the encrypted dropper."""
-    return load_scenario(SMOKE).replace(
+    return dc_replace(
+        load_scenario(SMOKE),
         defense=DefenseConfig(t_s=3, k_s=2, upsample_factor=2.0, server_mode="aggregate_only", valid_set_size=30)
     )
 
 
 def _defended(cfg):
     """Plain dropper, k_p=5 boosted poisoners, clipping plain up-sampling defender."""
-    return cfg.replace(
+    return dc_replace(
+        cfg,
         attack=AttackConfig(kind="targeted", mode="plain", t_n=30, k_n=15, target_set_size=100),
         poison=PoisonConfig(k_p=5, boost=10.0),
         defense=DefenseConfig(

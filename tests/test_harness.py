@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from fednetsim.config import (
     PartitionConfig,
     ATTACK_KINDS,
     PoisonConfig,
-    ProtocolSection,
+    ProtocolConfig,
     ScenarioConfig,
     load_scenario,
     scenario_from_dict,
@@ -77,7 +78,7 @@ def scenarios(draw):
         hidden_dims=tuple(draw(st.lists(st.integers(1, 512), max_size=3))),
         activation=draw(st.sampled_from(["relu", "tanh"])),
     )
-    proto = ProtocolSection(
+    proto = ProtocolConfig(
         m=draw(st.integers(1, n)),
         rounds=draw(st.integers(1, 10**4)),
         server_lr=draw(POSITIVE),
@@ -138,7 +139,7 @@ def scenarios(draw):
 
 class TestRunScenario:
     def test_series_shapes_and_config_echo(self, tiny_cfg):
-        cfg = tiny_cfg.replace(protocol=ProtocolSection(m=4, rounds=6, batch_size=5), trials=2)
+        cfg = replace(tiny_cfg, protocol=ProtocolConfig(m=4, rounds=6, batch_size=5), trials=2)
         summary = run_scenario(cfg)
         assert summary.config is cfg
         assert len(summary.trials) == 2
@@ -149,7 +150,7 @@ class TestRunScenario:
             assert len(series.dropped_count) == 6
 
     def test_trial_order_independence(self, tiny_cfg):
-        cfg = tiny_cfg.replace(protocol=ProtocolSection(m=4, rounds=5, batch_size=5), trials=3)
+        cfg = replace(tiny_cfg, protocol=ProtocolConfig(m=4, rounds=5, batch_size=5), trials=3)
         summary = run_scenario(cfg)
         shuffled = [run_trial(cfg, cfg.base_seed + i) for i in (2, 0, 1)]
         assert sorted(t.target_acc[-1] for t in summary.trials) == sorted(
@@ -157,17 +158,18 @@ class TestRunScenario:
         )
 
     def test_no_attack_never_drops(self, tiny_cfg):
-        cfg = tiny_cfg.replace(attack=None, poison=None, trials=1)
+        cfg = replace(tiny_cfg, attack=None, poison=None, trials=1)
         summary = run_scenario(cfg)
         assert sum(summary.trials[0].dropped_count) == 0
         assert sum(summary.trials[0].identified_hits) == 0
 
     def test_targeted_with_zero_kn_never_drops(self, tiny_cfg):
-        summary = run_scenario(tiny_cfg.replace(trials=1))
+        summary = run_scenario(replace(tiny_cfg, trials=1))
         assert sum(summary.trials[0].dropped_count) == 0
 
     def test_perfect_knowledge_drops_from_round_one(self, tiny_cfg):
-        cfg = tiny_cfg.replace(
+        cfg = replace(
+            tiny_cfg,
             attack=AttackConfig(kind="perfect_knowledge", k_n=3), poison=None, trials=1
         )
         series = run_scenario(cfg).trials[0]
@@ -177,7 +179,8 @@ class TestRunScenario:
         assert max(series.dropped_count) <= 3
 
     def test_random_drop_counts_hits_against_targets(self, tiny_cfg):
-        cfg = tiny_cfg.replace(
+        cfg = replace(
+            tiny_cfg,
             attack=AttackConfig(kind="random_drop", k_n=6), poison=None, trials=1
         )
         series = run_scenario(cfg).trials[0]
@@ -185,7 +188,8 @@ class TestRunScenario:
         assert sum(series.dropped_count) > 0
 
     def test_limited_visibility_attack_runs(self, tiny_cfg):
-        cfg = tiny_cfg.replace(
+        cfg = replace(
+            tiny_cfg,
             attack=AttackConfig(
                 kind="targeted", mode="encrypted_limited", t_n=8, k_n=3,
                 visible_size=6, alpha_v=2.0,
@@ -201,11 +205,13 @@ class TestRunScenario:
     def test_full_visibility_equals_encrypted_run(self, tiny_cfg):
         # a visible set covering everyone is behaviorally identical to plain
         # encrypted observation, down to the bit
-        enc = tiny_cfg.replace(
+        enc = replace(
+            tiny_cfg,
             attack=AttackConfig(kind="targeted", mode="encrypted", t_n=8, k_n=3),
             poison=None, trials=1,
         )
-        lim = tiny_cfg.replace(
+        lim = replace(
+            tiny_cfg,
             attack=AttackConfig(
                 kind="targeted", mode="encrypted_limited", t_n=8, k_n=3,
                 visible_size=tiny_cfg.partition.n, alpha_v=1.0,
@@ -219,13 +225,16 @@ class TestRunScenario:
         # surviving target accuracy (standard scenario, 2-seed mean)
         import pathlib
 
-        std = load_scenario(
-            pathlib.Path(__file__).resolve().parent.parent / "configs" / "standard.yaml"
-        ).replace(trials=2)
-        enc = std.replace(
+        std = replace(
+            load_scenario(pathlib.Path(__file__).resolve().parent.parent / "configs" / "standard.yaml"),
+            trials=2,
+        )
+        enc = replace(
+            std,
             attack=AttackConfig(kind="targeted", mode="encrypted", t_n=30, k_n=15)
         )
-        lim = std.replace(
+        lim = replace(
+            std,
             attack=AttackConfig(
                 kind="targeted", mode="encrypted_limited", t_n=30, k_n=15,
                 visible_size=20, alpha_v=2.0,
@@ -245,23 +254,26 @@ class TestRunScenario:
         # attack always degrades the target class further
         import pathlib
 
-        std = load_scenario(
-            pathlib.Path(__file__).resolve().parent.parent / "configs" / "standard.yaml"
-        ).replace(trials=2)
-        lim = std.replace(
+        std = replace(
+            load_scenario(pathlib.Path(__file__).resolve().parent.parent / "configs" / "standard.yaml"),
+            trials=2,
+        )
+        lim = replace(
+            std,
             attack=AttackConfig(
                 kind="targeted", mode="encrypted_limited", t_n=30, k_n=15,
                 visible_size=20, alpha_v=2.0,
             )
         )
-        lim_poisoned = lim.replace(poison=PoisonConfig(k_p=5, boost=10.0))
+        lim_poisoned = replace(lim, poison=PoisonConfig(k_p=5, boost=10.0))
         drop_only = run_scenario(lim)
         amplified = run_scenario(lim_poisoned)
         assert amplified.mean_at("target_acc", 150) < drop_only.mean_at("target_acc", 150)
 
     def test_poisoning_collapses_target_class(self, tiny_cfg):
-        clean = tiny_cfg.replace(poison=None, trials=1)
-        poisoned = tiny_cfg.replace(
+        clean = replace(tiny_cfg, poison=None, trials=1)
+        poisoned = replace(
+            tiny_cfg,
             poison=PoisonConfig(k_p=2, boost=10.0, start_round=8), trials=1
         )
         acc_clean = run_scenario(clean).trials[0].target_acc[-1]
@@ -269,14 +281,16 @@ class TestRunScenario:
         assert acc_poisoned < acc_clean - 0.2
 
     def test_defense_requires_consistent_plan(self, tiny_cfg):
-        cfg = tiny_cfg.replace(
+        cfg = replace(
+            tiny_cfg,
             defense=DefenseConfig(t_s=8, k_s=8, upsample_factor=2.0)
         )
         with pytest.raises(ConfigError, match="k_s"):
             run_scenario(cfg)
 
     def test_defended_run_executes(self, tiny_cfg):
-        cfg = tiny_cfg.replace(
+        cfg = replace(
+            tiny_cfg,
             attack=AttackConfig(kind="targeted", mode="plain", t_n=8, k_n=3),
             defense=DefenseConfig(t_s=8, k_s=3, upsample_factor=2.0, server_mode="plain"),
             trials=1,
@@ -292,7 +306,7 @@ class TestRunScenario:
             ),
             partition=PartitionConfig(n=20, k=5, target_class=0, alpha_t=0.5, alpha_d=1.0, local_size=60),
             model=ModelConfig(hidden_dims=(16,)),
-            protocol=ProtocolSection(m=5, rounds=150, server_lr=0.25, local_epochs=2, local_lr=0.1, batch_size=None),
+            protocol=ProtocolConfig(m=5, rounds=150, server_lr=0.25, local_epochs=2, local_lr=0.1, batch_size=None),
             trials=1,
             base_seed=11,
         )
@@ -329,7 +343,7 @@ class TestIdxScenario:
             ),
             partition=PartitionConfig(n=6, k=2, target_class=0, alpha_t=0.5, alpha_d=1.0, local_size=20),
             model=ModelConfig(hidden_dims=()),
-            protocol=ProtocolSection(m=3, rounds=3, batch_size=None),
+            protocol=ProtocolConfig(m=3, rounds=3, batch_size=None),
             attack=None,
             poison=None,
             trials=1,
@@ -354,7 +368,7 @@ def gen_raster(rng):
 
 class TestEmitMetrics:
     def test_row_count_and_header(self, tiny_cfg, tmp_path):
-        cfg = tiny_cfg.replace(protocol=ProtocolSection(m=4, rounds=2, batch_size=5), trials=1)
+        cfg = replace(tiny_cfg, protocol=ProtocolConfig(m=4, rounds=2, batch_size=5), trials=1)
         summary = run_scenario(cfg)
         csv_path, json_path = emit_metrics(summary, tmp_path)
         lines = open(csv_path).read().splitlines()
@@ -362,13 +376,13 @@ class TestEmitMetrics:
         assert len(lines) == 1 + 2  # header + rounds*trials
 
     def test_json_config_roundtrip(self, tiny_cfg, tmp_path):
-        cfg = tiny_cfg.replace(protocol=ProtocolSection(m=4, rounds=2, batch_size=5), trials=1)
+        cfg = replace(tiny_cfg, protocol=ProtocolConfig(m=4, rounds=2, batch_size=5), trials=1)
         _, json_path = emit_metrics(run_scenario(cfg), tmp_path)
         payload = json.load(open(json_path))
         assert scenario_from_dict(payload["config"]) == cfg
 
     def test_byte_identical_reruns(self, tiny_cfg, tmp_path):
-        cfg = tiny_cfg.replace(protocol=ProtocolSection(m=4, rounds=4, batch_size=5), trials=2)
+        cfg = replace(tiny_cfg, protocol=ProtocolConfig(m=4, rounds=4, batch_size=5), trials=2)
         a_csv, a_json = emit_metrics(run_scenario(cfg), tmp_path / "a")
         b_csv, b_json = emit_metrics(run_scenario(cfg), tmp_path / "b")
         assert open(a_csv, "rb").read() == open(b_csv, "rb").read()
@@ -396,6 +410,63 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="flip_to"):
             scenario_from_dict({"poison": {"k_p": 1, "flip_to": 0, "start_round": 1}})
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            pytest.param({"protocol": {"m": 0}}, r"protocol\.m:", id="protocol.m"),
+            pytest.param({"protocol": {"m": 61}}, r"protocol\.m:", id="protocol.m>n"),
+            pytest.param({"protocol": {"rounds": 0}}, r"protocol\.rounds:", id="protocol.rounds"),
+            pytest.param({"protocol": {"server_lr": 0.0}}, r"protocol\.server_lr:", id="protocol.server_lr"),
+            pytest.param({"protocol": {"local_epochs": -1}}, r"protocol\.local_epochs:", id="protocol.local_epochs"),
+            pytest.param({"protocol": {"local_lr": 0}}, r"protocol\.local_lr:", id="protocol.local_lr"),
+            pytest.param({"protocol": {"clip_norm": 0.0}}, r"protocol\.clip_norm:", id="protocol.clip_norm"),
+            pytest.param(
+                {"protocol": {"denominator_mode": "median"}}, r"protocol\.denominator_mode:",
+                id="protocol.denominator_mode",
+            ),
+            pytest.param({"attack": {"t_n": 0}}, r"attack\.t_n:", id="attack.t_n"),
+            pytest.param({"attack": {"k_n": -1}}, r"attack\.k_n:", id="attack.k_n"),
+            pytest.param({"attack": {"mode": "psychic"}}, r"attack\.mode:", id="attack.mode"),
+            pytest.param(
+                {"attack": {"mode": "encrypted_limited", "alpha_v": 1.0}}, r"attack\.visible_size:",
+                id="attack.visible_size",
+            ),
+            pytest.param(
+                {"attack": {"mode": "encrypted_limited", "visible_size": 5}}, r"attack\.alpha_v:",
+                id="attack.alpha_v",
+            ),
+            # the former PoisonPlan checks, with their old inputs
+            pytest.param(
+                {"poison": {"k_p": 1, "boost": -2.0, "flip_to": 1, "start_round": 1}}, r"poison\.boost:",
+                id="poison.boost",
+            ),
+            pytest.param(
+                {"poison": {"k_p": 1, "boost": 1.0, "flip_to": 0, "start_round": 1}}, r"poison\.flip_to:",
+                id="poison.flip_to",
+            ),
+            pytest.param({"poison": {"start_round": -1}}, r"poison\.start_round:", id="poison.start_round"),
+            pytest.param({"defense": {"t_s": 0}}, r"defense\.t_s:", id="defense.t_s"),
+            pytest.param({"defense": {"k_s": -1}}, r"defense\.k_s:", id="defense.k_s"),
+            pytest.param(
+                {"defense": {"upsample_factor": 0.5}}, r"defense\.upsample_factor:", id="defense.upsample_factor"
+            ),
+            pytest.param({"defense": {"server_mode": "psychic"}}, r"defense\.server_mode:", id="defense.server_mode"),
+            # the former UpsamplingDefender check, with its old inputs (n=10)
+            pytest.param(
+                {
+                    "partition": {"n": 10, "k": 3},
+                    "protocol": {"m": 4},
+                    "defense": {"t_s": 1, "k_s": 5, "upsample_factor": 2.0},
+                },
+                r"defense\.k_s: need k_s \* upsample_factor < n",
+                id="defense.k_s*upsample_factor",
+            ),
+        ],
+    )
+    def test_rule_rejected_with_its_path(self, data, message):
+        with pytest.raises(ConfigError, match=message):
+            scenario_from_dict(data)
+
     def test_idx_requires_paths(self):
         with pytest.raises(ConfigError, match="train_images"):
             scenario_from_dict({"dataset": {"kind": "idx"}})
@@ -421,7 +492,7 @@ class TestSweep:
     def test_zero_cell_equals_base_run(self, tmp_path):
         base = tiny_scenario(trials=1)
         cell = sweep_grid(base, (0,), (0,), clip_on=False)[(0, 0)]
-        direct = run_scenario(base.replace(poison=None))
+        direct = run_scenario(replace(base, poison=None))
         a = emit_metrics(cell, tmp_path / "cell")[0]
         b = emit_metrics(direct, tmp_path / "direct")[0]
         assert open(a).read() == open(b).read()
@@ -445,7 +516,7 @@ class TestSweep:
             sweep_grid(base, (0,), (0,))
 
     def test_emit_sweep_files(self, tmp_path):
-        base = tiny_scenario(trials=1, protocol=ProtocolSection(m=4, rounds=3, batch_size=5))
+        base = tiny_scenario(trials=1, protocol=ProtocolConfig(m=4, rounds=3, batch_size=5))
         res = sweep_grid(base, (0, 1), (0,), clip_on=False)
         matrix = emit_sweep(res, tmp_path)
         lines = open(matrix).read().splitlines()

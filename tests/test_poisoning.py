@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fednetsim.config import ProtocolConfig
 from fednetsim.datasets import ExampleSet, gen_synthetic
 from fednetsim.models import ModelSpec, init_model, local_train
 from fednetsim.poisoning import (
@@ -94,10 +95,9 @@ class TestModelReplacementPoisoner:
         src = gen_synthetic(3, 4, 30, 2.0, seed=1)
         shard = src.all_examples()
         self.flipped = {2: flip_labels(shard, 0, 1)}
-        self.plan = PoisonPlan(
-            compromised_ids=(2,), boost=8.0, target_class=0, flip_to=1, start_round=5
-        )
-        self.poisoner = ModelReplacementPoisoner(self.plan, self.spec, self.flipped, 1, 0.1, None)
+        self.plan = PoisonPlan(compromised_ids=(2,), boost=8.0, start_round=5)
+        self.protocol = ProtocolConfig(local_epochs=1, local_lr=0.1, batch_size=None)
+        self.poisoner = ModelReplacementPoisoner(self.plan, self.spec, self.flipped, self.protocol)
 
     def test_honest_clients_untouched(self):
         assert self.poisoner.poison_update(10, 3, self.f, seed=0) is None
@@ -108,9 +108,6 @@ class TestModelReplacementPoisoner:
         assert np.array_equal(after, 8.0 * before)
 
     def test_plan_validation(self):
-        with pytest.raises(ValueError):
-            PoisonPlan((1,), 1.0, 0, 0, 1)  # flip_to == target_class
-        with pytest.raises(ValueError):
-            PoisonPlan((1,), -2.0, 0, 1, 1)
+        # boost and flip_to are scenario rules (tests/test_harness.py::TestConfigLoading)
         with pytest.raises(ValueError, match="flipped shard"):
-            ModelReplacementPoisoner(self.plan, self.spec, {}, 1, 0.1, None)
+            ModelReplacementPoisoner(self.plan, self.spec, {}, self.protocol)

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fednetsim.protocol as protocol
-from fednetsim.adversary import AttackPlan, FixedSetDropper, ObservationMode, TargetedDropAttacker
+from fednetsim.adversary import FixedSetDropper, TargetedDropAttacker
+from fednetsim.config import AttackConfig, ProtocolConfig
 from fednetsim.datasets import ExampleSet, gen_synthetic, partition
 from fednetsim.models import ModelSpec, forward_eval, init_model, local_train
 from fednetsim.protocol import (
     EvalSets,
     LocalUpdate,
-    ProtocolConfig,
     RoundRecord,
     aggregate,
     run_protocol,
@@ -220,7 +220,7 @@ def small_world(seed=1, n=8, k=2, classes=4, rounds=12):
     holdout = gen_synthetic(classes, 5, 60, 2.5, seed=seed)  # same seed: same geometry
     eval_sets = EvalSets(holdout.all_examples(), 0)
     spec = ModelSpec(5, (6,), classes)
-    cfg = ProtocolConfig(n=n, m=4, rounds=rounds, server_lr=0.5, local_epochs=1, local_lr=0.1)
+    cfg = ProtocolConfig(m=4, rounds=rounds, server_lr=0.5, local_epochs=1, local_lr=0.1, batch_size=None)
     return cfg, shards, spec, eval_sets, plan
 
 
@@ -241,7 +241,7 @@ class TestRunProtocol:
         shard = src.all_examples()
         spec = ModelSpec(4, (), 3)
         n = 5
-        cfg = ProtocolConfig(n=n, m=n, rounds=1, server_lr=1.0, local_epochs=1, local_lr=0.1)
+        cfg = ProtocolConfig(m=n, rounds=1, server_lr=1.0, local_epochs=1, local_lr=0.1, batch_size=None)
         eval_sets = EvalSets(shard, 0)
         _, models = run_with_models(cfg, [shard] * n, spec, eval_sets, seed=3)
         f0, f1 = models[0]
@@ -278,7 +278,7 @@ class TestRunProtocol:
 
     def test_resample_hook_changes_selection(self):
         cfg, shards, spec, eval_sets, _ = small_world()
-        p = np.zeros(cfg.n)
+        p = np.zeros(len(shards))
         p[:4] = 0.25
         records = run_protocol(cfg, shards, spec, eval_sets, seed=10, resample_hook=lambda t, n: p)
         for r in records:
@@ -308,8 +308,8 @@ class TestRunProtocol:
         keep_first = lambda ups, t: ups[:1]
         _, (received_models,) = run_with_models(cfg, shards, spec, eval_sets, seed=12, filter_hook=keep_first)
         cfg_fixed = ProtocolConfig(
-            n=cfg.n, m=cfg.m, rounds=1, server_lr=cfg.server_lr,
-            local_epochs=cfg.local_epochs, local_lr=cfg.local_lr,
+            m=cfg.m, rounds=1, server_lr=cfg.server_lr,
+            local_epochs=cfg.local_epochs, local_lr=cfg.local_lr, batch_size=None,
             denominator_mode="fixed_m",
         )
         _, (fixed_models,) = run_with_models(cfg_fixed, shards, spec, eval_sets, seed=12, filter_hook=keep_first)
@@ -338,11 +338,6 @@ class TestRunProtocol:
         with pytest.raises(ValueError, match="target class 0"):
             EvalSets(test, 0)
 
-    def test_wrong_shard_count_rejected(self):
-        cfg, shards, spec, eval_sets, _ = small_world()
-        with pytest.raises(ValueError, match="shards"):
-            run_protocol(cfg, shards[:-1], spec, eval_sets, seed=1)
-
 
 def count_training(monkeypatch):
     """Count the protocol's ``local_train`` calls; fail any made inside ``aggregate``."""
@@ -369,10 +364,11 @@ def count_training(monkeypatch):
 def eager_reference(cfg, shards, spec, eval_sets, seed, filter_hook, poison_hook=None):
     """Reference round loop: train every participant, then filter, aggregate, evaluate."""
     f = init_model(spec, spawn_seed(seed, TAG_INIT))
-    uniform = np.full(cfg.n, 1.0 / cfg.n)
+    n = len(shards)
+    uniform = np.full(n, 1.0 / n)
     records, afters = [], []
     for t in range(1, cfg.rounds + 1):
-        participants = select_participants(cfg.n, cfg.m, uniform, seed, t)
+        participants = select_participants(n, cfg.m, uniform, seed, t)
         updates = []
         for j in participants:
             train_seed = spawn_seed(seed, TAG_TRAIN, t, j)
@@ -412,8 +408,7 @@ class TestLazyRound:
 
     def targeted(self, kind):
         _, _, spec, eval_sets, _ = small_world()
-        plan = AttackPlan(t_n=3, k_n=2, mode=ObservationMode(kind), target_set=eval_sets.target_set)
-        return TargetedDropAttacker(plan, spec)
+        return TargetedDropAttacker(AttackConfig(mode=kind, t_n=3, k_n=2), spec, eval_sets.target_set)
 
     @pytest.mark.parametrize("make", ["encrypted", "fixed_set"])
     def test_blind_droppers_train_only_received_updates(self, make, monkeypatch):
