@@ -212,10 +212,9 @@ class FixedSetDropper:
 
     def __init__(self, drop_ids):
         self.identified = sorted(int(i) for i in drop_ids)
-        self._blocked = set(self.identified)
 
     def filter_updates(self, updates: list[LocalUpdate], t: int) -> list[LocalUpdate]:
-        return [u for u in updates if u.client_id not in self._blocked]
+        return drop_filter(updates, self.identified, t, 0)
 
     def observe(self, trace: RoundTrace):
         pass

@@ -51,17 +51,13 @@ def harmonic(i: int) -> float:
 
 def expected_rounds_plain(n: int, m: int, k: int, k_n: int) -> float:
     """Expected batches until k_n of the k target clients have appeared."""
-    _check_counts(n, m, k, min_m=1)
-    if not 0 <= k_n <= k:
-        raise ValueError("need 0 <= k_n <= k")
+    _check_counts(n, m, k, min_m=1, k_n=k_n)
     return (n / m) * (harmonic(k) - harmonic(k - k_n))
 
 
 def expected_rounds_plain_approx(n: int, m: int, k: int, k_n: int) -> float:
     """Log approximation of :func:`expected_rounds_plain` (ln 0 read as 0)."""
-    _check_counts(n, m, k, min_m=1)
-    if not 0 <= k_n <= k:
-        raise ValueError("need 0 <= k_n <= k")
+    _check_counts(n, m, k, min_m=1, k_n=k_n)
     if k_n == 0:
         return 0.0
     log_rest = math.log(k - k_n) if k_n < k else 0.0
@@ -105,11 +101,7 @@ def expected_rounds_encrypted(n: int, m: int, k: int, alpha: float) -> float:
     cost by orders of magnitude.
     """
     _check_counts(n, m, k, min_m=1)
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must be in (0, 1]")
-    clear_to = math.ceil(k / alpha)
-    if clear_to > n:
-        raise ValueError(f"precision alpha={alpha} needs k/alpha <= n")
+    clear_to = _clear_to(n, k, alpha)
     p = prob_nontarget_batch(n, k, m)
     if p == 0.0:
         raise ValueError("no batch can avoid target clients (k = n)")
@@ -122,13 +114,25 @@ class MonteCarloResult(NamedTuple):
     stderr: float
 
 
-def _check_counts(n: int, m: int, k: int, min_m: int = 0):
+def _check_counts(n: int, m: int, k: int, min_m: int = 0, k_n: int | None = None):
     if n < 1:
         raise ValueError("n must be >= 1")
     if not min_m <= m <= n:
         raise ValueError(f"need {min_m} <= m <= n")
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
+    if k_n is not None and not 0 <= k_n <= k:
+        raise ValueError("need 0 <= k_n <= k")
+
+
+def _clear_to(n: int, k: int, alpha: float) -> int:
+    """Candidate-set size ``ceil(k/alpha)`` at which precision alpha is reached."""
+    if not 0 < alpha <= 1:
+        raise ValueError("alpha must be in (0, 1]")
+    clear_to = math.ceil(k / alpha)
+    if clear_to > n:
+        raise ValueError(f"precision alpha={alpha} needs k/alpha <= n")
+    return clear_to
 
 
 def _simulate_plain(n, m, k, k_n, trials, rng) -> np.ndarray:
@@ -186,23 +190,16 @@ def monte_carlo_rounds(
         raise ValueError("trials must be >= 100")
     if mode not in ("plain", "encrypted"):
         raise ValueError("mode must be 'plain' or 'encrypted'")
-    _check_counts(n, m, k, min_m=1)
+    _check_counts(n, m, k, min_m=1, k_n=k_n if mode == "plain" else None)
     rng = spawn_rng(seed, 6)
     if mode == "plain":
-        if not 0 <= k_n <= k:
-            raise ValueError("need 0 <= k_n <= k")
         if k_n == 0:
             return MonteCarloResult(0.0, 0.0)
         samples = _simulate_plain(n, m, k, k_n, trials, rng)
     else:
         if alpha is None:
             raise ValueError("encrypted mode requires alpha")
-        if not 0 < alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
-        clear_to = math.ceil(k / alpha)
-        if clear_to > n:
-            raise ValueError(f"precision alpha={alpha} needs k/alpha <= n")
-        samples = _simulate_encrypted(n, m, k, n - clear_to, trials, rng)
+        samples = _simulate_encrypted(n, m, k, n - _clear_to(n, k, alpha), trials, rng)
     mean = float(samples.mean())
     stderr = float(samples.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return MonteCarloResult(mean, stderr)

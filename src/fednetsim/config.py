@@ -8,15 +8,16 @@ parameter types the simulator runs with: ``run_protocol`` takes a
 ``DefenseConfig``.
 
 Every rule is checked once, here. Loading checks each value against its
-field's annotation (no ``bool`` for a number, an integer is a float,
-``null`` only where ``| None`` allows it; nothing is coerced), and
-:func:`validate_scenario` checks ranges and cross-field consistency.
-Unknown keys anywhere are errors. Failures raise :class:`ConfigError` with
-the dotted path of the offending field.
+field's annotation (no ``bool`` for a number, an integer is a float, a
+float is finite, ``null`` only where ``| None`` allows it; nothing is
+coerced), and :func:`validate_scenario` checks ranges and cross-field
+consistency. Unknown keys anywhere are errors. Failures raise
+:class:`ConfigError` with the dotted path of the offending field.
 """
 
+import sys
 import types
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import Any, get_args, get_origin
 
 import yaml
@@ -125,18 +126,6 @@ class ScenarioConfig:
         return out
 
 
-_SECTIONS = {
-    "dataset": DatasetConfig,
-    "partition": PartitionConfig,
-    "model": ModelConfig,
-    "protocol": ProtocolConfig,
-    "attack": AttackConfig,
-    "poison": PoisonConfig,
-    "defense": DefenseConfig,
-}
-_OPTIONAL_SECTIONS = ("attack", "poison", "defense")
-
-
 _TYPE_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string", type(None): "null"}
 
 
@@ -150,7 +139,8 @@ def _fits(value, annotation) -> bool:
     if isinstance(value, bool):
         return annotation is bool
     if annotation is float:
-        return isinstance(value, (int, float))
+        # finite as a float: no inf or nan, and no integer past the float range
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     return isinstance(value, annotation)
 
 
@@ -162,46 +152,32 @@ def _describe(annotation) -> str:
     return _TYPE_NAMES[annotation]
 
 
-def _check_type(value, annotation, path: str):
-    if not _fits(value, annotation):
-        raise ConfigError(f"{path}: expected {_describe(annotation)}, got {value!r}")
-
-
-def _build_section(cls, data: Any, path: str):
-    if data is None:
-        data = {}
+def _build(cls, data: Any, path: str, prefix: str):
+    """``cls`` from a loaded mapping; a section field recurses, and a null section keeps its default."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a mapping")
     annotations = {f.name: f.type for f in fields(cls)}
     unknown = set(data) - set(annotations)
     if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{path}: unknown keys {sorted(unknown, key=str)}")
+    kwargs = {}
     for name, value in data.items():
-        _check_type(value, annotations[name], f"{path}.{name}")
-    # A YAML list is the value of a tuple field.
-    return cls(**{name: tuple(v) if isinstance(v, list) else v for name, v in data.items()})
+        annotation = annotations[name]
+        # a section field is annotated with its dataclass X, or X | None when optional
+        section = next((a for a in get_args(annotation) or (annotation,) if is_dataclass(a)), None)
+        if section is None:
+            if not _fits(value, annotation):
+                raise ConfigError(f"{prefix}{name}: expected {_describe(annotation)}, got {value!r}")
+            # A YAML list is the value of a tuple field.
+            kwargs[name] = tuple(value) if isinstance(value, list) else value
+        elif value is not None:
+            kwargs[name] = _build(section, value, prefix + name, f"{prefix}{name}.")
+    return cls(**kwargs)
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Build and validate a ScenarioConfig from a plain mapping."""
-    if not isinstance(data, dict):
-        raise ConfigError("top level: expected a mapping")
-    allowed = set(_SECTIONS) | {"trials", "base_seed"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"top level: unknown keys {sorted(unknown)}")
-
-    kwargs = {}
-    for name, cls in _SECTIONS.items():
-        if name in _OPTIONAL_SECTIONS:
-            kwargs[name] = _build_section(cls, data[name], name) if data.get(name) is not None else None
-        else:
-            kwargs[name] = _build_section(cls, data.get(name), name)
-    for name in ("trials", "base_seed"):
-        if name in data:
-            _check_type(data[name], ScenarioConfig.__annotations__[name], name)
-            kwargs[name] = data[name]
-    cfg = ScenarioConfig(**kwargs)
+    cfg = _build(ScenarioConfig, data, "top level", "")
     validate_scenario(cfg)
     return cfg
 

@@ -252,12 +252,10 @@ def load_idx_labels(path) -> np.ndarray:
     return raw.astype(np.int64)
 
 
-def load_idx_dataset(images_path, labels_path, class_count: int | None = None) -> DatasetSource:
+def load_idx_dataset(images_path, labels_path, class_count: int) -> DatasetSource:
     """DatasetSource from an IDX image/label file pair."""
     x = load_idx_images(images_path)
     y = load_idx_labels(labels_path)
     if x.shape[0] != y.shape[0]:
         raise ValueError("image and label counts differ")
-    if class_count is None:
-        class_count = int(y.max()) + 1 if y.size else 0
     return DatasetSource(x, y, class_count)

@@ -173,17 +173,14 @@ def weighted_sample_without_replacement(
 def select_participants(n: int, m: int, p: np.ndarray, seed: int, t: int) -> list[int]:
     """m distinct client ids drawn without replacement proportional to ``p``.
 
-    Deterministic per (seed, t); the returned ids are sorted.
+    Deterministic per (seed, t); the returned ids are sorted. The sampler
+    rejects negative entries and fewer than m positive ones.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (n,):
         raise ValueError(f"p must have length {n}")
-    if np.any(p < 0):
-        raise ValueError("p entries must be >= 0")
     if abs(float(p.sum()) - 1.0) > 1e-9:
         raise ValueError("p must sum to 1 within 1e-9")
-    if int(np.count_nonzero(p > 0)) < m:
-        raise ValueError(f"fewer than m={m} clients have positive selection probability")
     rng = spawn_rng(seed, TAG_SELECT, t)
     return sorted(weighted_sample_without_replacement(rng, p, m))
 
@@ -260,7 +257,6 @@ def run_protocol(
     poison_hook: PoisonHook | None = None,
     resample_hook: ResampleHook | None = None,
     observers: Iterable[Observer] = (),
-    init_params: np.ndarray | None = None,
 ) -> list[RoundRecord]:
     """Run the full protocol for ``cfg.rounds`` rounds and record each one.
 
@@ -274,7 +270,7 @@ def run_protocol(
     n = len(shards)
     observers = tuple(observers)
 
-    f = init_params.copy() if init_params is not None else init_model(spec, spawn_seed(seed, TAG_INIT))
+    f = init_model(spec, spawn_seed(seed, TAG_INIT))
     uniform = np.full(n, 1.0 / n)
 
     records = []

@@ -24,6 +24,19 @@ def run_cli(*argv, timeout):
     return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=timeout)
 
 
+def run_smoke_with(tmp_path, override):
+    """``run`` on ``smoke.yaml`` with ``override``'s sections merged in and top-level values replaced."""
+    data = yaml.safe_load((CONFIGS / "smoke.yaml").read_text())
+    for key, value in override.items():
+        if isinstance(value, dict):
+            data[key] = {**(data.get(key) or {}), **value}
+        else:
+            data[key] = value
+    cfg = tmp_path / "override.yaml"
+    cfg.write_text(yaml.safe_dump(data))
+    return run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out"), timeout=60)
+
+
 class TestRun:
     def test_smoke_run_writes_outputs(self, tmp_path, capsys):
         rc = main(["run", "--config", str(CONFIGS / "smoke.yaml"), "--out", str(tmp_path)])
@@ -67,21 +80,29 @@ class TestRun:
             {"protocol": {"batch_size": 20.0}},
             {"defense": {"k_s": True}},
             {"model": {"hidden_dims": [True]}},
+            # non-finite floats
+            {"dataset": {"separation": math.inf}},
+            {"protocol": {"local_lr": math.inf}},
+            {"partition": {"alpha_d": math.inf}},
+            {"attack": {"alpha_v": math.nan}},
+            {"defense": {"k_s": 0, "upsample_factor": math.inf}},
+            {"dataset": {"separation": 10**400}},
         ],
-        ids=lambda o: yaml.safe_dump(o, default_flow_style=True).strip(),
+        ids=lambda o: yaml.safe_dump(o, default_flow_style=True).strip()[:60],
     )
     def test_wrongly_typed_value_exits_one(self, tmp_path, override):
-        data = yaml.safe_load((CONFIGS / "smoke.yaml").read_text())
-        for key, value in override.items():
-            if isinstance(value, dict):
-                data[key] = {**(data.get(key) or {}), **value}
-            else:
-                data[key] = value
-        cfg = tmp_path / "typed.yaml"
-        cfg.write_text(yaml.safe_dump(data))
-        proc = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out"), timeout=60)
+        proc = run_smoke_with(tmp_path, override)
         assert proc.returncode == 1, proc.stderr
         assert "configuration error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        if "upsample_factor" in override.get("defense", {}):
+            assert "defense.upsample_factor:" in proc.stderr
+
+    def test_impossible_allocation_exits_two(self, tmp_path):
+        # 10**15 examples per class is 42.6 PiB of features, past any address space
+        proc = run_smoke_with(tmp_path, {"dataset": {"per_class": 10**15}})
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
 
     def test_missing_data_file_exits_two(self, tmp_path, capsys):

@@ -179,7 +179,7 @@ class TestIdxLoader:
         images = rng.integers(0, 256, size=(7, 4, 3))
         labels = np.array([0, 1, 2, 0, 1, 2, 1])
         img_path, lab_path = self.write_idx(tmp_path, images, labels)
-        src = load_idx_dataset(img_path, lab_path)
+        src = load_idx_dataset(img_path, lab_path, 3)
         assert isinstance(src, DatasetSource)
         assert src.x.shape == (7, 12)
         assert src.x.min() >= 0.0 and src.x.max() <= 1.0
@@ -195,14 +195,14 @@ class TestIdxLoader:
             fh.write(struct.pack(">IIII", 0x00000801, 1, 2, 2))
             fh.write(bytes(4))
         with pytest.raises(ValueError, match="magic"):
-            load_idx_dataset(img_path, img_path)
+            load_idx_dataset(img_path, img_path, 3)
 
     def test_count_mismatch_rejected(self, tmp_path):
         rng = np.random.default_rng(1)
         img_path, _ = self.write_idx(tmp_path, rng.integers(0, 256, (3, 2, 2)), np.array([0, 1, 0]), stem="a")
         _, lab2 = self.write_idx(tmp_path, rng.integers(0, 256, (2, 2, 2)), np.array([0, 1]), stem="b")
         with pytest.raises(ValueError, match="counts differ"):
-            load_idx_dataset(img_path, lab2)
+            load_idx_dataset(img_path, lab2, 3)
 
     @pytest.mark.parametrize("loader", [load_idx_images, load_idx_labels])
     @pytest.mark.parametrize("size", [0, 3, 7])

@@ -402,6 +402,33 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="protocol"):
             load_scenario(path)
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            pytest.param([1, 2], "top level: expected a mapping", id="top-level-list"),
+            pytest.param({"dataset": [1]}, "dataset: expected a mapping", id="section-list"),
+            pytest.param({"protocol": 3}, "protocol: expected a mapping", id="section-number"),
+            pytest.param({"attack": False}, "attack: expected a mapping", id="section-false"),
+            pytest.param({"foo": 1}, "top level: unknown keys ['foo']", id="unknown-top-level"),
+            pytest.param({"protocol": {"m": 5, "bogus": 1}}, "protocol: unknown keys ['bogus']", id="unknown-in-section"),
+            pytest.param({"trials": None}, "trials: expected integer, got None", id="trials-null"),
+        ],
+    )
+    def test_structure_rejected_with_its_message(self, data, message):
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_dict(data)
+        assert str(exc.value) == message
+
+    def test_unknown_keys_of_mixed_types(self):
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_dict({1: 2, "foo": 3})
+        assert str(exc.value) == "top level: unknown keys [1, 'foo']"
+
+    def test_null_and_empty_sections(self):
+        assert scenario_from_dict({"dataset": None}).dataset == DatasetConfig()
+        assert scenario_from_dict({"attack": None}).attack is None
+        assert scenario_from_dict({"attack": {}}).attack == AttackConfig()
+
     def test_cross_field_validation(self):
         with pytest.raises(ConfigError, match="partition.k"):
             scenario_from_dict({"partition": {"n": 5, "k": 9}})
