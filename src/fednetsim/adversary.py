@@ -23,7 +23,7 @@ import numpy as np
 
 from fednetsim.config import AttackConfig
 from fednetsim.datasets import ExampleSet
-from fednetsim.models import ModelSpec, forward_eval
+from fednetsim.models import ModelSpec, forward_eval, mean_losses
 from fednetsim.protocol import LocalUpdate, RoundTrace, weighted_sample_without_replacement
 from fednetsim.seeding import spawn_rng
 
@@ -101,23 +101,24 @@ def record_round(
     plain server, None under encrypted observation.
 
     With models, each participant j in ``models`` is credited separately
-    with ``loss(global_before) - loss(models[j])`` on the target set.
+    with ``loss(global_before) - loss(models[j])`` on the target set; all
+    these losses come from one stacked forward pass.
     Without, the single global difference
     ``loss(global_before) - loss(global_after)`` is credited to every
     participant, or only to those in ``visible`` when a visible set is given.
     """
-    loss_before = forward_eval(trace.global_before, spec, target_set).mean_loss
     if models is not None:
-        for j in sorted(models):
-            if j not in trace.participants:
-                continue
-            loss_local = forward_eval(models[j], spec, target_set).mean_loss
+        credited = [j for j in sorted(models) if j in trace.participants]
+        stack = np.stack([trace.global_before, *(models[j] for j in credited)])
+        loss_before, *local_losses = mean_losses(stack, spec, target_set)
+        for j, loss_local in zip(credited, local_losses):
             ledger.record(j, loss_before - loss_local)
         return ledger
 
     credited = trace.participants
     if visible is not None:
         credited = tuple(j for j in credited if j in visible)
+    loss_before = forward_eval(trace.global_before, spec, target_set).mean_loss
     loss_after = forward_eval(trace.global_after, spec, target_set).mean_loss
     change = loss_before - loss_after
     for j in sorted(credited):

@@ -163,7 +163,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,11 +4,12 @@ Model parameters live in a single float64 vector (weights then bias per
 layer, layers in order), which is the unit every other module works with:
 local updates are parameter-vector deltas, aggregation averages them, and
 clipping bounds their norm. Evaluation sorts per-example losses before
-summing so reported means are exactly invariant to batch order.
+summing so reported means are exactly invariant to batch order, and a
+``(K, P)`` stack of parameter vectors is evaluated in one forward pass.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
@@ -50,28 +51,30 @@ class ModelSpec:
         return sum((dims[i] + 1) * dims[i + 1] for i in range(len(dims) - 1))
 
 
-class EvalResult(NamedTuple):
-    mean_loss: float
-    accuracy: float
-    correct: int
+def _layer_views(
+    params: np.ndarray, spec: ModelSpec, stacked: bool = False
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weight, bias) views into the flat vector, one pair per layer.
 
-
-def _layer_views(params: np.ndarray, spec: ModelSpec) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(weight, bias) views into the flat vector, one pair per layer."""
-    if params.shape != (spec.param_count(),):
+    With ``stacked``, ``params`` is a ``(K, P)`` stack of vectors and the
+    views are ``(K, fan_in, fan_out)`` weights and ``(K, 1, fan_out)``
+    biases, so one forward pass evaluates all K models.
+    """
+    if params.ndim != 1 + stacked or params.shape[-1] != spec.param_count():
         raise ValueError(
             f"parameter vector length {params.shape} does not match spec ({spec.param_count()})"
         )
+    stack = params.shape[:-1]
     dims = spec.layer_dims
     out = []
     offset = 0
     for i in range(len(dims) - 1):
         fan_in, fan_out = dims[i], dims[i + 1]
-        w = params[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
+        w = params[..., offset : offset + fan_in * fan_out].reshape(*stack, fan_in, fan_out)
         offset += fan_in * fan_out
-        b = params[offset : offset + fan_out]
+        b = params[..., offset : offset + fan_out]
         offset += fan_out
-        out.append((w, b))
+        out.append((w, b[:, None, :] if stacked else b))
     return out
 
 
@@ -150,9 +153,46 @@ def _backprop(layers, grads, activation: str, x: np.ndarray, y: np.ndarray):
 
 
 def _per_example_losses(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
-    zmax = logits.max(axis=1)
-    lse = zmax + np.log(np.exp(logits - zmax[:, None]).sum(axis=1))
-    return lse - logits[np.arange(len(y)), y]
+    """Cross-entropy of each row of ``(..., rows, classes)`` logits against y."""
+    zmax = logits.max(axis=-1)
+    lse = zmax + np.log(np.exp(logits - zmax[..., None]).sum(axis=-1))
+    return lse - logits[..., np.arange(len(y)), y]
+
+
+def _mean_loss(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mean cross-entropy per model, summed over value-sorted per-example losses."""
+    return np.sort(_per_example_losses(logits, y), axis=-1).sum(axis=-1) / len(y)
+
+
+def _eval_logits(params: np.ndarray, spec: ModelSpec, batch: ExampleSet, stacked: bool = False):
+    """Logits on a validated batch: ``(rows, classes)``, or ``(K, rows, classes)`` if stacked."""
+    _check_batch(spec, batch, "evaluation set")
+    logits, _ = _forward(_layer_views(params, spec, stacked), spec.activation, batch.x)
+    return logits
+
+
+class EvalResult:
+    """Mean loss, accuracy and correct count of one model on a batch.
+
+    ``mean_loss`` and ``correct`` are each computed from the logits on
+    first read and then kept, so a caller pays only for what it reads.
+    """
+
+    def __init__(self, logits: np.ndarray, y: np.ndarray):
+        self._logits = logits
+        self._y = y
+
+    @cached_property
+    def mean_loss(self) -> float:
+        return float(_mean_loss(self._logits, self._y))
+
+    @cached_property
+    def correct(self) -> int:
+        return int((self._logits.argmax(axis=-1) == self._y).sum())
+
+    @property
+    def accuracy(self) -> float:
+        return self.correct / len(self._y)
 
 
 def forward_eval(params: np.ndarray, spec: ModelSpec, batch: ExampleSet) -> EvalResult:
@@ -160,14 +200,19 @@ def forward_eval(params: np.ndarray, spec: ModelSpec, batch: ExampleSet) -> Eval
 
     Ties in the argmax go to the lowest class id. The loss mean is computed
     over value-sorted per-example losses, so permuting the batch cannot
-    change the result.
+    change the result. The forward pass runs here; the loss and the correct
+    count are each computed on first read.
     """
-    _check_batch(spec, batch, "evaluation set")
-    logits, _ = _forward(_layer_views(params, spec), spec.activation, batch.x)
-    losses = _per_example_losses(logits, batch.y)
-    mean_loss = float(np.sort(losses).sum() / len(batch))
-    correct = int((logits.argmax(axis=1) == batch.y).sum())
-    return EvalResult(mean_loss, correct / len(batch), correct)
+    return EvalResult(_eval_logits(params, spec, batch), batch.y)
+
+
+def mean_losses(params: np.ndarray, spec: ModelSpec, batch: ExampleSet) -> np.ndarray:
+    """``forward_eval(p, spec, batch).mean_loss`` for every row p of a ``(K, P)`` stack.
+
+    One forward pass evaluates all K models; each model's product is its
+    own BLAS call, so every loss equals the one-model result bit for bit.
+    """
+    return _mean_loss(_eval_logits(params, spec, batch, stacked=True), batch.y)
 
 
 def loss_gradient(params: np.ndarray, spec: ModelSpec, batch: ExampleSet) -> np.ndarray:
@@ -209,14 +254,13 @@ def local_train(
     grad = np.empty_like(theta)
     grads = _layer_views(grad, spec)
     rng = spawn_rng(seed, 4)
-    x, y = shard.x, shard.y
     n = len(shard)
     step = n if batch_size is None or batch_size <= 0 else min(batch_size, n)
     for _ in range(epochs):
         order = rng.permutation(n)
+        xs, ys = shard.x[order], shard.y[order]
         for start in range(0, n, step):
-            idx = order[start : start + step]
-            _backprop(layers, grads, spec.activation, x[idx], y[idx])
+            _backprop(layers, grads, spec.activation, xs[start : start + step], ys[start : start + step])
             grad *= lr
             theta -= grad
     return theta - global_params

@@ -290,7 +290,9 @@ def run_protocol(
         f_next = aggregate(f, received, cfg.server_lr, cfg.clip_norm, cfg.denominator_mode, cfg.m)
 
         # The target and non-target rows partition the test set, so their
-        # correct counts give the overall accuracy without a third pass.
+        # correct counts give the overall accuracy without a third pass;
+        # the non-target pass is read for its correct count only, so no
+        # loss is computed on it.
         target_eval = forward_eval(f_next, spec, eval_sets.target_set)
         correct, nontarget_acc = target_eval.correct, 0.0
         if eval_sets.nontarget_set is not None:

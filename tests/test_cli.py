@@ -105,6 +105,12 @@ class TestRun:
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
 
+    def test_integer_past_c_long_exits_two(self, tmp_path):
+        proc = run_smoke_with(tmp_path, {"partition": {"n": 10**26}})
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
     def test_missing_data_file_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "idx.yaml"
         cfg.write_text(

@@ -61,6 +61,10 @@ GOLDEN = {
         "metrics.csv": "df3e6a4aa40156254f74c715e6925a38039946ed1378b776d4b4283e6b7ea9b4",
         "metrics_summary.json": "3af36dc43bd5d12569019af5b7a61e621d78ea45e82be01316e008c858367994",
     },
+    "smoke_plain_observers_tanh_deep": {
+        "metrics.csv": "7075a509566da78e29a0f03a85640b03573d9ca8051a0afa3afcb5951f26ecc1",
+        "metrics_summary.json": "7cda5d82120c0221fb1816b69b99797cb5ffa28b2b39cc1916f1d0115374762b",
+    },
     "standard_short": {
         "metrics.csv": "e7d7db5525b59eda3534b28302d00e724b3ac0e097ee17addd7898ed2f285bc6",
         "metrics_summary.json": "6e8986daa7e1d343e6e06f3e6a64d26944c8b72a51f543cabd9b58c4491af081",
@@ -112,6 +116,16 @@ def _smoke_aggregate_only():
     )
 
 
+def _smoke_plain_observers_tanh_deep():
+    """Smoke on a deep tanh model with a plain dropper and a plain up-sampling defender."""
+    cfg = _smoke_variant(ModelConfig(hidden_dims=(16, 8), activation="tanh"))
+    return dc_replace(
+        cfg,
+        attack=AttackConfig(kind="targeted", mode="plain", t_n=3, k_n=3, target_set_size=30),
+        defense=DefenseConfig(t_s=3, k_s=2, upsample_factor=2.0, server_mode="plain", valid_set_size=30),
+    )
+
+
 def _defended(cfg):
     """Plain dropper, k_p=5 boosted poisoners, clipping plain up-sampling defender."""
     return dc_replace(
@@ -150,6 +164,8 @@ def _produce(case: str, out: pathlib.Path):
         emit_metrics(run_scenario(_smoke_attack(mode="encrypted_limited", visible_size=6, alpha_v=0.5)), out)
     elif case == "smoke_aggregate_only":
         emit_metrics(run_scenario(_smoke_aggregate_only()), out)
+    elif case == "smoke_plain_observers_tanh_deep":
+        emit_metrics(run_scenario(_smoke_plain_observers_tanh_deep()), out)
     elif case == "standard_short":
         emit_metrics(run_scenario(_standard_short()), out)
     elif case == "standard_short_defended":

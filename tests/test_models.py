@@ -15,6 +15,7 @@ from fednetsim.models import (
     init_model,
     local_train,
     loss_gradient,
+    mean_losses,
 )
 from fednetsim.seeding import spawn_rng
 
@@ -268,3 +269,67 @@ class TestLocalTrainMatchesReference:
         with pytest.raises(ValueError, match=match):
             local_train(params, spec, shard, 1, 0.1, 1, 0)
         assert steps == []
+
+
+class TestMeanLossesMatchForwardEval:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        activation=st.sampled_from(["relu", "tanh"]),
+        hidden=st.lists(st.integers(1, 6), min_size=0, max_size=2),
+        class_count=st.integers(2, 4),
+        k=st.integers(1, 12),
+        rows=st.integers(1, 17),
+        seed=st.integers(0, 2**31),
+    )
+    def test_bit_equal_to_per_model_loop(self, activation, hidden, class_count, k, rows, seed):
+        spec = ModelSpec(3, tuple(hidden), class_count, activation)
+        rng = np.random.default_rng(seed)
+        stack = init_model(spec, seed) + 0.5 * rng.standard_normal((k, spec.param_count()))
+        batch = random_batch(rng, spec, rows)
+        losses = mean_losses(stack, spec, batch)
+        assert losses.shape == (k,)
+        assert np.array_equal(losses, [forward_eval(p, spec, batch).mean_loss for p in stack])
+
+    @pytest.mark.parametrize(
+        "params_len, x_dim, labels, match",
+        [
+            (-1, 5, [0, 1, 2], "parameter vector length"),
+            (1, 5, [0, 1, 2], "parameter vector length"),
+            (0, 4, [0, 1, 2], "feature dimension 4 does not match input_dim 5"),
+            (0, 5, [0, 1, 3], "labels out of range"),
+            (0, 5, [-1, 1, 2], "labels out of range"),
+        ],
+    )
+    def test_bad_inputs_raise_like_forward_eval(self, params_len, x_dim, labels, match):
+        spec = ModelSpec(5, (7,), 3)
+        params = np.zeros(spec.param_count() + params_len)
+        batch = ExampleSet(np.zeros((3, x_dim)), np.array(labels))
+        with pytest.raises(ValueError, match=match):
+            forward_eval(params, spec, batch)
+        with pytest.raises(ValueError, match=match):
+            mean_losses(np.stack([params, params]), spec, batch)
+
+    def test_stack_and_vector_are_not_interchangeable(self):
+        spec = ModelSpec(5, (7,), 3)
+        params = np.zeros(spec.param_count())
+        batch = ExampleSet(np.zeros((3, 5)), np.array([0, 1, 2]))
+        with pytest.raises(ValueError, match="parameter vector length"):
+            mean_losses(params, spec, batch)
+        with pytest.raises(ValueError, match="parameter vector length"):
+            forward_eval(params[None, :], spec, batch)
+
+
+class TestEvalResultIsLazy:
+    def test_each_value_is_computed_on_first_read_only(self, monkeypatch):
+        spec = ModelSpec(5, (7,), 3)
+        batch = random_batch(np.random.default_rng(2), spec, 9)
+        params = init_model(spec, 4)
+        losses = []
+        real = models._per_example_losses
+        monkeypatch.setattr(models, "_per_example_losses", lambda *a: losses.append(1) or real(*a))
+        res = forward_eval(params, spec, batch)
+        assert res.accuracy == res.correct / 9
+        assert losses == []
+        first = res.mean_loss
+        assert res.mean_loss == first
+        assert losses == [1]

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fednetsim.models as models
 import fednetsim.protocol as protocol
-from fednetsim.adversary import FixedSetDropper, TargetedDropAttacker
+from fednetsim.adversary import ContributionLedger, FixedSetDropper, TargetedDropAttacker, record_round
 from fednetsim.config import AttackConfig, ProtocolConfig
 from fednetsim.datasets import ExampleSet, gen_synthetic, partition
 from fednetsim.models import ModelSpec, forward_eval, init_model, local_train
@@ -14,6 +15,7 @@ from fednetsim.protocol import (
     EvalSets,
     LocalUpdate,
     RoundRecord,
+    RoundTrace,
     aggregate,
     run_protocol,
     select_participants,
@@ -497,3 +499,47 @@ class TestLazyRound:
                 if delta is None:
                     delta = local_train(f, spec, shards[j], cfg.local_epochs, cfg.local_lr, cfg.batch_size, train_seed)
                 assert np.array_equal(trace.sent_models[j], f + delta)
+
+
+class TestEvaluateOnlyWhatIsRead:
+    """A round evaluates only what its record or an observer reads."""
+
+    def test_losses_are_computed_on_the_target_pass_only(self, monkeypatch):
+        cfg, shards, spec, eval_sets, _ = small_world(rounds=5)
+        rows = []
+        real = models._per_example_losses
+
+        def counted(logits, y):
+            rows.append(len(y))
+            return real(logits, y)
+
+        monkeypatch.setattr(models, "_per_example_losses", counted)
+        records = run_protocol(cfg, shards, spec, eval_sets, 3)
+        assert len(eval_sets.target_set) != len(eval_sets.nontarget_set)
+        assert rows == [len(eval_sets.target_set)] * cfg.rounds
+        assert all(r.target_loss > 0 for r in records)
+
+    def test_plain_record_round_makes_one_forward_pass(self, monkeypatch):
+        _, _, spec, eval_sets, _ = small_world()
+        target_set = eval_sets.target_set
+        rng = np.random.default_rng(0)
+        before = init_model(spec, 1)
+        local = {j: before + 0.1 * rng.standard_normal(before.shape) for j in (1, 3, 4, 6, 7)}
+        trace = RoundTrace(
+            t=1, participants=(1, 3, 4, 6), global_before=before, global_after=before,
+            sent_models=local, received_models=local,
+        )
+        loss_before = forward_eval(before, spec, target_set).mean_loss
+        expected = {j: loss_before - forward_eval(local[j], spec, target_set).mean_loss for j in (1, 3, 4, 6)}
+        passes = []
+        real = models._forward
+
+        def counted(layers, activation, x):
+            passes.append(len(x))
+            return real(layers, activation, x)
+
+        monkeypatch.setattr(models, "_forward", counted)
+        ledger = record_round(ContributionLedger(), trace, local, target_set, spec)
+        assert passes == [len(target_set)]
+        assert ledger.sums == expected
+        assert ledger.counts == {j: 1 for j in expected}
