@@ -26,7 +26,6 @@ from fednetsim.analysis import (
 )
 from fednetsim.config import ProtocolConfig
 from fednetsim.datasets import (
-    DatasetSource,
     ExampleSet,
     PartitionPlan,
     gen_synthetic,

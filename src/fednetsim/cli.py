@@ -59,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--kn", type=_int_list, required=True, help="comma-separated k_n values")
     p_sweep.add_argument("--kp", type=_int_list, required=True, help="comma-separated k_p values")
-    p_sweep.add_argument("--clip", action="store_true", help="enable update clipping")
     p_sweep.add_argument("--out", required=True)
 
     p_an = sub.add_parser("analyze", help="closed-form identification cost vs Monte-Carlo")
@@ -87,7 +86,7 @@ def _cmd_run(args) -> int:
         cfg = replace(cfg, trials=args.trials)
     summary = run_scenario(cfg)
     csv_path, json_path = emit_metrics(summary, args.out)
-    half = max(1, summary.rounds // 2)
+    half = summary.half_round
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")
     print(
@@ -100,7 +99,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_scenario(args.config)
-    results = sweep_grid(cfg, args.kn, args.kp, clip_on=args.clip)
+    results = sweep_grid(cfg, args.kn, args.kp)
     matrix_path = emit_sweep(results, args.out)
     print(f"wrote {matrix_path} and {len(results)} cell files")
     return 0

@@ -41,33 +41,9 @@ class ExampleSet:
         return ExampleSet(self.x[idx], self.y[idx])
 
 
-@dataclass(frozen=True)
-class DatasetSource:
-    """Pooled examples plus a per-class index used for without-replacement draws."""
-
-    x: np.ndarray
-    y: np.ndarray
-    class_count: int
-
-    def __post_init__(self):
-        if len(self.y) and (self.y.min() < 0 or self.y.max() >= self.class_count):
-            raise ValueError("labels must lie in [0, class_count)")
-
-    def __len__(self) -> int:
-        return self.x.shape[0]
-
-    def per_class_index(self) -> dict[int, np.ndarray]:
-        return {c: np.flatnonzero(self.y == c) for c in range(self.class_count)}
-
-    def subset(self, indices) -> ExampleSet:
-        idx = np.asarray(indices, dtype=np.int64)
-        return ExampleSet(self.x[idx], self.y[idx])
-
-    def all_examples(self) -> ExampleSet:
-        return ExampleSet(self.x, self.y)
-
-    def class_examples(self, c: int) -> ExampleSet:
-        return self.subset(np.flatnonzero(self.y == c))
+def _check_labels(y: np.ndarray, class_count: int) -> None:
+    if len(y) and (y.min() < 0 or y.max() >= class_count):
+        raise ValueError("labels must lie in [0, class_count)")
 
 
 @dataclass(frozen=True)
@@ -84,7 +60,7 @@ def gen_synthetic(
     per_class: int,
     separation: float,
     seed: int,
-) -> DatasetSource:
+) -> ExampleSet:
     """Gaussian blob classes with unit covariance.
 
     Class c is centered at ``separation * u_c`` where the ``u_c`` are rows of
@@ -113,7 +89,7 @@ def gen_synthetic(
         mean = separation * directions[c]
         xs.append(mean + rng.standard_normal((per_class, input_dim)))
         ys.append(np.full(per_class, c, dtype=np.int64))
-    return DatasetSource(np.concatenate(xs), np.concatenate(ys), class_count)
+    return ExampleSet(np.concatenate(xs), np.concatenate(ys))
 
 
 def _largest_remainder_counts(proportions: np.ndarray, total: int) -> np.ndarray:
@@ -131,12 +107,9 @@ def _largest_remainder_counts(proportions: np.ndarray, total: int) -> np.ndarray
 class _ClassPools:
     """Seeded, shuffled per-class index pools consumed front to back."""
 
-    def __init__(self, src: DatasetSource, rng: np.random.Generator):
-        self._pools = {}
-        self._cursor = {}
-        for c, idx in src.per_class_index().items():
-            self._pools[c] = rng.permutation(idx)
-            self._cursor[c] = 0
+    def __init__(self, src: ExampleSet, class_count: int, rng: np.random.Generator):
+        self._pools = [rng.permutation(np.flatnonzero(src.y == c)) for c in range(class_count)]
+        self._cursor = [0] * class_count
 
     def take(self, c: int, count: int) -> np.ndarray:
         start = self._cursor[c]
@@ -150,7 +123,8 @@ class _ClassPools:
 
 
 def partition(
-    src: DatasetSource,
+    src: ExampleSet,
+    class_count: int,
     n: int,
     k: int,
     target_class: int,
@@ -174,16 +148,17 @@ def partition(
         raise ValueError("alpha_d must be > 0")
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    if not 0 <= target_class < src.class_count:
+    if not 0 <= target_class < class_count:
         raise ValueError("target_class out of range")
     if local_size < 1:
         raise ValueError("local_size must be >= 1")
+    _check_labels(src.y, class_count)
 
     rng = spawn_rng(seed, 2)
     target_ids = sorted(int(i) for i in rng.choice(n, size=k, replace=False))
     target_id_set = set(target_ids)
-    pools = _ClassPools(src, rng)
-    other_classes = [c for c in range(src.class_count) if c != target_class]
+    pools = _ClassPools(src, class_count, rng)
+    other_classes = [c for c in range(class_count) if c != target_class]
     if not other_classes:
         raise ValueError("need at least one non-target class")
 
@@ -252,10 +227,11 @@ def load_idx_labels(path) -> np.ndarray:
     return raw.astype(np.int64)
 
 
-def load_idx_dataset(images_path, labels_path, class_count: int) -> DatasetSource:
-    """DatasetSource from an IDX image/label file pair."""
+def load_idx_dataset(images_path, labels_path, class_count: int) -> ExampleSet:
+    """Labeled examples from an IDX image/label file pair, labels checked against ``class_count``."""
     x = load_idx_images(images_path)
     y = load_idx_labels(labels_path)
     if x.shape[0] != y.shape[0]:
         raise ValueError("image and label counts differ")
-    return DatasetSource(x, y, class_count)
+    _check_labels(y, class_count)
+    return ExampleSet(x, y)

@@ -24,7 +24,7 @@ from fednetsim.adversary import (
     sample_visible_set,
 )
 from fednetsim.config import AttackConfig, ConfigError, PoisonConfig, ScenarioConfig, validate_scenario
-from fednetsim.datasets import DatasetSource, ExampleSet, gen_synthetic, load_idx_dataset, partition
+from fednetsim.datasets import ExampleSet, gen_synthetic, load_idx_dataset, partition
 from fednetsim.defense import UpsamplingDefender
 from fednetsim.models import ModelSpec
 from fednetsim.poisoning import ModelReplacementPoisoner, PoisonPlan, default_flip_to, flip_labels
@@ -68,6 +68,10 @@ class RunSummary:
     def rounds(self) -> int:
         return self.config.protocol.rounds
 
+    @property
+    def half_round(self) -> int:
+        return max(1, self.rounds // 2)
+
     def metric_at(self, metric: str, round_index: int) -> list[float]:
         """Per-trial values of a metric at a 1-based round index."""
         return [getattr(t, metric)[round_index - 1] for t in self.trials]
@@ -77,7 +81,7 @@ class RunSummary:
         return float(sum(values) / len(values))
 
     def scalars(self) -> dict:
-        half = max(1, self.rounds // 2)
+        half = self.half_round
         out = {"per_trial": {}, "means": {}}
         for metric in SERIES_METRICS + ("identified_hits",):
             out["per_trial"][metric] = {
@@ -123,23 +127,22 @@ def build_world(cfg: ScenarioConfig, trial_seed: int) -> World:
             spawn_seed(trial_seed, TAG_DATA),
         )
         by_class = [np.flatnonzero(pooled.y == c) for c in range(ds.class_count)]
-        train_idx = np.concatenate([idx[: ds.per_class] for idx in by_class])
-        eval_idx = np.concatenate([idx[ds.per_class :] for idx in by_class])
-        train_src = DatasetSource(pooled.x[train_idx], pooled.y[train_idx], ds.class_count)
-        test_src = DatasetSource(pooled.x[eval_idx], pooled.y[eval_idx], ds.class_count)
+        train = pooled.subset(np.concatenate([idx[: ds.per_class] for idx in by_class]))
+        test = pooled.subset(np.concatenate([idx[ds.per_class :] for idx in by_class]))
     else:
-        train_src = load_idx_dataset(ds.train_images, ds.train_labels, ds.class_count)
-        test_src = load_idx_dataset(ds.test_images, ds.test_labels, ds.class_count)
+        train = load_idx_dataset(ds.train_images, ds.train_labels, ds.class_count)
+        test = load_idx_dataset(ds.test_images, ds.test_labels, ds.class_count)
     spec = ModelSpec(
-        input_dim=train_src.x.shape[1],
+        input_dim=train.x.shape[1],
         hidden_dims=cfg.model.hidden_dims,
-        class_count=train_src.class_count,
+        class_count=ds.class_count,
         activation=cfg.model.activation,
     )
 
     k_p = cfg.poison.k_p if cfg.poison is not None else 0
     plan = partition(
-        train_src,
+        train,
+        ds.class_count,
         part.n,
         part.k + k_p,
         part.target_class,
@@ -156,10 +159,10 @@ def build_world(cfg: ScenarioConfig, trial_seed: int) -> World:
 
     return World(
         spec=spec,
-        shards=[train_src.subset(idx) for idx in plan.shards],
+        shards=[train.subset(idx) for idx in plan.shards],
         compromised=compromised,
         honest_targets=tuple(i for i in holder_ids if i not in compromised),
-        eval_sets=EvalSets(test_src.all_examples(), part.target_class),
+        eval_sets=EvalSets(test, part.target_class),
     )
 
 
@@ -275,6 +278,11 @@ def run_scenario(cfg: ScenarioConfig) -> RunSummary:
     return RunSummary(config=cfg, trials=trials)
 
 
+def _write(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def _fmt(value) -> str:
     if isinstance(value, (bool, int, np.integer)):
         return str(int(value))
@@ -308,17 +316,13 @@ def emit_metrics(summary: RunSummary, out_dir, prefix: str = "metrics") -> tuple
                     ]
                 )
             )
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
+    _write(csv_path, "\n".join(lines) + "\n")
     payload = {"config": summary.config.to_dict(), **summary.scalars()}
-    with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(json_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return csv_path, json_path
 
 
-def _cell_config(base: ScenarioConfig, k_n: int, k_p: int, clip_on: bool) -> ScenarioConfig:
+def _cell_config(base: ScenarioConfig, k_n: int, k_p: int) -> ScenarioConfig:
     if base.attack is None or base.attack.kind != "targeted":
         raise ConfigError("sweep requires a base config with a targeted attack section")
     attack = dc_replace(base.attack, k_n=k_n)
@@ -327,24 +331,17 @@ def _cell_config(base: ScenarioConfig, k_n: int, k_p: int, clip_on: bool) -> Sce
         poison = dc_replace(poison_base, k_p=k_p)
     else:
         poison = None
-    clip = (base.protocol.clip_norm if base.protocol.clip_norm is not None else 1.0) if clip_on else None
-    protocol = dc_replace(base.protocol, clip_norm=clip)
-    cfg = dc_replace(base, attack=attack, poison=poison, protocol=protocol)
+    cfg = dc_replace(base, attack=attack, poison=poison)
     validate_scenario(cfg)
     return cfg
 
 
-def sweep_grid(
-    base: ScenarioConfig,
-    k_n_values,
-    k_p_values,
-    clip_on: bool = False,
-) -> dict[tuple[int, int], RunSummary]:
-    """Cross product of dropped and poisoned client counts."""
+def sweep_grid(base: ScenarioConfig, k_n_values, k_p_values) -> dict[tuple[int, int], RunSummary]:
+    """Cross product of dropped and poisoned client counts; clipping is the base config's."""
     results = {}
     for k_n in k_n_values:
         for k_p in k_p_values:
-            results[(int(k_n), int(k_p))] = run_scenario(_cell_config(base, k_n, k_p, clip_on))
+            results[(int(k_n), int(k_p))] = run_scenario(_cell_config(base, k_n, k_p))
     return results
 
 
@@ -358,13 +355,12 @@ def emit_sweep(results: dict[tuple[int, int], RunSummary], out_dir) -> str:
     for (k_n, k_p) in sorted(results):
         summary = results[(k_n, k_p)]
         emit_metrics(summary, out_dir, prefix=f"cell_kn{k_n}_kp{k_p}")
-        half = max(1, summary.rounds // 2)
         matrix_lines.append(
             ",".join(
                 [
                     str(k_n),
                     str(k_p),
-                    _fmt(summary.mean_at("target_acc", half)),
+                    _fmt(summary.mean_at("target_acc", summary.half_round)),
                     _fmt(summary.mean_at("target_acc", summary.rounds)),
                     _fmt(summary.mean_at("overall_acc", summary.rounds)),
                     _fmt(summary.mean_at("nontarget_acc", summary.rounds)),
@@ -372,27 +368,25 @@ def emit_sweep(results: dict[tuple[int, int], RunSummary], out_dir) -> str:
             )
         )
     matrix_path = os.path.join(out_dir, "sweep_matrix.csv")
-    with open(matrix_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(matrix_lines) + "\n")
+    _write(matrix_path, "\n".join(matrix_lines) + "\n")
     return matrix_path
 
 
-def identify_bench(
-    cfg: ScenarioConfig, checkpoint_rounds, k_n: int | None = None
-) -> dict[str, dict[int, list[int]]]:
+def identify_bench(cfg: ScenarioConfig, checkpoint_rounds) -> dict[str, dict[int, list[int]]]:
     """Identification hit counts per mode and checkpoint round, per trial.
 
     Runs the protocol without any interference (training proceeds
     normally) next to a passive plain and a passive encrypted attacker
     (no filter hook, so they never drop), and scores what each has
-    identified at every checkpoint. Returns ``{mode: {round: [hits per trial]}}``.
+    identified at every checkpoint; each names ``partition.k`` clients.
+    Returns ``{mode: {round: [hits per trial]}}``.
     """
     validate_scenario(cfg)
+    if cfg.partition.k == 0:
+        raise ConfigError("identify-bench needs partition.k >= 1: recall over zero targets is undefined")
     checkpoints = sorted(set(int(c) for c in checkpoint_rounds))
     if not checkpoints or checkpoints[0] < 1:
         raise ConfigError("checkpoint rounds must be positive")
-    if k_n is None:
-        k_n = cfg.partition.k
     bench_cfg = dc_replace(
         cfg,
         attack=None,
@@ -409,7 +403,7 @@ def identify_bench(
         world = build_world(bench_cfg, trial_seed)
         dstar = _subsample(world.eval_sets.target_set, size, spawn_rng(trial_seed, TAG_ATTACK_DSTAR))
         watchers = {
-            mode: TargetedDropAttacker(AttackConfig(mode=mode, t_n=1, k_n=k_n), world.spec, dstar)
+            mode: TargetedDropAttacker(AttackConfig(mode=mode, t_n=1, k_n=cfg.partition.k), world.spec, dstar)
             for mode in modes
         }
 
@@ -441,9 +435,6 @@ def emit_identify_bench(results: dict, k: int, out_dir) -> tuple[str, str]:
                     ",".join([mode, str(rnd), str(trial_idx), str(hits), _fmt(hits / k)])
                 )
             means.setdefault(mode, {})[str(rnd)] = float(sum(hits_list) / len(hits_list))
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump({"k": k, "mean_hits": means}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(csv_path, "\n".join(lines) + "\n")
+    _write(json_path, json.dumps({"k": k, "mean_hits": means}, indent=2, sort_keys=True) + "\n")
     return csv_path, json_path

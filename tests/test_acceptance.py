@@ -255,7 +255,7 @@ class TestCriterion7IdentificationShape:
     def test_recall_over_rounds(self, standard_cfg):
         k = standard_cfg.partition.k
         rounds = (10, 30, 70)
-        bench = identify_bench(standard_cfg, rounds, k_n=k)
+        bench = identify_bench(standard_cfg, rounds)
         recall = {
             mode: [float(np.mean(bench[mode][r])) / k for r in rounds] for mode in bench
         }
@@ -303,7 +303,7 @@ class TestCriterion9ClipSaturation:
         spec = ModelSpec(6, (8,), 4)
         f = init_model(spec, 3)
         src = gen_synthetic(4, 6, 80, 2.0, seed=5)
-        shard = flip_labels(src.all_examples(), 0, 1)
+        shard = flip_labels(src, 0, 1)
         base = craft_poison_update(f, spec, shard, 2, 0.1, 1.0, seed=9)
         assert np.linalg.norm(10 * base) > 1.0  # clip saturates
         agg10 = aggregate(f, [LocalUpdate(0, 10 * base)], 1.0, clip_norm=1.0)

@@ -182,6 +182,28 @@ class TestRun:
         assert "truncated" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_idx_label_out_of_range_exits_two(self, tmp_path):
+        img_path, lab_path = tmp_path / "images.idx", tmp_path / "labels.idx"
+        img_path.write_bytes(struct.pack(">IIII", 0x00000803, 4, 2, 2) + bytes(16))
+        lab_path.write_bytes(struct.pack(">II", 0x00000801, 4) + bytes([0, 1, 3, 2]))
+        cfg = tmp_path / "idx.yaml"
+        cfg.write_text(
+            "dataset:\n"
+            "  kind: idx\n"
+            "  class_count: 3\n"
+            f"  train_images: {img_path}\n"
+            f"  train_labels: {lab_path}\n"
+            f"  test_images: {img_path}\n"
+            f"  test_labels: {lab_path}\n"
+            "partition:\n  n: 4\n  k: 1\n  local_size: 1\n"
+            "protocol:\n  m: 2\n  rounds: 1\n"
+            "trials: 1\n"
+        )
+        proc = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out"), timeout=60)
+        assert proc.returncode == 2
+        assert "labels must lie in [0, class_count)" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_usage_error_exits_one(self):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--out", "somewhere"])
@@ -245,8 +267,31 @@ class TestSweepCommand:
         assert (tmp_path / "sweep_matrix.csv").exists()
         assert (tmp_path / "cell_kn3_kp0.csv").exists()
 
+    def test_clip_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "sweep", "--config", str(CONFIGS / "smoke.yaml"),
+                "--kn", "0", "--kp", "0", "--clip", "--out", str(tmp_path),
+            ])
+        assert exc.value.code == 1
+
 
 class TestIdentifyBenchCommand:
+    def test_zero_targets_exits_one_quickly(self, tmp_path):
+        data = yaml.safe_load((CONFIGS / "smoke.yaml").read_text())
+        data["partition"]["k"] = 0
+        data["attack"]["k_n"] = 0
+        cfg = tmp_path / "k0.yaml"
+        cfg.write_text(yaml.safe_dump(data))
+        proc = run_cli(
+            "identify-bench", "--config", str(cfg), "--rounds", "3,10", "--out", str(tmp_path / "out"),
+            timeout=5,
+        )
+        assert proc.returncode == 1
+        assert "partition.k" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_tiny_bench(self, tmp_path, capsys):
         rc = main([
             "identify-bench", "--config", str(CONFIGS / "smoke.yaml"),

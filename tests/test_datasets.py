@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fednetsim.datasets import (
-    DatasetSource,
+    ExampleSet,
     PartitionError,
     gen_synthetic,
     load_idx_dataset,
@@ -42,8 +42,8 @@ class TestGenSynthetic:
         test = gen_synthetic(4, 6, 250, 0.0, seed=4)
         spec = ModelSpec(6, (), 4)
         theta = init_model(spec, 0)
-        delta = local_train(theta, spec, src.all_examples(), 50, 0.5, None, 0)
-        acc = forward_eval(theta + delta, spec, test.all_examples()).accuracy
+        delta = local_train(theta, spec, src, 50, 0.5, None, 0)
+        acc = forward_eval(theta + delta, spec, test).accuracy
         assert abs(acc - 0.25) < 0.05
 
     def test_large_separation_is_separable(self):
@@ -70,7 +70,7 @@ class TestPartition:
 
     def test_target_quota_exact(self):
         src = self.make_src()
-        plan = partition(src, n=10, k=3, target_class=0, alpha_t=0.5, alpha_d=1.0, local_size=40, seed=2)
+        plan = partition(src, 5, n=10, k=3, target_class=0, alpha_t=0.5, alpha_d=1.0, local_size=40, seed=2)
         assert len(plan.target_client_ids) == 3
         for j in range(10):
             count = int((src.y[plan.shards[j]] == 0).sum())
@@ -81,13 +81,13 @@ class TestPartition:
 
     def test_k_zero_no_target_examples(self):
         src = self.make_src()
-        plan = partition(src, n=8, k=0, target_class=2, alpha_t=0.5, alpha_d=1.0, local_size=30, seed=3)
+        plan = partition(src, 5, n=8, k=0, target_class=2, alpha_t=0.5, alpha_d=1.0, local_size=30, seed=3)
         for shard in plan.shards:
             assert (src.y[shard] == 2).sum() == 0
 
     def test_disjoint_and_exact_sizes(self):
         src = self.make_src()
-        plan = partition(src, n=12, k=4, target_class=1, alpha_t=0.7, alpha_d=0.5, local_size=35, seed=4)
+        plan = partition(src, 5, n=12, k=4, target_class=1, alpha_t=0.7, alpha_d=0.5, local_size=35, seed=4)
         all_idx = np.concatenate(plan.shards)
         assert len(all_idx) == 12 * 35
         assert len(np.unique(all_idx)) == len(all_idx)
@@ -111,7 +111,7 @@ class TestPartition:
         target_class = data.draw(st.integers(0, classes - 1))
         # every pool can cover every shard, so no class runs out
         src = gen_synthetic(classes, 3, n * local_size, 1.0, seed=seed)
-        plan = partition(src, n, k, target_class, alpha_t, alpha_d, local_size, seed=seed)
+        plan = partition(src, classes, n, k, target_class, alpha_t, alpha_d, local_size, seed=seed)
         assert len(plan.target_client_ids) == k
         assert list(plan.target_client_ids) == sorted(set(plan.target_client_ids))
         assert len(plan.shards) == n
@@ -130,7 +130,7 @@ class TestPartition:
         hits = 0
         trials = 100
         for seed in range(trials):
-            plan = partition(src, n=6, k=0, target_class=0, alpha_t=0.5, alpha_d=1e6, local_size=40, seed=seed)
+            plan = partition(src, 5, n=6, k=0, target_class=0, alpha_t=0.5, alpha_d=1e6, local_size=40, seed=seed)
             ok = True
             for shard in plan.shards:
                 counts = np.bincount(src.y[shard], minlength=5)[1:]
@@ -141,24 +141,32 @@ class TestPartition:
 
     def test_determinism(self):
         src = self.make_src()
-        a = partition(src, 10, 3, 0, 0.5, 1.0, 40, seed=77)
-        b = partition(src, 10, 3, 0, 0.5, 1.0, 40, seed=77)
+        a = partition(src, 5, 10, 3, 0, 0.5, 1.0, 40, seed=77)
+        b = partition(src, 5, 10, 3, 0, 0.5, 1.0, 40, seed=77)
         assert a.target_client_ids == b.target_client_ids
         assert all(np.array_equal(x, y) for x, y in zip(a.shards, b.shards))
 
     def test_exhaustion_error_names_class(self):
         src = self.make_src(per_class=50)
         with pytest.raises(PartitionError, match="class 0"):
-            partition(src, n=10, k=8, target_class=0, alpha_t=0.9, alpha_d=1.0, local_size=40, seed=5)
+            partition(src, 5, n=10, k=8, target_class=0, alpha_t=0.9, alpha_d=1.0, local_size=40, seed=5)
 
     def test_rejects_bad_arguments(self):
         src = self.make_src()
         with pytest.raises(ValueError):
-            partition(src, 10, 11, 0, 0.5, 1.0, 40, seed=0)
+            partition(src, 5, 10, 11, 0, 0.5, 1.0, 40, seed=0)
         with pytest.raises(ValueError):
-            partition(src, 10, 3, 0, 0.0, 1.0, 40, seed=0)
+            partition(src, 5, 10, 3, 0, 0.0, 1.0, 40, seed=0)
         with pytest.raises(ValueError):
-            partition(src, 10, 3, 9, 0.5, 1.0, 40, seed=0)
+            partition(src, 5, 10, 3, 9, 0.5, 1.0, 40, seed=0)
+
+    @pytest.mark.parametrize("bad_label", [-1, 5])
+    def test_rejects_out_of_range_label(self, bad_label):
+        src = self.make_src()
+        y = src.y.copy()
+        y[7] = bad_label
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, class_count\)"):
+            partition(ExampleSet(src.x, y), 5, 10, 3, 0, 0.5, 1.0, 40, seed=0)
 
 
 class TestIdxLoader:
@@ -180,14 +188,20 @@ class TestIdxLoader:
         labels = np.array([0, 1, 2, 0, 1, 2, 1])
         img_path, lab_path = self.write_idx(tmp_path, images, labels)
         src = load_idx_dataset(img_path, lab_path, 3)
-        assert isinstance(src, DatasetSource)
+        assert isinstance(src, ExampleSet)
         assert src.x.shape == (7, 12)
         assert src.x.min() >= 0.0 and src.x.max() <= 1.0
         assert np.array_equal(src.y, labels)
-        assert src.class_count == 3
         # pixel 255 maps to 1.0 exactly
         flat = images.reshape(7, 12)
         assert np.allclose(src.x, flat / 255.0)
+
+    @pytest.mark.parametrize("bad_label", [3, 255])
+    def test_label_out_of_range_rejected(self, tmp_path, bad_label):
+        images = np.zeros((4, 2, 2))
+        img_path, lab_path = self.write_idx(tmp_path, images, np.array([0, 1, bad_label, 2]))
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, class_count\)"):
+            load_idx_dataset(img_path, lab_path, 3)
 
     def test_bad_magic_rejected(self, tmp_path):
         img_path = tmp_path / "bad.idx"

@@ -85,7 +85,8 @@ class TestServerIdentify:
         # an aggregate-only server and an encrypted attacker that watch the
         # same rounds rank clients by the same rule
         spec = ModelSpec(4, (), 3)
-        valid = gen_synthetic(3, 4, 40, 2.0, seed=2).class_examples(0)
+        src = gen_synthetic(3, 4, 40, 2.0, seed=2)
+        valid = src.subset(np.flatnonzero(src.y == 0))
         f0 = init_model(spec, 0)
         defender = UpsamplingDefender(
             DefenseConfig(t_s=1, k_s=2, upsample_factor=2.0, server_mode="aggregate_only"), spec, valid
@@ -103,7 +104,7 @@ class TestUpsamplingDefender:
     def world(self):
         spec = ModelSpec(4, (), 3)
         src = gen_synthetic(3, 4, 40, 2.0, seed=2)
-        valid = src.class_examples(0)
+        valid = src.subset(np.flatnonzero(src.y == 0))
         f0 = init_model(spec, 0)
         return spec, valid, f0
 
@@ -167,9 +168,9 @@ class TestUpsamplingDefender:
 
         spec = ModelSpec(5, (6,), 3)
         src = gen_synthetic(3, 5, 400, 2.0, seed=4)
-        plan = partition(src, 8, 2, 0, 0.5, 1.0, 30, seed=5)
+        plan = partition(src, 3, 8, 2, 0, 0.5, 1.0, 30, seed=5)
         shards = [src.subset(idx) for idx in plan.shards]
-        eval_sets = EvalSets(src.all_examples(), 0)
+        eval_sets = EvalSets(src, 0)
         cfg = ProtocolConfig(m=3, rounds=8, server_lr=0.3, local_epochs=1, local_lr=0.1, batch_size=None)
         defender = UpsamplingDefender(DefenseConfig(t_s=2, k_s=0, upsample_factor=2.0), spec, eval_sets.target_set)
         models = {"defended": [], "undefended": []}

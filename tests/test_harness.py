@@ -518,7 +518,7 @@ class TestConfigLoading:
 class TestSweep:
     def test_zero_cell_equals_base_run(self, tmp_path):
         base = tiny_scenario(trials=1)
-        cell = sweep_grid(base, (0,), (0,), clip_on=False)[(0, 0)]
+        cell = sweep_grid(base, (0,), (0,))[(0, 0)]
         direct = run_scenario(replace(base, poison=None))
         a = emit_metrics(cell, tmp_path / "cell")[0]
         b = emit_metrics(direct, tmp_path / "direct")[0]
@@ -526,15 +526,25 @@ class TestSweep:
 
     def test_target_accuracy_nonincreasing_in_kn(self):
         base = tiny_scenario()
-        res = sweep_grid(base, (0, 1, 3), (0,), clip_on=False)
+        res = sweep_grid(base, (0, 1, 3), (0,))
         accs = [res[(kn, 0)].mean_at("target_acc", 40) for kn in (0, 1, 3)]
         assert accs[1] <= accs[0] + 0.03
         assert accs[2] <= accs[1] + 0.03
 
+    def test_zero_cell_keeps_base_clipping(self, tmp_path):
+        base = tiny_scenario(trials=1)
+        base = replace(base, protocol=replace(base.protocol, clip_norm=0.5))
+        cell = sweep_grid(base, (0,), (0,))[(0, 0)]
+        direct = run_scenario(replace(base, poison=None))
+        assert cell.config.protocol.clip_norm == 0.5
+        for a, b in zip(emit_metrics(cell, tmp_path / "cell"), emit_metrics(direct, tmp_path / "direct")):
+            assert open(a).read() == open(b).read()
+
     def test_clipping_blunts_poison_axis(self):
         base = tiny_scenario()
-        no_clip = sweep_grid(base, (0,), (2,), clip_on=False)[(0, 2)]
-        clipped = sweep_grid(base, (0,), (2,), clip_on=True)[(0, 2)]
+        no_clip = sweep_grid(base, (0,), (2,))[(0, 2)]
+        clip_base = replace(base, protocol=replace(base.protocol, clip_norm=1.0))
+        clipped = sweep_grid(clip_base, (0,), (2,))[(0, 2)]
         assert clipped.mean_at("target_acc", 40) > no_clip.mean_at("target_acc", 40)
 
     def test_requires_targeted_attack(self):
@@ -544,7 +554,7 @@ class TestSweep:
 
     def test_emit_sweep_files(self, tmp_path):
         base = tiny_scenario(trials=1, protocol=ProtocolConfig(m=4, rounds=3, batch_size=5))
-        res = sweep_grid(base, (0, 1), (0,), clip_on=False)
+        res = sweep_grid(base, (0, 1), (0,))
         matrix = emit_sweep(res, tmp_path)
         lines = open(matrix).read().splitlines()
         assert lines[0].startswith("k_n,k_p,")
@@ -557,19 +567,19 @@ class TestSweep:
 class TestIdentifyBench:
     def test_structure_and_determinism(self):
         cfg = tiny_scenario(trials=2)
-        res = identify_bench(cfg, (2, 5, 8), k_n=3)
+        res = identify_bench(cfg, (2, 5, 8))
         assert set(res) == {"plain", "encrypted"}
         for mode in res:
             assert sorted(res[mode]) == [2, 5, 8]
             for hits in res[mode].values():
                 assert len(hits) == 2
                 assert all(0 <= h <= 3 for h in hits)
-        again = identify_bench(cfg, (2, 5, 8), k_n=3)
+        again = identify_bench(cfg, (2, 5, 8))
         assert res == again
 
     def test_plain_identification_dominates_by_final_round(self):
         cfg = tiny_scenario(trials=2)
-        res = identify_bench(cfg, (12,), k_n=3)
+        res = identify_bench(cfg, (12,))
         plain = np.mean(res["plain"][12])
         encrypted = np.mean(res["encrypted"][12])
         assert plain >= encrypted
@@ -577,3 +587,8 @@ class TestIdentifyBench:
     def test_rejects_bad_checkpoints(self):
         with pytest.raises(ConfigError):
             identify_bench(tiny_scenario(), (0, 5))
+
+    def test_rejects_zero_targets(self):
+        cfg = tiny_scenario(partition=replace(tiny_scenario().partition, k=0))
+        with pytest.raises(ConfigError, match=r"partition\.k"):
+            identify_bench(cfg, (2,))

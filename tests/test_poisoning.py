@@ -56,7 +56,7 @@ class TestCraftPoisonUpdate:
         self.spec = ModelSpec(5, (6,), 4)
         self.f = init_model(self.spec, 2)
         src = gen_synthetic(4, 5, 50, 2.0, seed=3)
-        self.shard = flip_labels(src.all_examples(), 0, 1)
+        self.shard = flip_labels(src, 0, 1)
 
     def test_unit_boost_equals_honest_training(self):
         poison = craft_poison_update(self.f, self.spec, self.shard, 2, 0.1, 1.0, seed=5)
@@ -92,8 +92,7 @@ class TestModelReplacementPoisoner:
     def setup_method(self):
         self.spec = ModelSpec(4, (), 3)
         self.f = init_model(self.spec, 0)
-        src = gen_synthetic(3, 4, 30, 2.0, seed=1)
-        shard = src.all_examples()
+        shard = gen_synthetic(3, 4, 30, 2.0, seed=1)
         self.flipped = {2: flip_labels(shard, 0, 1)}
         self.plan = PoisonPlan(compromised_ids=(2,), boost=8.0, start_round=5)
         self.protocol = ProtocolConfig(local_epochs=1, local_lr=0.1, batch_size=None)

@@ -217,10 +217,10 @@ class TestAggregate:
 
 def small_world(seed=1, n=8, k=2, classes=4, rounds=12):
     src = gen_synthetic(classes, 5, 400, 2.5, seed=seed)
-    plan = partition(src, n, k, 0, 0.5, 1.0, 30, seed=seed + 1)
+    plan = partition(src, classes, n, k, 0, 0.5, 1.0, 30, seed=seed + 1)
     shards = [src.subset(idx) for idx in plan.shards]
     holdout = gen_synthetic(classes, 5, 60, 2.5, seed=seed)  # same seed: same geometry
-    eval_sets = EvalSets(holdout.all_examples(), 0)
+    eval_sets = EvalSets(holdout, 0)
     spec = ModelSpec(5, (6,), classes)
     cfg = ProtocolConfig(m=4, rounds=rounds, server_lr=0.5, local_epochs=1, local_lr=0.1, batch_size=None)
     return cfg, shards, spec, eval_sets, plan
@@ -239,8 +239,7 @@ class TestRunProtocol:
         # one round, all clients hold the same data: FedAvg step equals one
         # centralized full-batch step (shuffle order only permutes the
         # floating-point sums, so agreement is to rounding error)
-        src = gen_synthetic(3, 4, 60, 2.0, seed=2)
-        shard = src.all_examples()
+        shard = gen_synthetic(3, 4, 60, 2.0, seed=2)
         spec = ModelSpec(4, (), 3)
         n = 5
         cfg = ProtocolConfig(m=n, rounds=1, server_lr=1.0, local_epochs=1, local_lr=0.1, batch_size=None)
