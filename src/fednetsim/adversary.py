@@ -172,9 +172,10 @@ class TargetedDropAttacker:
     is the attacker's target-population sample, and ``visible_set`` the
     clients an ``encrypted_limited`` attacker can see (None sees everyone).
     Feed it to ``run_protocol`` as both filter hook and observer. In
-    encrypted modes the ledger is frozen for rounds in which the attacker
-    itself dropped updates: the aggregate it observes in those rounds
-    reflects its own interference, not client behavior.
+    encrypted modes the ledger is frozen for rounds in which fewer updates
+    were received than sent: the attacker is the only filter, so it dropped
+    them itself, and the aggregate it observes reflects its own
+    interference, not client behavior.
     """
 
     def __init__(
@@ -190,22 +191,18 @@ class TargetedDropAttacker:
         self.visible_set = visible_set
         self.ledger = ContributionLedger()
         self.identified: list[int] = []
-        self._dropped_last = 0
 
     def filter_updates(self, updates: list[LocalUpdate], t: int) -> list[LocalUpdate]:
-        kept = drop_filter(updates, self.identified, t, self.attack.t_n)
-        self._dropped_last = len(updates) - len(kept)
-        return kept
+        return drop_filter(updates, self.identified, t, self.attack.t_n)
 
     def observe(self, trace: RoundTrace):
         atk = self.attack
         if atk.mode == "plain":
             record_round(self.ledger, trace, trace.sent_models, self.target_set, self.spec)
-        elif self._dropped_last == 0:
+        elif len(trace.received_models) == len(trace.participants):
             record_round(self.ledger, trace, None, self.target_set, self.spec, self.visible_set)
         if trace.t == atk.t_n or (atk.refresh and trace.t > atk.t_n):
             self.identified = identify_clients(self.ledger, atk.k_n)
-        self._dropped_last = 0
 
 
 class FixedSetDropper:

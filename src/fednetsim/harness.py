@@ -102,6 +102,8 @@ class World:
     """Everything a trial runs in: model, client shards, eval data.
 
     ``compromised`` are the k_p target-class holders turned poisoners;
+    their shards are label-flipped (``flip_labels``, to ``poison.flip_to``
+    or else ``default_flip_to``), so they train like every other client.
     ``honest_targets`` are the remaining holders, the clients an attacker
     is scored on.
     """
@@ -114,7 +116,7 @@ class World:
 
 
 def build_world(cfg: ScenarioConfig, trial_seed: int) -> World:
-    """Data, model spec, partition (k + k_p holders), poisoners, eval sets."""
+    """Data, model spec, partition (k + k_p holders), poisoners' flipped shards, eval sets."""
     ds, part = cfg.dataset, cfg.partition
     if ds.kind == "synthetic":
         # One pooled draw per trial, split per class, so train and eval share
@@ -152,14 +154,20 @@ def build_world(cfg: ScenarioConfig, trial_seed: int) -> World:
         spawn_seed(trial_seed, TAG_PARTITION),
     )
     holder_ids = list(plan.target_client_ids)
+    shards = [train.subset(idx) for idx in plan.shards]
     compromised = ()
     if k_p > 0:
         rng = spawn_rng(trial_seed, TAG_COMPROMISE)
         compromised = tuple(sorted(int(i) for i in rng.choice(holder_ids, size=k_p, replace=False)))
+        flip_to = cfg.poison.flip_to
+        if flip_to is None:
+            flip_to = default_flip_to(part.target_class, ds.class_count)
+        for j in compromised:
+            shards[j] = flip_labels(shards[j], part.target_class, flip_to)
 
     return World(
         spec=spec,
-        shards=[train.subset(idx) for idx in plan.shards],
+        shards=shards,
         compromised=compromised,
         honest_targets=tuple(i for i in holder_ids if i not in compromised),
         eval_sets=EvalSets(test, part.target_class),
@@ -207,22 +215,9 @@ def run_trial(cfg: ScenarioConfig, trial_seed: int) -> TrialSeries:
 
     poisoner = None
     if world.compromised:
-        flip_to = (
-            cfg.poison.flip_to
-            if cfg.poison.flip_to is not None
-            else default_flip_to(part.target_class, spec.class_count)
-        )
-        start_round = (
-            cfg.poison.start_round if cfg.poison.start_round is not None else cfg.attack.t_n
-        )
-        flipped = {
-            j: flip_labels(world.shards[j], part.target_class, flip_to) for j in world.compromised
-        }
+        start_round = cfg.poison.start_round if cfg.poison.start_round is not None else cfg.attack.t_n
         poisoner = ModelReplacementPoisoner(
-            PoisonPlan(compromised_ids=world.compromised, boost=cfg.poison.boost, start_round=start_round),
-            spec,
-            flipped,
-            cfg.protocol,
+            PoisonPlan(compromised_ids=world.compromised, boost=cfg.poison.boost, start_round=start_round)
         )
 
     defender = None
@@ -337,12 +332,12 @@ def _cell_config(base: ScenarioConfig, k_n: int, k_p: int) -> ScenarioConfig:
 
 
 def sweep_grid(base: ScenarioConfig, k_n_values, k_p_values) -> dict[tuple[int, int], RunSummary]:
-    """Cross product of dropped and poisoned client counts; clipping is the base config's."""
-    results = {}
-    for k_n in k_n_values:
-        for k_p in k_p_values:
-            results[(int(k_n), int(k_p))] = run_scenario(_cell_config(base, k_n, k_p))
-    return results
+    """Cross product of distinct dropped and poisoned client counts; clipping is the base config's."""
+    k_ns = sorted(set(int(v) for v in k_n_values))
+    k_ps = sorted(set(int(v) for v in k_p_values))
+    if not k_ns or not k_ps:
+        raise ConfigError("sweep needs at least one --kn and one --kp value")
+    return {(k_n, k_p): run_scenario(_cell_config(base, k_n, k_p)) for k_n in k_ns for k_p in k_ps}
 
 
 def emit_sweep(results: dict[tuple[int, int], RunSummary], out_dir) -> str:

@@ -1,17 +1,17 @@
 """Model-replacement poisoning from compromised clients.
 
 A compromised client holds a shard built exactly like a target client's,
-except every target-class label is flipped to one fixed other class. Its
-transmitted update is ``boost * (theta_star - f_prev)`` where theta_star is
-the result of honest local training on the flipped shard; the boost factor
-is what lets a single client overpower mean aggregation.
+except every target-class label is flipped to one fixed other class
+(``flip_labels``; the world builder flips it). It trains like every other
+client, so theta_star is ordinary local training on the flipped shard, and
+its transmitted update is ``boost * (theta_star - f_prev)``; the boost
+factor is what lets a single client overpower mean aggregation.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from fednetsim.config import ProtocolConfig
 from fednetsim.datasets import ExampleSet
 from fednetsim.models import ModelSpec, local_train
 
@@ -52,7 +52,10 @@ def craft_poison_update(
 
     theta_star comes from ordinary local training on the (already
     label-flipped) shard, so ``boost=1`` reproduces an honest update on
-    that shard exactly, and the delta scales linearly in ``boost``.
+    that shard exactly, and the delta scales linearly in ``boost``. A run
+    does not call it: the protocol trains the compromised client and
+    ``ModelReplacementPoisoner`` boosts the result. It is the reference
+    that a run's compromised updates are tested against.
     """
     if boost <= 0:
         raise ValueError("boost must be > 0")
@@ -61,43 +64,18 @@ def craft_poison_update(
 
 
 class ModelReplacementPoisoner:
-    """Poison hook replacing compromised clients' updates during a run.
+    """Poison hook boosting compromised clients' updates during a run.
 
-    Compromised clients always train on their flipped shard; the boost is
-    applied only in rounds after ``start_round``, so before the campaign
+    The protocol trains compromised clients like everyone else, on the
+    flipped shards the world gives them; the hook multiplies their delta by
+    the boost only in rounds after ``start_round``, so before the campaign
     begins they behave as protocol-conforming clients with poisoned data.
-    They train with the protocol's local epochs, learning rate and batch size.
     """
 
-    def __init__(
-        self,
-        plan: PoisonPlan,
-        spec: ModelSpec,
-        flipped_shards: dict[int, ExampleSet],
-        protocol: ProtocolConfig,
-    ):
-        missing = set(plan.compromised_ids) - set(flipped_shards)
-        if missing:
-            raise ValueError(f"no flipped shard for compromised clients {sorted(missing)}")
+    def __init__(self, plan: PoisonPlan):
         self.plan = plan
-        self.spec = spec
-        self.flipped_shards = flipped_shards
-        self.protocol = protocol
 
-    def poison_update(
-        self, t: int, client_id: int, f_prev: np.ndarray, seed: int
-    ) -> np.ndarray | None:
-        if client_id not in self.flipped_shards:
+    def poison_update(self, t: int, client_id: int, delta: np.ndarray) -> np.ndarray | None:
+        if client_id not in self.plan.compromised_ids:
             return None
-        boost = self.plan.boost if t > self.plan.start_round else 1.0
-        proto = self.protocol
-        return craft_poison_update(
-            f_prev,
-            self.spec,
-            self.flipped_shards[client_id],
-            proto.local_epochs,
-            proto.local_lr,
-            boost,
-            seed,
-            proto.batch_size,
-        )
+        return self.plan.boost * delta if t > self.plan.start_round else delta

@@ -1,8 +1,8 @@
 """Federated Averaging engine.
 
 Each round: sample m participants from the current selection distribution,
-train each locally, let the attack hooks replace (poisoning) or remove
-(dropping) updates, then apply mean aggregation
+train each locally, let the attack hooks replace trained deltas (poisoning)
+or remove updates (dropping), then apply mean aggregation
 ``f_t = f_{t-1} + lr * sum(deltas) / denom`` with optional per-update L2
 clipping. The denominator is either the configured m (``fixed_m``) or the
 number of updates that actually arrived (``received_count``).
@@ -223,7 +223,7 @@ def aggregate(
 
 
 FilterHook = Callable[[list[LocalUpdate], int], list[LocalUpdate]]
-PoisonHook = Callable[[int, int, np.ndarray, int], np.ndarray | None]
+PoisonHook = Callable[[int, int, np.ndarray], np.ndarray | None]
 ResampleHook = Callable[[int, int], np.ndarray | None]
 Observer = Callable[[RoundTrace], None]
 
@@ -238,13 +238,11 @@ def _client_delta(
     t: int,
     j: int,
 ) -> np.ndarray:
-    """Client j's round-t delta from global model f: the poison hook's, else local SGD."""
+    """Client j's round-t delta from global model f: local SGD, then the poison hook's replacement."""
     train_seed = spawn_seed(seed, TAG_TRAIN, t, j)
-    if poison_hook is not None:
-        delta = poison_hook(t, j, f, train_seed)
-        if delta is not None:
-            return delta
-    return local_train(f, spec, shard, cfg.local_epochs, cfg.local_lr, cfg.batch_size, train_seed)
+    delta = local_train(f, spec, shard, cfg.local_epochs, cfg.local_lr, cfg.batch_size, train_seed)
+    poisoned = poison_hook(t, j, delta) if poison_hook is not None else None
+    return delta if poisoned is None else poisoned
 
 
 def run_protocol(
@@ -260,9 +258,11 @@ def run_protocol(
 ) -> list[RoundRecord]:
     """Run the full protocol for ``cfg.rounds`` rounds and record each one.
 
-    Client j holds ``shards[j]``, so there are ``len(shards)`` clients. Hooks: ``resample_hook(t, n)`` may return the selection distribution for
-    round t (None keeps uniform); ``poison_hook(t, client_id, f_prev, seed)``
-    may return a replacement delta for a compromised client; ``filter_hook``
+    Client j holds ``shards[j]``, so there are ``len(shards)`` clients, and
+    every client trains the same way. Hooks: ``resample_hook(t, n)`` may
+    return the selection distribution for round t (None keeps uniform);
+    ``poison_hook(t, client_id, delta)`` receives a client's trained delta
+    and may return a replacement for it; ``filter_hook``
     removes dropped updates before aggregation; reading an update's delta
     trains it, so a filter that decides by client id alone saves the
     training of what it drops. All hooks default to identity behavior.

@@ -234,14 +234,14 @@ class TestIdentificationScore:
 
 
 class TestTargetedDropAttacker:
-    def make_trace(self, w, t, participants, sent):
+    def make_trace(self, w, t, participants, sent, received=None):
         return RoundTrace(
             t=t,
             participants=tuple(participants),
             global_before=w.f_before,
             global_after=w.f_after,
             sent_models=sent,
-            received_models=sent,
+            received_models=sent if received is None else received,
         )
 
     def test_plain_separability(self):
@@ -271,7 +271,7 @@ class TestTargetedDropAttacker:
         # corrupted the aggregate, so nothing may be recorded
         kept = attacker.filter_updates([LocalUpdate(3, np.zeros(len(w.f_before)))], 2)
         assert kept == []
-        attacker.observe(self.make_trace(w, 2, (3,), sent))
+        attacker.observe(self.make_trace(w, 2, (3,), sent, received={}))
         assert attacker.ledger.rounds_seen(3) == seen_before
 
     def test_plain_mode_never_freezes(self):

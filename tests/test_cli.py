@@ -267,6 +267,17 @@ class TestSweepCommand:
         assert (tmp_path / "sweep_matrix.csv").exists()
         assert (tmp_path / "cell_kn3_kp0.csv").exists()
 
+    def test_empty_axis_exits_one_quickly(self, tmp_path):
+        proc = run_cli(
+            "sweep", "--config", str(CONFIGS / "smoke.yaml"),
+            "--kn", "", "--kp", "0", "--out", str(tmp_path / "out"),
+            timeout=5,
+        )
+        assert proc.returncode == 1
+        assert "--kn" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_clip_flag_is_gone(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main([

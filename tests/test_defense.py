@@ -93,7 +93,8 @@ class TestServerIdentify:
         )
         attacker = TargetedDropAttacker(AttackConfig(mode="encrypted", t_n=1, k_n=2), spec, valid)
         for t, (parts, step) in enumerate([((1, 5), 0.03), ((2, 5), -0.02), ((1, 9), 0.01)], start=1):
-            trace = RoundTrace(t, parts, f0, f0 + step, {}, {})
+            models = {j: f0 for j in parts}  # nothing is dropped: every participant is received
+            trace = RoundTrace(t, parts, f0, f0 + step, models, models)
             defender.observe(trace)
             attacker.observe(trace)
         assert len(defender.identified) == 2

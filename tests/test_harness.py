@@ -26,8 +26,10 @@ from fednetsim.config import (
     load_scenario,
     scenario_from_dict,
 )
+import fednetsim.harness as harness
 from fednetsim.harness import (
     CSV_HEADER,
+    build_world,
     emit_metrics,
     emit_sweep,
     identify_bench,
@@ -35,6 +37,8 @@ from fednetsim.harness import (
     run_trial,
     sweep_grid,
 )
+from fednetsim.poisoning import craft_poison_update
+from fednetsim.seeding import TAG_TRAIN, spawn_seed
 from conftest import tiny_scenario
 
 POSITIVE = st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False)
@@ -135,6 +139,72 @@ def scenarios(draw):
         trials=draw(st.integers(1, 100)),
         base_seed=draw(st.integers(0, 2**63)),
     )
+
+
+class TestBuildWorld:
+    def poisoned(self, **poison):
+        return tiny_scenario(poison=PoisonConfig(k_p=2, boost=10.0, **poison))
+
+    def unpoisoned(self):
+        # k = 5 holders, as k + k_p in ``poisoned``: both worlds share one partition
+        return tiny_scenario(partition=replace(tiny_scenario().partition, k=5), poison=None)
+
+    @pytest.mark.parametrize("flip_to", [None, 3])
+    def test_compromised_shards_are_flipped(self, flip_to):
+        cfg = self.poisoned(flip_to=flip_to)
+        world = build_world(cfg, 21)
+        part = cfg.partition
+        quota = math.ceil(part.alpha_t * part.local_size)
+        to = 1 if flip_to is None else flip_to
+        assert len(world.compromised) == 2 and len(world.honest_targets) == 3
+        for j in world.compromised:
+            y = world.shards[j].y
+            assert not (y == part.target_class).any()
+            assert (y == to).sum() >= quota
+        for j in world.honest_targets:
+            assert (world.shards[j].y == part.target_class).sum() == quota
+
+    def test_only_compromised_labels_differ_from_the_unpoisoned_world(self):
+        cfg = self.poisoned()
+        world, clean = build_world(cfg, 21), build_world(self.unpoisoned(), 21)
+        assert clean.compromised == ()
+        assert sorted(world.compromised + world.honest_targets) == list(clean.honest_targets)
+        for j, (shard, clean_shard) in enumerate(zip(world.shards, clean.shards)):
+            assert np.array_equal(shard.x, clean_shard.x)
+            want = clean_shard.y.copy()
+            if j in world.compromised:
+                want[want == cfg.partition.target_class] = 1
+            assert np.array_equal(shard.y, want)
+
+    def test_compromised_updates_equal_the_crafted_reference(self, monkeypatch):
+        # a run's compromised updates are exactly craft_poison_update on the
+        # world's flipped shard, unboosted up to start_round and boosted after
+        cfg = replace(self.poisoned(start_round=3), protocol=replace(tiny_scenario().protocol, rounds=10))
+        seed = 21
+        world = build_world(cfg, seed)
+        proto = cfg.protocol
+        checked = []
+
+        def check(trace):
+            f = trace.global_before
+            for j in set(trace.participants) & set(world.compromised):
+                boost = cfg.poison.boost if trace.t > cfg.poison.start_round else 1.0
+                crafted = craft_poison_update(
+                    f, world.spec, world.shards[j], proto.local_epochs, proto.local_lr, boost,
+                    spawn_seed(seed, TAG_TRAIN, trace.t, j), proto.batch_size,
+                )
+                assert np.array_equal(trace.sent_models[j], f + crafted)
+                checked.append(boost)
+
+        run_protocol = harness.run_protocol
+
+        def observed(*args, observers=(), **kwargs):
+            assert kwargs["poison_hook"] is not None
+            return run_protocol(*args, observers=[*observers, check], **kwargs)
+
+        monkeypatch.setattr(harness, "run_protocol", observed)
+        run_trial(cfg, seed)
+        assert {1.0, cfg.poison.boost} <= set(checked)
 
 
 class TestRunScenario:
@@ -551,6 +621,24 @@ class TestSweep:
         base = tiny_scenario(attack=None)
         with pytest.raises(ConfigError, match="targeted"):
             sweep_grid(base, (0,), (0,))
+
+    def test_repeated_value_runs_its_cell_once(self, monkeypatch):
+        calls = []
+
+        def counted(cfg):
+            calls.append((cfg.attack.k_n, cfg.poison))
+            return run_scenario(cfg)
+
+        monkeypatch.setattr(harness, "run_scenario", counted)
+        base = tiny_scenario(trials=1, protocol=ProtocolConfig(m=4, rounds=3, batch_size=5))
+        res = sweep_grid(base, (1, 1), (0,))
+        assert calls == [(1, None)]
+        assert list(res) == [(1, 0)]
+
+    @pytest.mark.parametrize("k_n, k_p", [((), (0,)), ((0,), ())])
+    def test_empty_axis_rejected(self, k_n, k_p):
+        with pytest.raises(ConfigError, match="--kn"):
+            sweep_grid(tiny_scenario(), k_n, k_p)
 
     def test_emit_sweep_files(self, tmp_path):
         base = tiny_scenario(trials=1, protocol=ProtocolConfig(m=4, rounds=3, batch_size=5))

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from fednetsim.config import ProtocolConfig
 from fednetsim.datasets import ExampleSet, gen_synthetic
 from fednetsim.models import ModelSpec, init_model, local_train
 from fednetsim.poisoning import (
@@ -90,23 +89,14 @@ class TestCraftPoisonUpdate:
 
 class TestModelReplacementPoisoner:
     def setup_method(self):
-        self.spec = ModelSpec(4, (), 3)
-        self.f = init_model(self.spec, 0)
-        shard = gen_synthetic(3, 4, 30, 2.0, seed=1)
-        self.flipped = {2: flip_labels(shard, 0, 1)}
-        self.plan = PoisonPlan(compromised_ids=(2,), boost=8.0, start_round=5)
-        self.protocol = ProtocolConfig(local_epochs=1, local_lr=0.1, batch_size=None)
-        self.poisoner = ModelReplacementPoisoner(self.plan, self.spec, self.flipped, self.protocol)
+        self.poisoner = ModelReplacementPoisoner(PoisonPlan(compromised_ids=(2,), boost=8.0, start_round=5))
+        self.delta = np.linspace(-1.0, 1.0, 7)
 
     def test_honest_clients_untouched(self):
-        assert self.poisoner.poison_update(10, 3, self.f, seed=0) is None
+        assert self.poisoner.poison_update(10, 3, self.delta) is None
+
+    def test_delta_passes_unchanged_until_start_round(self):
+        assert np.array_equal(self.poisoner.poison_update(5, 2, self.delta), self.delta)
 
     def test_boost_only_after_start_round(self):
-        before = self.poisoner.poison_update(5, 2, self.f, seed=9)
-        after = self.poisoner.poison_update(6, 2, self.f, seed=9)
-        assert np.array_equal(after, 8.0 * before)
-
-    def test_plan_validation(self):
-        # boost and flip_to are scenario rules (tests/test_harness.py::TestConfigLoading)
-        with pytest.raises(ValueError, match="flipped shard"):
-            ModelReplacementPoisoner(self.plan, self.spec, {}, self.protocol)
+        assert np.array_equal(self.poisoner.poison_update(6, 2, self.delta), 8.0 * self.delta)

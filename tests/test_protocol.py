@@ -11,6 +11,7 @@ from fednetsim.adversary import ContributionLedger, FixedSetDropper, TargetedDro
 from fednetsim.config import AttackConfig, ProtocolConfig
 from fednetsim.datasets import ExampleSet, gen_synthetic, partition
 from fednetsim.models import ModelSpec, forward_eval, init_model, local_train
+from fednetsim.poisoning import ModelReplacementPoisoner, PoisonPlan
 from fednetsim.protocol import (
     EvalSets,
     LocalUpdate,
@@ -286,12 +287,14 @@ class TestRunProtocol:
             assert set(r.participants) == {0, 1, 2, 3}
 
     def test_poison_hook_replaces_update(self):
-        # zero out client 1's update and keep only it: rounds where client 1
-        # arrives leave the model unchanged
+        # the hook sees client 1's trained delta and zeroes it; keeping only
+        # client 1, rounds where it arrives leave the model unchanged
         cfg, shards, spec, eval_sets, _ = small_world(rounds=6)
+        seen = {}
 
-        def poison(t, j, f, seed):
-            return np.zeros(spec.param_count()) if j == 1 else None
+        def poison(t, j, delta):
+            seen[t, j] = delta
+            return np.zeros_like(delta) if j == 1 else None
 
         def keep_only_one(ups, t):
             return [u for u in ups if u.client_id == 1]
@@ -302,7 +305,9 @@ class TestRunProtocol:
         arrived = [i for i, r in enumerate(records) if 1 in r.received]
         assert arrived
         for i in arrived:
-            assert np.array_equal(models[i][1], models[i][0])
+            f, t = models[i][0], records[i].t
+            assert np.array_equal(models[i][1], f)
+            assert np.array_equal(seen[t, 1], eager_delta(cfg, shards, spec, 11, None, f, t, 1))
 
     def test_fixed_m_denominator_shrinks_partial_rounds(self):
         cfg, shards, spec, eval_sets, _ = small_world(rounds=1)
@@ -362,6 +367,14 @@ def count_training(monkeypatch):
     return calls
 
 
+def eager_delta(cfg, shards, spec, seed, poison_hook, f, t, j):
+    """Client j's round-t delta: local SGD from f, then the poison hook's replacement, if any."""
+    train_seed = spawn_seed(seed, TAG_TRAIN, t, j)
+    delta = local_train(f, spec, shards[j], cfg.local_epochs, cfg.local_lr, cfg.batch_size, train_seed)
+    poisoned = poison_hook(t, j, delta) if poison_hook is not None else None
+    return delta if poisoned is None else poisoned
+
+
 def eager_reference(cfg, shards, spec, eval_sets, seed, filter_hook, poison_hook=None):
     """Reference round loop: train every participant, then filter, aggregate, evaluate."""
     f = init_model(spec, spawn_seed(seed, TAG_INIT))
@@ -372,11 +385,7 @@ def eager_reference(cfg, shards, spec, eval_sets, seed, filter_hook, poison_hook
         participants = select_participants(n, cfg.m, uniform, seed, t)
         updates = []
         for j in participants:
-            train_seed = spawn_seed(seed, TAG_TRAIN, t, j)
-            delta = poison_hook(t, j, f, train_seed) if poison_hook is not None else None
-            if delta is None:
-                delta = local_train(f, spec, shards[j], cfg.local_epochs, cfg.local_lr, cfg.batch_size, train_seed)
-            updates.append(LocalUpdate(j, delta))
+            updates.append(LocalUpdate(j, eager_delta(cfg, shards, spec, seed, poison_hook, f, t, j)))
         received = filter_hook(updates, t)
         f_next = aggregate(f, received, cfg.server_lr, cfg.clip_norm, cfg.denominator_mode, cfg.m)
         target = forward_eval(f_next, spec, eval_sets.target_set)
@@ -466,7 +475,7 @@ class TestLazyRound:
         st.integers(0, 2**32),
         st.lists(st.frozensets(st.integers(0, 7)), min_size=6, max_size=6),
         st.frozensets(st.integers(0, 7)),
-        st.booleans(),
+        st.sampled_from([None, "toy", "model_replacement"]),
         st.frozensets(st.integers(0, 7)),
     )
     def test_records_equal_the_eager_loop(self, seed, drops, poisoned, poison, read):
@@ -475,10 +484,17 @@ class TestLazyRound:
         def drop(ups, t):
             return [u for u in ups if u.client_id not in drops[t - 1]]
 
-        def poison_hook(t, j, f, train_seed):
-            return np.full_like(f, 0.01 * (j + t)) - 0.1 * f if j in poisoned else None
+        def toy_hook(t, j, delta):
+            return np.full_like(delta, 0.01 * (j + t)) - 0.1 * delta if j in poisoned else None
 
-        hook = poison_hook if poison else None
+        hooks = {
+            None: None,
+            "toy": toy_hook,
+            "model_replacement": ModelReplacementPoisoner(
+                PoisonPlan(tuple(sorted(poisoned)), boost=3.0, start_round=2)
+            ).poison_update,
+        }
+        hook = hooks[poison]
         traces = []
         records = run_protocol(
             cfg, shards, spec, eval_sets, seed, filter_hook=drop, poison_hook=hook, observers=[traces.append]
@@ -493,10 +509,8 @@ class TestLazyRound:
             for j in sorted(set(trace.participants) - set(trace.received_models)):
                 if j not in read:
                     continue
-                f, train_seed = trace.global_before, spawn_seed(seed, TAG_TRAIN, trace.t, j)
-                delta = hook(trace.t, j, f, train_seed) if hook is not None else None
-                if delta is None:
-                    delta = local_train(f, spec, shards[j], cfg.local_epochs, cfg.local_lr, cfg.batch_size, train_seed)
+                f = trace.global_before
+                delta = eager_delta(cfg, shards, spec, seed, hook, f, trace.t, j)
                 assert np.array_equal(trace.sent_models[j], f + delta)
 
 
