@@ -17,6 +17,7 @@ from fednetsim.adversary import (
 )
 from fednetsim.analysis import (
     expected_rounds_encrypted,
+    expected_rounds_encrypted_exact,
     expected_rounds_plain,
     expected_rounds_plain_approx,
     harmonic,

@@ -19,14 +19,25 @@ times into coupon-collector quantities:
 ``prob_nontarget_batch_exact`` gives the without-replacement refinement
 ``C(n-k, m) / C(n, m)`` for comparison, and ``monte_carlo_rounds`` samples
 the stopping times directly so the formulas can be cross-checked by
-simulation. The encrypted simulation uses true m-distinct-of-n batches and
-steps from one target-free round to the next: the wait is Geometric(p) with
-p the exact target-free probability, and a target-free batch, a uniform
-m-subset of the n - k non-targets, newly clears Hypergeometric(n-k-s, s, m)
-of them when s are already cleared.
+simulation.
+
+The encrypted side also has an exact form for true m-distinct-of-n batches.
+A target-free batch, a uniform m-subset of the n - k non-targets, newly
+clears Hypergeometric(n-k-s, s, m) of them when s are already cleared. One
+table holds that law's CDF for every s short of the goal, and both the
+exact mean (``expected_rounds_encrypted_exact``, a backward recursion over
+s) and the encrypted simulation read it. The simulation draws one uniform
+per active trial per target-free batch and looks it up in the trial's row;
+once it has each trial's batch count L, it draws the L Geometric(p) waits
+between target-free rounds at once as L + NegativeBinomial(L, p), with p
+the exact target-free probability. Two limits bound the cost up front: a
+table over ``MAX_TABLE_ENTRIES`` entries is refused before it is built, and
+a Monte-Carlo run expected to take over ``MAX_MC_STEPS`` draw steps is
+refused before its first draw.
 """
 
 import math
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -41,6 +52,15 @@ MC_GRID = tuple(
     for k in (5, 15)
     for k_n in (1, k)
 )
+
+# Largest encrypted clearing table built, in float64 entries (32 MiB).
+MAX_TABLE_ENTRIES = 2**22
+# Largest Monte-Carlo run started, in expected draw steps: k_n geometric draws
+# per plain trial, one table lookup per target-free batch of an encrypted
+# trial. An encrypted trial's batches run one loop pass each, so this also
+# caps the loop at about MAX_MC_STEPS / 100 passes (trials >= 100).
+MAX_MC_STEPS = 10**7
+
 
 def harmonic(i: int) -> float:
     """i-th harmonic number, with H_0 = 0."""
@@ -109,6 +129,26 @@ def expected_rounds_encrypted(n: int, m: int, k: int, alpha: float) -> float:
     return batches / p
 
 
+def expected_rounds_encrypted_exact(n: int, m: int, k: int, alpha: float) -> float:
+    """Exact mean rounds to reach precision ``alpha`` with m-distinct batches.
+
+    Each target-free round costs 1/p rounds in expectation, with p the exact
+    ``C(n-k, m) / C(n, m)``, so the mean is E[target-free batches] / p. The
+    batch count comes from a backward recursion over the cleared count s:
+    ``E[s] = (1 + sum_{j>=1} P(j|s) E[s+j]) / (1 - P(0|s))``, with E[s] = 0
+    once s reaches ``n - ceil(k/alpha)``. Raises ValueError when no batch can
+    avoid the targets or the table would exceed ``MAX_TABLE_ENTRIES``.
+    """
+    _check_counts(n, m, k, min_m=1)
+    needed = n - _clear_to(n, k, alpha)
+    if needed == 0:
+        return 0.0
+    p = prob_nontarget_batch_exact(n, k, m)
+    if p == 0.0:
+        raise ValueError("no batch can avoid target clients (m > n - k)")
+    return _expected_batches(_clearing_cdf(n - k, m, needed)) / p
+
+
 class MonteCarloResult(NamedTuple):
     mean: float
     stderr: float
@@ -135,10 +175,106 @@ def _clear_to(n: int, k: int, alpha: float) -> int:
     return clear_to
 
 
+def _check_work(steps: float) -> None:
+    if steps > MAX_MC_STEPS:
+        raise ValueError(
+            f"the Monte-Carlo run is expected to take at least {steps:.3g} draw steps, "
+            f"over the budget of {MAX_MC_STEPS:.0e}; use fewer trials"
+        )
+
+
+def _clearing_cdf(free: int, m: int, needed: int) -> np.ndarray:
+    """CDF table of the non-targets a target-free batch newly clears.
+
+    From s of the ``free`` non-targets cleared, a batch of m of them clears
+    J ~ Hypergeometric(free - s, s, m) new ones. Only whether J reaches
+    ``needed - s`` matters, so every count from there on is lumped at
+    needed - s: ``cdf[s, j]`` is P(J <= j) for j < needed - s and exactly 1.0
+    from there on. Rows cover s < needed, columns j <= min(m, needed).
+    """
+    width = min(m, needed) + 1
+    if needed * width > MAX_TABLE_ENTRIES:
+        raise ValueError(
+            f"the clearing table would hold {needed} x {width} = {needed * width} entries, "
+            f"over the limit of {MAX_TABLE_ENTRIES} (2**22)"
+        )
+    s = np.arange(needed)[:, None]
+    j = np.arange(width)
+    if m > needed:
+        # J >= m - s > needed - s: every target-free batch clears the rest.
+        return (j >= needed - s).astype(np.float64)
+    # Here m <= needed, so row s holds J's whole support [max(0, m-s), min(m, free-s)].
+    # Log-pmf up to a per-row constant: the cumulative log of the ratio
+    # P(j)/P(j-1) = (free-s-j+1)(m-j+1) / (j (s+j-m)), whose factors in t = s+j
+    # are one vector read through a sliding window.
+    t = np.arange(needed + width - 1, dtype=np.float64)
+    col = np.arange(1, width, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        by_t = np.where(t > m, np.log(np.maximum(free + 1 - t, 0.0)) - np.log(t - m), 0.0)
+    table = np.zeros((needed, width))
+    table[:, 1:] = np.lib.stride_tricks.sliding_window_view(by_t, width)[:, 1:]
+    table[:, 1:] += np.log(m + 1 - col) - np.log(col)
+    np.cumsum(table, axis=1, out=table)
+    table[j < m - s] = -np.inf  # below the support
+    table -= table.max(axis=1, keepdims=True)
+    np.exp(table, out=table)
+    np.cumsum(table, axis=1, out=table)
+    table /= table[:, -1:]
+    table[j >= needed - s] = 1.0
+    return table
+
+
+def _expected_batches(cdf: np.ndarray) -> float:
+    """Mean number of target-free batches to clear ``cdf.shape[0]`` non-targets."""
+    needed, width = cdf.shape
+    pmf = np.diff(cdf, axis=1, prepend=0.0)
+    batches = [0.0] * (needed + width)  # E[s] = 0 for s >= needed
+    for s in range(needed - 1, -1, -1):
+        stay, *moves = pmf[s].tolist()
+        batches[s] = (1.0 + sum(map(mul, moves, batches[s + 1 : s + width]))) / (1.0 - stay)
+    return batches[0]
+
+
+def _clear_counts(cdf: np.ndarray, seen: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``searchsorted(cdf[s], u, side="right")`` for each pair (s, u) of ``seen``, ``u``.
+
+    One branchless binary search over every row at once: each step halves
+    the span left to search in all rows, so no lookup leaves its own row.
+    """
+    width = cdf.shape[1]
+    flat = cdf.ravel()
+    start = seen * width
+    pos = start.copy()
+    span = width
+    while span > 1:
+        half = span // 2
+        pos += (flat[pos + half] <= u) * half
+        span -= half
+    pos += flat[pos] <= u
+    return pos - start
+
+
+def _sample_batches(cdf: np.ndarray, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """Target-free batches each trial takes to clear ``cdf.shape[0]`` non-targets."""
+    needed = cdf.shape[0]
+    batches = np.empty(trials, dtype=np.int64)
+    ids = np.arange(trials)
+    seen = np.zeros(trials, dtype=np.int64)
+    count = 0
+    while ids.size:
+        count += 1
+        seen += _clear_counts(cdf, seen, rng.random(ids.size))
+        done = seen >= needed
+        batches[ids[done]] = count
+        ids, seen = ids[~done], seen[~done]
+    return batches
+
+
 def _simulate_plain(n, m, k, k_n, trials, rng) -> np.ndarray:
     # Draw-level simulation: a new unseen target arrives after Geometric(r/n)
     # uniform draws when r remain, so total draws stack independent
-    # geometrics; m draws make one batch (fractional batches kept).
+    # geometrics; m draws make one batch (fractional batches kept). One
+    # scalar-p call per r is faster than one broadcast call over all r.
     draws = np.zeros(trials)
     for r in range(k, k - k_n, -1):
         draws += rng.geometric(r / n, size=trials)
@@ -146,9 +282,6 @@ def _simulate_plain(n, m, k, k_n, trials, rng) -> np.ndarray:
 
 
 def _simulate_encrypted(n, m, k, needed, trials, rng) -> np.ndarray:
-    rounds = np.zeros(trials)
-    if needed <= 0:
-        return rounds
     p = prob_nontarget_batch_exact(n, k, m)
     # At least ceil(needed/m) target-free rounds of mean 1/p rounds each; past
     # 2**53 rounds float64 counts are inexact and one wait can saturate int64.
@@ -158,14 +291,12 @@ def _simulate_encrypted(n, m, k, needed, trials, rng) -> np.ndarray:
             f"target-free batches are too rare to count rounds: at p={p:.3g} per round, "
             f"the {clean_rounds} needed are expected to take over 2**53 rounds"
         )
-    seen = np.zeros(trials, dtype=np.int64)
-    active = np.arange(trials)
-    while active.size:
-        rounds[active] += rng.geometric(p, size=active.size)
-        s = seen[active]
-        seen[active] = s + rng.hypergeometric(n - k - s, s, m)
-        active = active[seen[active] < needed]
-    return rounds
+    _check_work(trials * clean_rounds)  # a lower bound, checked before the O(needed * m) table
+    cdf = _clearing_cdf(n - k, m, needed)
+    _check_work(trials * _expected_batches(cdf))
+    batches = _sample_batches(cdf, trials, rng)
+    # The Geometric(p) waits of a trial's L target-free rounds sum to L + NB(L, p).
+    return batches + rng.negative_binomial(batches, p)
 
 
 def monte_carlo_rounds(
@@ -184,7 +315,9 @@ def monte_carlo_rounds(
     been drawn; ``encrypted`` counts whole rounds until enough distinct
     non-targets have appeared in target-free batches (requires ``alpha``);
     it raises ValueError when target-free batches are too rare for the
-    round counts to fit in 2**53.
+    round counts to fit in 2**53. Either mode raises ValueError, before its
+    first draw, when the run is expected to take over ``MAX_MC_STEPS`` draw
+    steps.
     """
     if trials < 100:
         raise ValueError("trials must be >= 100")
@@ -195,11 +328,15 @@ def monte_carlo_rounds(
     if mode == "plain":
         if k_n == 0:
             return MonteCarloResult(0.0, 0.0)
+        _check_work(k_n * trials)
         samples = _simulate_plain(n, m, k, k_n, trials, rng)
     else:
         if alpha is None:
             raise ValueError("encrypted mode requires alpha")
-        samples = _simulate_encrypted(n, m, k, n - _clear_to(n, k, alpha), trials, rng)
+        needed = n - _clear_to(n, k, alpha)
+        if needed == 0:
+            return MonteCarloResult(0.0, 0.0)
+        samples = _simulate_encrypted(n, m, k, needed, trials, rng)
     mean = float(samples.mean())
     stderr = float(samples.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return MonteCarloResult(mean, stderr)

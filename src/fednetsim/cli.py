@@ -12,6 +12,7 @@ from dataclasses import replace
 
 from fednetsim.analysis import (
     expected_rounds_encrypted,
+    expected_rounds_encrypted_exact,
     expected_rounds_plain,
     expected_rounds_plain_approx,
     monte_carlo_rounds,
@@ -111,13 +112,16 @@ def _cmd_analyze(args) -> int:
         approx = expected_rounds_plain_approx(args.n, args.m, args.k, args.kn)
         mc = monte_carlo_rounds(args.n, args.m, args.k, args.kn, "plain", args.mc_trials, args.seed)
         p = prob_nontarget_batch(args.n, args.k, args.m)
-        enc = mc_enc = None
+        enc = enc_exact = mc_enc = None
         if args.alpha is not None:
             enc = expected_rounds_encrypted(args.n, args.m, args.k, args.alpha)
+            # The Monte-Carlo's work budget refuses, quickly, inputs whose exact
+            # recursion would be long, so it runs first.
             mc_enc = monte_carlo_rounds(
                 args.n, args.m, args.k, args.kn, "encrypted", args.mc_trials, args.seed,
                 alpha=args.alpha,
             )
+            enc_exact = expected_rounds_encrypted_exact(args.n, args.m, args.k, args.alpha)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     print(f"plain rounds (harmonic):    {exact:.2f}")
@@ -126,6 +130,7 @@ def _cmd_analyze(args) -> int:
     print(f"non-target batch probability: {p:.4f}")
     if enc is not None:
         print(f"encrypted rounds (independent-draw estimate, alpha={args.alpha}): {enc:.2f}")
+        print(f"encrypted rounds (exact, m distinct, alpha={args.alpha}): {enc_exact:.2f}")
         print(
             f"encrypted rounds (monte carlo): {mc_enc.mean:.2f} +/- {mc_enc.stderr:.2f} "
             f"({args.mc_trials} trials)"

@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from fednetsim import analysis
 from fednetsim.analysis import (
     MC_GRID,
     expected_rounds_encrypted,
@@ -14,6 +16,7 @@ from fednetsim.analysis import (
     prob_nontarget_batch,
     prob_nontarget_batch_exact,
 )
+from fednetsim.seeding import spawn_rng
 
 # Encrypted points of the benchmark's Monte-Carlo grid, then k = 0 and alpha = 1.
 ENCRYPTED_POINTS = (
@@ -40,6 +43,36 @@ def expected_rounds_encrypted_exact(n, m, k, alpha):
         pj = [math.comb(pool - s, j) * math.comb(s, m - j) / math.comb(pool, m) for j in range(m + 1)]
         batches[s] = (1 + sum(pj[j] * batches[s + j] for j in range(1, m + 1))) / (1 - pj[0])
     return batches[0] / prob_nontarget_batch_exact(n, k, m)
+
+
+def clipped_pmf(free, m, needed, s):
+    """P(j new clears | s cleared) by ``math.comb``, counts from needed - s on lumped there."""
+    pmf = [math.comb(free - s, j) * math.comb(s, m - j) / math.comb(free, m) for j in range(m + 1)]
+    cut = needed - s
+    out = [pmf[j] if j < cut else 0.0 for j in range(min(m, needed) + 1)]
+    if cut <= min(m, needed):
+        out[cut] = sum(pmf[cut:])
+    return out
+
+
+def batches_pmf(cdf, up_to):
+    """P(L = t) for t < up_to: the target-free batches that clear every row of ``cdf``."""
+    needed = cdf.shape[0]
+    pmf = np.diff(cdf, axis=1, prepend=0.0)
+    state = np.zeros(needed)
+    state[0] = 1.0
+    out = [0.0]
+    for _ in range(1, up_to):
+        nxt = np.zeros(needed + cdf.shape[1])
+        for s in range(needed):
+            nxt[s : s + cdf.shape[1]] += state[s] * pmf[s]
+        out.append(nxt[needed:].sum())
+        state = nxt[:needed]
+    return np.array(out)
+
+
+# (free, m, needed): m below, at and above needed; table widths 2, 4, 6, 8, 11 and 13.
+TABLE_CASES = ((5, 1, 5), (10, 3, 10), (45, 10, 10), (85, 5, 70), (85, 10, 50), (20, 7, 20), (20, 15, 12))
 
 
 class TestHarmonic:
@@ -134,6 +167,25 @@ class TestExpectedRoundsEncrypted:
         with pytest.raises(ValueError):
             expected_rounds_encrypted(60, 10, 15, 0.2)  # k/alpha = 75 > 60
 
+    @pytest.mark.parametrize("n, m, k, alpha", ENCRYPTED_POINTS)
+    def test_exact_matches_oracle(self, n, m, k, alpha):
+        exact = analysis.expected_rounds_encrypted_exact(n, m, k, alpha)
+        oracle = expected_rounds_encrypted_exact(n, m, k, alpha)
+        assert abs(exact - oracle) <= 1e-12 * oracle
+
+    def test_exact_edges(self):
+        assert analysis.expected_rounds_encrypted_exact(30, 5, 15, 0.5) == 0.0  # nothing to clear
+        # clearing 10 of 25 non-targets with batches of 15: one target-free batch does it
+        p = prob_nontarget_batch_exact(30, 5, 15)
+        assert analysis.expected_rounds_encrypted_exact(30, 15, 5, 0.25) == 1 / p
+        with pytest.raises(ValueError, match="no batch can avoid"):
+            analysis.expected_rounds_encrypted_exact(10, 5, 6, 1.0)
+
+    def test_exact_refuses_oversized_table(self):
+        # 20000 rows x 1001 columns: past the 2**22-entry table limit
+        with pytest.raises(ValueError, match="20020000 entries"):
+            analysis.expected_rounds_encrypted_exact(20000, 1000, 0, 1.0)
+
     def test_not_an_upper_bound_when_m_nears_n_minus_k(self):
         # the independent-draw p = 3.2e-6 overstates the exact 3.0e-13, so the
         # estimate is below even the mean wait for one target-free batch
@@ -189,3 +241,77 @@ class TestMonteCarlo:
         a = monte_carlo_rounds(30, 5, 5, 5, "plain", 500, seed=3)
         b = monte_carlo_rounds(30, 5, 5, 5, "plain", 500, seed=3)
         assert a == b
+
+    def test_encrypted_deterministic(self):
+        a = monte_carlo_rounds(60, 10, 15, 0, "encrypted", 500, seed=3, alpha=0.3)
+        b = monte_carlo_rounds(60, 10, 15, 0, "encrypted", 500, seed=3, alpha=0.3)
+        assert a == b
+
+    def test_plain_values_pinned(self):
+        # Recorded at the commit before the encrypted sampler changed; plain draws must not move.
+        pinned = {
+            (30, 5, 5, 1): (1.22366, 0.011109741809615001),
+            (60, 5, 5, 5): (27.653919999999996, 0.14345360489383213),
+            (100, 10, 15, 15): (33.279540000000004, 0.1248341086975408),
+        }
+        for point, (mean, stderr) in pinned.items():
+            assert point in MC_GRID
+            res = monte_carlo_rounds(*point, "plain", 10000, seed=42)
+            assert res.mean == mean and res.stderr == stderr, point
+
+    def test_work_budget_refuses_before_drawing(self):
+        with pytest.raises(ValueError, match="1e\\+09 draw steps"):
+            monte_carlo_rounds(200000, 1, 100000, 100000, "plain", 10000, seed=0)
+        # 100 trials pass the lower bound of 20000 batches each, not E[L] = 20000 H_20000
+        with pytest.raises(ValueError, match="2.1e\\+07 draw steps"):
+            monte_carlo_rounds(20000, 1, 0, 0, "encrypted", 100, seed=0, alpha=1.0)
+        with pytest.raises(ValueError, match="2e\\+07 draw steps"):
+            monte_carlo_rounds(200000, 1, 0, 0, "encrypted", 100, seed=0, alpha=1.0)
+
+
+class TestEncryptedSampler:
+    @pytest.mark.parametrize("free, m, needed", TABLE_CASES)
+    def test_table_rows_are_clipped_cdfs(self, free, m, needed):
+        cdf = analysis._clearing_cdf(free, m, needed)
+        assert cdf.shape == (needed, min(m, needed) + 1)
+        assert np.all(np.diff(cdf, axis=1) >= 0)
+        assert np.all(cdf[:, -1] == 1.0)
+        for s in range(needed):
+            assert np.all(cdf[s, : min(max(0, m - s), needed - s)] == 0.0), s
+            pmf = np.diff(cdf[s], prepend=0.0)
+            assert np.allclose(pmf, clipped_pmf(free, m, needed, s), rtol=0, atol=1e-12), s
+
+    @pytest.mark.parametrize("free, m, needed", TABLE_CASES)
+    def test_lookup_edges_follow_searchsorted_right(self, free, m, needed):
+        cdf = analysis._clearing_cdf(free, m, needed)
+        seen = np.concatenate([np.arange(needed), np.indices(cdf.shape)[0].ravel()])
+        u = np.concatenate([np.zeros(needed), cdf.ravel()])
+        u[u == 1.0] = np.nextafter(1.0, 0.0)  # uniforms lie in [0, 1)
+        want = [np.searchsorted(cdf[s], x, side="right") for s, x in zip(seen, u)]
+        assert analysis._clear_counts(cdf, seen, u).tolist() == want
+
+    def test_batch_count_distribution(self):
+        # n=12, m=3, k=2, alpha=1: clear all 10 non-targets, 3 at a time
+        cdf = analysis._clearing_cdf(10, 3, 10)
+        exact = batches_pmf(cdf, 200)
+        assert abs(exact.sum() - 1.0) < 1e-12
+        assert abs(exact @ np.arange(200) - analysis._expected_batches(cdf)) < 1e-9
+        trials = 20000
+        batches = analysis._sample_batches(cdf, trials, np.random.default_rng(7))
+        observed = np.bincount(batches, minlength=200)
+        # bins with at least 5 expected draws; the tail merged into the last
+        expected = exact * trials
+        keep = np.flatnonzero(expected >= 5)
+        first, last = keep[0], keep[-1]
+        obs = np.concatenate([[observed[:first + 1].sum()], observed[first + 1 : last], [observed[last:].sum()]])
+        exp = np.concatenate([[expected[:first + 1].sum()], expected[first + 1 : last], [expected[last:].sum()]])
+        chi2 = float(((obs - exp) ** 2 / exp).sum())
+        df = len(obs) - 1
+        assert chi2 < df + 6 * math.sqrt(2 * df), (chi2, df)
+
+    def test_no_targets_gives_whole_rounds(self):
+        # k = 0: every batch is target-free (p = 1), so rounds are the batch counts
+        cdf = analysis._clearing_cdf(30, 5, 30)
+        rounds = analysis._simulate_encrypted(30, 5, 0, 30, 1000, spawn_rng(4, 6))
+        batches = analysis._sample_batches(cdf, 1000, spawn_rng(4, 6))
+        assert np.array_equal(rounds, batches)

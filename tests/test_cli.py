@@ -222,6 +222,7 @@ class TestAnalyze:
         assert "monte carlo" in out
         assert "non-target batch probability" in out
         assert "encrypted rounds (independent-draw estimate, alpha=0.3)" in out
+        assert "encrypted rounds (exact, m distinct, alpha=0.3): 23.63" in out
 
     def test_invalid_inputs_exit_one(self, capsys):
         rc = main(["analyze", "--n", "60", "--m", "10", "--k", "15", "--kn", "20"])
@@ -255,6 +256,27 @@ class TestAnalyze:
         )
         assert proc.returncode == 1
         assert "p=" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "n, m, k, kn, extra, figure",
+        [
+            # 100 trials of at least 200000 one-client target-free batches
+            (200000, 1, 0, 0, ["--alpha", "1", "--mc-trials", "100"], "2e+07 draw steps"),
+            # 10000 trials of 100000 geometric draws
+            (200000, 1, 100000, 100000, [], "1e+09 draw steps"),
+            # a 20000 x 1001 clearing table
+            (20000, 1000, 0, 0, ["--alpha", "1", "--mc-trials", "100"], "20020000 entries"),
+        ],
+    )
+    def test_oversized_runs_exit_one_quickly(self, n, m, k, kn, extra, figure):
+        proc = run_cli(
+            "analyze", "--n", str(n), "--m", str(m), "--k", str(k), "--kn", str(kn), *extra,
+            timeout=5,
+        )
+        assert proc.returncode == 1
+        assert "configuration error" in proc.stderr
+        assert figure in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestSweepCommand:
