@@ -21,21 +21,29 @@ times into coupon-collector quantities:
 the stopping times directly so the formulas can be cross-checked by
 simulation.
 
+The plain simulation adds, per trial, the Geometric(r/n) draws each of the
+k_n targets takes to arrive. Its waits come from a vectorized sampler that
+reproduces numpy's own ``Generator.geometric``, draw for draw and in the
+generator's state afterwards, for the installed numpy; a property test
+guards that.
+
 The encrypted side also has an exact form for true m-distinct-of-n batches.
 A target-free batch, a uniform m-subset of the n - k non-targets, newly
 clears Hypergeometric(n-k-s, s, m) of them when s are already cleared. One
 table holds that law's CDF for every s short of the goal, and both the
 exact mean (``expected_rounds_encrypted_exact``, a backward recursion over
-s) and the encrypted simulation read it. The simulation draws one uniform
-per active trial per target-free batch and looks it up in the trial's row;
-once it has each trial's batch count L, it draws the L Geometric(p) waits
-between target-free rounds at once as L + NegativeBinomial(L, p), with p
-the exact target-free probability. Two limits bound the cost up front: a
-table over ``MAX_TABLE_ENTRIES`` entries is refused before it is built, and
-a Monte-Carlo run expected to take over ``MAX_MC_STEPS`` draw steps is
-refused before its first draw.
+s) and the encrypted simulation read it; the table and its mean are cached
+for the last inputs, so a call of each on the same inputs builds them once.
+The simulation draws one uniform per active trial per target-free batch
+and looks it up in the trial's row; once it has each trial's batch count
+L, it draws the L Geometric(p) waits between target-free rounds at once as
+L + NegativeBinomial(L, p), with p the exact target-free probability.
+Two limits bound the cost up front: a table over ``MAX_TABLE_ENTRIES``
+entries is refused before it is built, and a Monte-Carlo run expected to
+take over ``MAX_MC_STEPS`` draw steps is refused before its first draw.
 """
 
+import functools
 import math
 from operator import mul
 from typing import NamedTuple
@@ -146,7 +154,7 @@ def expected_rounds_encrypted_exact(n: int, m: int, k: int, alpha: float) -> flo
     p = prob_nontarget_batch_exact(n, k, m)
     if p == 0.0:
         raise ValueError("no batch can avoid target clients (m > n - k)")
-    return _expected_batches(_clearing_cdf(n - k, m, needed)) / p
+    return _clearing(n - k, m, needed)[1] / p
 
 
 class MonteCarloResult(NamedTuple):
@@ -224,6 +232,20 @@ def _clearing_cdf(free: int, m: int, needed: int) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=1)
+def _clearing(free: int, m: int, needed: int) -> tuple[np.ndarray, float]:
+    """The read-only clearing table and its mean batch count.
+
+    Cached for the last (free, m, needed), so that ``analyze``'s
+    Monte-Carlo and exact mean share one build of a table that can take
+    half a second; the table, up to ``MAX_TABLE_ENTRIES`` floats, stays
+    held until a call with other inputs.
+    """
+    cdf = _clearing_cdf(free, m, needed)
+    cdf.flags.writeable = False
+    return cdf, _expected_batches(cdf)
+
+
 def _expected_batches(cdf: np.ndarray) -> float:
     """Mean number of target-free batches to clear ``cdf.shape[0]`` non-targets."""
     needed, width = cdf.shape
@@ -270,14 +292,58 @@ def _sample_batches(cdf: np.ndarray, trials: int, rng: np.random.Generator) -> n
     return batches
 
 
+# Geometric draws by numpy's rule: inversion below this p, search from it on.
+_SEARCH_FROM_P = 1 / 3
+# The float64 value of INT64_MAX, numpy's cap on an inverted wait.
+_WAIT_CAP = 2.0**63
+
+
+def _search_sums(p: float) -> np.ndarray:
+    """Partial sums p, p + pq, ... added as numpy's search adds them, while they grow.
+
+    numpy's walk never ends for a uniform above the last of them.
+    """
+    q = 1.0 - p
+    total = prod = p
+    sums = [total]
+    while True:
+        prod *= q
+        if total + prod == total:
+            return np.array(sums)
+        total += prod
+        sums.append(total)
+
+
+def _geometric(p: float, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``rng.geometric(p, size)`` as float64, from the same draws of ``rng``.
+
+    numpy draws one wait at a time in C: below p = 1/3 by inversion,
+    ``ceil(-E / log1p(-p))`` of one standard exponential E, capped at
+    INT64_MAX; from there on by one uniform U and a walk up the partial sums
+    of the pmf until one reaches U. Both are done here over a whole array,
+    with the same arithmetic, so the values and the generator's state after
+    the call are equal to numpy's (the float64 of INT64_MAX is 2**63).
+    """
+    if p < _SEARCH_FROM_P:
+        waits = rng.standard_exponential(size)
+        with np.errstate(over="ignore"):  # p near 0: inf, capped below as numpy caps it
+            waits /= -math.log1p(-p)
+        np.ceil(waits, out=waits)
+        return np.minimum(waits, _WAIT_CAP, out=waits)
+    steps = np.searchsorted(_search_sums(p), rng.random(size), side="left")
+    return np.add(steps, 1.0)
+
+
 def _simulate_plain(n, m, k, k_n, trials, rng) -> np.ndarray:
     # Draw-level simulation: a new unseen target arrives after Geometric(r/n)
     # uniform draws when r remain, so total draws stack independent
-    # geometrics; m draws make one batch (fractional batches kept). One
-    # scalar-p call per r is faster than one broadcast call over all r.
+    # geometrics; m draws make one batch (fractional batches kept). The
+    # waits are Generator.geometric's, drawn in vectorized form by _geometric,
+    # one trials-sized array per r: one (k_n, trials) block costs memory and
+    # gains no speed.
     draws = np.zeros(trials)
     for r in range(k, k - k_n, -1):
-        draws += rng.geometric(r / n, size=trials)
+        draws += _geometric(r / n, trials, rng)
     return draws / m
 
 
@@ -292,8 +358,8 @@ def _simulate_encrypted(n, m, k, needed, trials, rng) -> np.ndarray:
             f"the {clean_rounds} needed are expected to take over 2**53 rounds"
         )
     _check_work(trials * clean_rounds)  # a lower bound, checked before the O(needed * m) table
-    cdf = _clearing_cdf(n - k, m, needed)
-    _check_work(trials * _expected_batches(cdf))
+    cdf, mean_batches = _clearing(n - k, m, needed)
+    _check_work(trials * mean_batches)
     batches = _sample_batches(cdf, trials, rng)
     # The Geometric(p) waits of a trial's L target-free rounds sum to L + NB(L, p).
     return batches + rng.negative_binomial(batches, p)

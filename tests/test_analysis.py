@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fednetsim import analysis
 from fednetsim.analysis import (
@@ -248,14 +250,36 @@ class TestMonteCarlo:
         assert a == b
 
     def test_plain_values_pinned(self):
-        # Recorded at the commit before the encrypted sampler changed; plain draws must not move.
+        # Every MC_GRID point, recorded before plain waits were drawn by _geometric
+        # instead of Generator.geometric; n=30, k=15 points take the search branch.
         pinned = {
             (30, 5, 5, 1): (1.22366, 0.011109741809615001),
+            (30, 5, 5, 5): (13.8273, 0.07074735888977755),
+            (30, 5, 15, 1): (0.39864000000000005, 0.00278808041118579),
+            (30, 5, 15, 15): (19.950740000000003, 0.07278633615118314),
+            (30, 10, 5, 1): (0.61183, 0.005554870904807501),
+            (30, 10, 5, 5): (6.91365, 0.03537367944488878),
+            (30, 10, 15, 1): (0.19932000000000002, 0.001394040205592895),
+            (30, 10, 15, 15): (9.975370000000002, 0.03639316807559157),
+            (60, 5, 5, 1): (2.4488800000000004, 0.023318581650370988),
             (60, 5, 5, 5): (27.653919999999996, 0.14345360489383213),
+            (60, 5, 15, 1): (0.8145, 0.007029104909701033),
+            (60, 5, 15, 15): (39.929359999999996, 0.14868378420597378),
+            (60, 10, 5, 1): (1.2244400000000002, 0.011659290825185494),
+            (60, 10, 5, 5): (13.826959999999998, 0.07172680244691607),
+            (60, 10, 15, 1): (0.40725, 0.0035145524548505164),
+            (60, 10, 15, 15): (19.964679999999998, 0.07434189210298689),
+            (100, 5, 5, 1): (4.082839999999999, 0.03955437533700703),
+            (100, 5, 5, 5): (46.09812, 0.2403447012191041),
+            (100, 5, 15, 1): (1.3595400000000002, 0.012471770257077963),
+            (100, 5, 15, 15): (66.55908000000001, 0.2496682173950816),
+            (100, 10, 5, 1): (2.0414199999999996, 0.019777187668503515),
+            (100, 10, 5, 5): (23.04906, 0.12017235060955204),
+            (100, 10, 15, 1): (0.6797700000000001, 0.006235885128538982),
             (100, 10, 15, 15): (33.279540000000004, 0.1248341086975408),
         }
+        assert set(pinned) == set(MC_GRID)
         for point, (mean, stderr) in pinned.items():
-            assert point in MC_GRID
             res = monte_carlo_rounds(*point, "plain", 10000, seed=42)
             assert res.mean == mean and res.stderr == stderr, point
 
@@ -267,6 +291,86 @@ class TestMonteCarlo:
             monte_carlo_rounds(20000, 1, 0, 0, "encrypted", 100, seed=0, alpha=1.0)
         with pytest.raises(ValueError, match="2e\\+07 draw steps"):
             monte_carlo_rounds(200000, 1, 0, 0, "encrypted", 100, seed=0, alpha=1.0)
+
+
+# p at the edges of numpy's two geometric branches (inversion below 1/3, search
+# from it on), with 10/30 the search-branch p nearest the edge in MC_GRID.
+GEOMETRIC_EDGES = (1e-12, float(np.nextafter(1 / 3, 0.0)), 10 / 30, 1.0)
+
+
+def numpy_geometric(p, draw):
+    """One wait of numpy's ``random_geometric`` from its draw, transcribed from the C loop."""
+    if p >= 1 / 3:
+        wait, total, prod = 1, p, p
+        while draw > total:
+            prod *= 1.0 - p
+            total += prod
+            wait += 1
+        return wait
+    z = math.ceil(-draw / math.log1p(-p))
+    return 2**63 - 1 if z >= 9.223372036854776e18 else z
+
+
+class GivenDraws:
+    """Stands in for a Generator whose uniforms and exponentials are ``draws``."""
+
+    def __init__(self, draws):
+        self.draws = np.array(draws, dtype=np.float64)
+
+    def random(self, size):
+        assert size == self.draws.size
+        return self.draws.copy()
+
+    standard_exponential = random
+
+
+class TestGeometricSampler:
+    """``analysis._geometric`` against ``Generator.geometric``, draw for draw.
+
+    The sampler returns float64. Every value numpy returns is the int64 of
+    an integral float64, or INT64_MAX, whose float64 is 2**63 and above
+    every such float, so comparing as float64 loses nothing.
+    """
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        p=st.floats(0.0, 1.0, exclude_min=True) | st.sampled_from(GEOMETRIC_EDGES),
+        size=st.integers(0, 300) | st.sampled_from((0, 1, 10**5)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(p=5e-324, size=10, seed=0)  # every wait capped at INT64_MAX
+    @example(p=1e-12, size=10**5, seed=1)
+    @example(p=float(np.nextafter(1 / 3, 0.0)), size=10**5, seed=2)
+    @example(p=10 / 30, size=10**5, seed=3)
+    @example(p=1.0, size=10**5, seed=4)
+    @example(p=0.5, size=0, seed=5)
+    @example(p=0.5, size=1, seed=6)
+    def test_matches_generator_geometric(self, p, size, seed):
+        reference = np.random.default_rng(seed)
+        sampler = np.random.default_rng(seed)
+        want = reference.geometric(p, size)
+        got = analysis._geometric(p, size, sampler)
+        assert got.dtype == np.float64 and got.shape == (size,)
+        assert np.array_equal(got, want.astype(np.float64))
+        assert sampler.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("p", (10 / 30, 0.5, 0.9))
+    def test_uniform_on_a_partial_sum(self, p):
+        # a uniform equal to a partial sum stops there, as numpy's `while (U > sum)`
+        sums = analysis._search_sums(p)
+        draws = np.concatenate([sums, np.nextafter(sums, 0.0), np.nextafter(sums, 1.0)])
+        draws = draws[draws <= sums[-1]]
+        got = analysis._geometric(p, draws.size, GivenDraws(draws))
+        assert got.tolist() == [numpy_geometric(p, u) for u in draws]
+
+    @pytest.mark.parametrize("p", (1e-12, 0.01, 0.1, 0.3))
+    def test_exponential_on_a_whole_wait(self, p):
+        # E / -log1p(-p) near an integer: rounded as numpy's division rounds it
+        rate = -math.log1p(-p)
+        near = np.arange(1, 200) * rate
+        draws = np.concatenate([near, np.nextafter(near, 0.0), np.nextafter(near, np.inf)])
+        got = analysis._geometric(p, draws.size, GivenDraws(draws))
+        assert got.tolist() == [numpy_geometric(p, e) for e in draws]
 
 
 class TestEncryptedSampler:

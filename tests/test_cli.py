@@ -10,6 +10,7 @@ import sys
 import pytest
 import yaml
 
+from fednetsim import analysis
 from fednetsim.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -223,6 +224,20 @@ class TestAnalyze:
         assert "non-target batch probability" in out
         assert "encrypted rounds (independent-draw estimate, alpha=0.3)" in out
         assert "encrypted rounds (exact, m distinct, alpha=0.3): 23.63" in out
+
+    def test_clearing_table_built_once(self, capsys, monkeypatch):
+        # the Monte-Carlo and the exact mean share one table and one recursion
+        builds = []
+        build = analysis._clearing_cdf
+        monkeypatch.setattr(analysis, "_clearing_cdf", lambda *a: builds.append(a) or build(*a))
+        analysis._clearing.cache_clear()
+        rc = main([
+            "analyze", "--n", "60", "--m", "10", "--k", "15", "--kn", "15",
+            "--alpha", "0.3", "--mc-trials", "100",
+        ])
+        assert rc == 0
+        assert builds == [(45, 10, 10)]
+        assert "encrypted rounds (exact, m distinct, alpha=0.3): 23.63" in capsys.readouterr().out
 
     def test_invalid_inputs_exit_one(self, capsys):
         rc = main(["analyze", "--n", "60", "--m", "10", "--k", "15", "--kn", "20"])
