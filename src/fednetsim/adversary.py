@@ -24,7 +24,7 @@ import numpy as np
 from fednetsim.config import AttackConfig
 from fednetsim.datasets import ExampleSet
 from fednetsim.models import ModelSpec, forward_eval, mean_losses
-from fednetsim.protocol import LocalUpdate, RoundTrace, weighted_sample_without_replacement
+from fednetsim.protocol import LocalModels, LocalUpdate, RoundTrace, weighted_sample_without_replacement
 from fednetsim.seeding import spawn_rng
 
 
@@ -102,14 +102,20 @@ def record_round(
 
     With models, each participant j in ``models`` is credited separately
     with ``loss(global_before) - loss(models[j])`` on the target set; all
-    these losses come from one stacked forward pass.
+    these losses come from one stacked forward pass. ``LocalModels`` are
+    read with ``read_together``, so the updates this read trains are
+    trained together too.
     Without, the single global difference
     ``loss(global_before) - loss(global_after)`` is credited to every
     participant, or only to those in ``visible`` when a visible set is given.
     """
     if models is not None:
         credited = [j for j in sorted(models) if j in trace.participants]
-        stack = np.stack([trace.global_before, *(models[j] for j in credited)])
+        if isinstance(models, LocalModels):
+            local = models.read_together(credited)
+        else:
+            local = [models[j] for j in credited]
+        stack = np.stack([trace.global_before, *local])
         loss_before, *local_losses = mean_losses(stack, spec, target_set)
         for j, loss_local in zip(credited, local_losses):
             ledger.record(j, loss_before - loss_local)

@@ -6,8 +6,15 @@ local updates are parameter-vector deltas, aggregation averages them, and
 clipping bounds their norm. Evaluation sorts per-example losses before
 summing so reported means are exactly invariant to batch order, and a
 ``(K, P)`` stack of parameter vectors is evaluated in one forward pass.
+
+Local SGD has one kernel, over a stack of K models: ``local_train_stack``
+trains K clients from the same global model in one pass of numpy calls
+per step, and ``local_train`` is its K=1 case. Every product is one BLAS
+call per model, so each row of a stack is bit-equal to training that
+client alone.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -102,13 +109,17 @@ def _check_batch(spec: ModelSpec, batch: ExampleSet, context: str):
         raise ValueError("labels out of range for class_count")
 
 
-def _forward(layers, activation: str, x: np.ndarray):
-    """Logits plus the input of every layer (x, then each hidden activation)."""
+def _forward(layers, activation: str, x: np.ndarray, buffers=None):
+    """Logits plus the input of every layer (x, then each hidden activation).
+
+    ``buffers``, if given, is ``_hidden_buffers`` output, and each hidden
+    activation is written into its layer's first buffer.
+    """
     h = x
     inputs = []
-    for w, b in layers[:-1]:
+    for i, (w, b) in enumerate(layers[:-1]):
         inputs.append(h)
-        h = h @ w
+        h = np.matmul(h, w, out=None if buffers is None else buffers[i][0])
         h += b
         if activation == "relu":
             np.maximum(h, 0.0, out=h)
@@ -121,35 +132,56 @@ def _forward(layers, activation: str, x: np.ndarray):
     return logits, inputs
 
 
-def _backprop(layers, grads, activation: str, x: np.ndarray, y: np.ndarray):
-    """Write the gradient of the mean cross-entropy over (x, y) into ``grads``.
+def _hidden_buffers(spec: ModelSpec, k: int, rows: int) -> list[tuple[np.ndarray, ...]]:
+    """Per hidden layer, ``(k, rows, width)`` buffers for one SGD step.
 
-    ``layers`` and ``grads`` are (weight, bias) views of the parameter and
-    gradient vectors; inputs are not validated.
+    They hold the activation, the backpropagated error and the activation's
+    derivative (a relu mask or ``1 - tanh^2``). Training allocates them once
+    per call and reuses them every step, so a step allocates no array of
+    this size, whose fresh pages can fault on every step.
     """
-    dz, inputs = _forward(layers, activation, x)
-    n = len(y)
+    aux = bool if spec.activation == "relu" else np.float64
+    return [
+        (np.empty((k, rows, h)), np.empty((k, rows, h)), np.empty((k, rows, h), aux))
+        for h in spec.hidden_dims
+    ]
 
-    # softmax(logits) - onehot(y), over n, computed in place
-    dz -= dz.max(axis=1, keepdims=True)
+
+def _backprop(layers, grads, activation: str, x: np.ndarray, y: np.ndarray, buffers):
+    """Write each model's gradient of the mean cross-entropy over its (x, y) into ``grads``.
+
+    ``layers`` and ``grads`` are stacked (weight, bias) views of ``(K, P)``
+    parameter and gradient stacks, ``x`` is ``(K, rows, input_dim)``, ``y``
+    is ``(K, rows)`` and ``buffers`` comes from ``_hidden_buffers``; inputs
+    are not validated. Each product is one BLAS call per model, so every
+    model's gradient equals its one-model (K=1) result bit for bit.
+    """
+    dz, inputs = _forward(layers, activation, x, buffers)
+    k, rows, classes = dz.shape
+
+    # softmax(logits) - onehot(y), over rows, computed in place
+    dz -= dz.max(axis=-1, keepdims=True)
     np.exp(dz, out=dz)
-    dz /= dz.sum(axis=1, keepdims=True)
-    dz[np.arange(n), y] -= 1.0
-    dz /= n
+    dz /= dz.sum(axis=-1, keepdims=True)
+    dz.reshape(-1)[np.arange(k * rows) * classes + y.ravel()] -= 1.0
+    dz /= rows
 
     for i in range(len(layers) - 1, -1, -1):
         h_in = inputs[i]
         gw, gb = grads[i]
-        np.matmul(h_in.T, dz, out=gw)
-        np.add.reduce(dz, axis=0, out=gb)
+        np.matmul(h_in.swapaxes(-1, -2), dz, out=gw)
+        np.add.reduce(dz, axis=-2, keepdims=True, out=gb)
         if i > 0:
-            dz = dz @ layers[i][0].T
+            _, error, aux = buffers[i - 1]
+            dz = np.matmul(dz, layers[i][0].swapaxes(-1, -2), out=error)
             # h_in is the previous layer's activation output: relu(z) > 0
             # exactly where z > 0, and tanh'(z) = 1 - tanh(z)^2.
             if activation == "relu":
-                dz *= h_in > 0
+                np.greater(h_in, 0.0, out=aux)
             else:
-                dz *= 1.0 - h_in**2
+                np.square(h_in, out=aux)
+                np.subtract(1.0, aux, out=aux)
+            dz *= aux
 
 
 def _per_example_losses(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -218,10 +250,17 @@ def mean_losses(params: np.ndarray, spec: ModelSpec, batch: ExampleSet) -> np.nd
 def loss_gradient(params: np.ndarray, spec: ModelSpec, batch: ExampleSet) -> np.ndarray:
     """Gradient of the mean cross-entropy over the batch, as a flat vector."""
     _check_batch(spec, batch, "gradient batch")
-    layers = _layer_views(params, spec)
-    grad = np.empty(params.shape)
-    _backprop(layers, _layer_views(grad, spec), spec.activation, batch.x, batch.y)
-    return grad
+    stack = params[None, :]
+    grad = np.empty(stack.shape)
+    _backprop(
+        _layer_views(stack, spec, stacked=True),
+        _layer_views(grad, spec, stacked=True),
+        spec.activation,
+        batch.x[None],
+        batch.y[None],
+        _hidden_buffers(spec, 1, len(batch)),
+    )
+    return grad[0]
 
 
 def local_train(
@@ -239,28 +278,60 @@ def local_train(
     epoch. The per-epoch shuffle order is fixed by the seed, so the result
     is bit-reproducible. Each step is ``theta -= lr * loss_gradient(...)`` on
     the next slice of the epoch's permutation; the shard and parameters are
-    validated once, before the first step.
+    validated once, before the first step. This is ``local_train_stack``
+    with one shard.
+    """
+    return local_train_stack(global_params, spec, [shard], epochs, lr, batch_size, [seed])[0]
+
+
+def local_train_stack(
+    global_params: np.ndarray,
+    spec: ModelSpec,
+    shards: Sequence[ExampleSet],
+    epochs: int,
+    lr: float,
+    batch_size: int | None,
+    seeds: Sequence[int],
+) -> np.ndarray:
+    """``(K, P)`` deltas, row k equal to ``local_train(..., shards[k], ..., seeds[k])`` bit for bit.
+
+    The K clients start from the same global model and their shards have
+    one length, so every step runs all K models through one pass of numpy
+    calls; each model keeps its own shuffle stream, keyed by its seed.
     """
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
     if lr <= 0:
         raise ValueError("learning rate must be > 0")
+    k = len(shards)
+    if len(seeds) != k:
+        raise ValueError(f"{len(seeds)} seeds for {k} shards")
     if epochs == 0:
-        return np.zeros_like(global_params)
-    _check_batch(spec, shard, "local dataset")
+        return np.zeros((k, *global_params.shape))
+    for shard in shards:
+        _check_batch(spec, shard, "local dataset")
+    n = len(shards[0])
+    if any(len(shard) != n for shard in shards):
+        raise ValueError("the shards of one stack must have equal length")
 
-    theta = global_params.copy()
-    layers = _layer_views(theta, spec)
+    theta = np.tile(global_params, (k, 1))
+    layers = _layer_views(theta, spec, stacked=True)
     grad = np.empty_like(theta)
-    grads = _layer_views(grad, spec)
-    rng = spawn_rng(seed, 4)
-    n = len(shard)
+    grads = _layer_views(grad, spec, stacked=True)
+    rngs = [spawn_rng(seed, 4) for seed in seeds]
+    # every shard's rows, end to end, so one take per epoch shuffles them all
+    x = np.concatenate([shard.x for shard in shards])
+    y = np.concatenate([shard.y for shard in shards])
+    first_row = np.arange(0, k * n, n)[:, None]
     step = n if batch_size is None or batch_size <= 0 else min(batch_size, n)
+    buffers = {rows: _hidden_buffers(spec, k, rows) for rows in {step, n % step} if rows}
     for _ in range(epochs):
-        order = rng.permutation(n)
-        xs, ys = shard.x[order], shard.y[order]
+        order = np.stack([rng.permutation(n) for rng in rngs]) + first_row
+        xs = np.take(x, order, axis=0)
+        ys = np.take(y, order)
         for start in range(0, n, step):
-            _backprop(layers, grads, spec.activation, xs[start : start + step], ys[start : start + step])
+            yb = ys[:, start : start + step]
+            _backprop(layers, grads, spec.activation, xs[:, start : start + step], yb, buffers[yb.shape[1]])
             grad *= lr
             theta -= grad
     return theta - global_params

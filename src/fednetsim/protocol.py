@@ -15,7 +15,11 @@ An update is computed only when it is aggregated or observed: a dropped
 update that no observer reads is never trained, and the poison hook is
 never called for it. Hooks must therefore be pure functions of their
 arguments; when, and whether, one is called for a dropped client is not
-part of the contract.
+part of the contract. After the filter runs, a round's pending received
+updates train together as one stack per shard length
+(``models.local_train_stack``), and so do the dropped ones an observer
+reads through ``LocalModels.read_together``; each row is bit-equal to
+training that client alone.
 """
 
 from collections.abc import Mapping
@@ -27,7 +31,7 @@ import numpy as np
 
 from fednetsim.config import DENOMINATOR_MODES, ProtocolConfig
 from fednetsim.datasets import ExampleSet
-from fednetsim.models import ModelSpec, forward_eval, init_model, local_train
+from fednetsim.models import ModelSpec, forward_eval, init_model, local_train, local_train_stack
 from fednetsim.seeding import TAG_INIT, TAG_SELECT, TAG_TRAIN, spawn_rng, spawn_seed
 
 
@@ -55,6 +59,11 @@ class LocalUpdate:
         self._train = train
 
     @property
+    def pending(self) -> bool:
+        """Whether reading ``delta`` would still run the training."""
+        return self._delta is None
+
+    @property
     def delta(self) -> np.ndarray:
         if self._delta is None:
             self._delta = self._train()
@@ -62,7 +71,7 @@ class LocalUpdate:
         return self._delta
 
     def __repr__(self) -> str:
-        state = "computed" if self._delta is not None else "pending"
+        state = "pending" if self.pending else "computed"
         return f"LocalUpdate(client_id={self.client_id}, {state})"
 
 
@@ -83,12 +92,20 @@ class LocalModels(Mapping):
     """Read-only client id -> local model ``global_before + delta``.
 
     A model is computed on each access, so reading a dropped client's model
-    is what trains its update.
+    is what trains its update. ``read_together`` reads many models at
+    once: it first hands the ids of the pending updates among them to
+    ``train_together``, which trains them in one go.
     """
 
-    def __init__(self, global_before: np.ndarray, updates: Iterable[LocalUpdate]):
+    def __init__(
+        self,
+        global_before: np.ndarray,
+        updates: Iterable[LocalUpdate],
+        train_together: Callable[[list[int]], None],
+    ):
         self._global_before = global_before
         self._updates = {u.client_id: u for u in updates}
+        self._train_together = train_together
 
     def __getitem__(self, client_id: int) -> np.ndarray:
         return self._global_before + self._updates[client_id].delta
@@ -98,6 +115,11 @@ class LocalModels(Mapping):
 
     def __len__(self) -> int:
         return len(self._updates)
+
+    def read_together(self, client_ids: Sequence[int]) -> list[np.ndarray]:
+        """The models of ``client_ids``, in order, their pending updates trained together."""
+        self._train_together([j for j in client_ids if self._updates[j].pending])
+        return [self[j] for j in client_ids]
 
 
 @dataclass(frozen=True)
@@ -228,21 +250,52 @@ ResampleHook = Callable[[int, int], np.ndarray | None]
 Observer = Callable[[RoundTrace], None]
 
 
-def _client_delta(
-    cfg: ProtocolConfig,
-    spec: ModelSpec,
-    shard: ExampleSet,
-    poison_hook: PoisonHook | None,
-    f: np.ndarray,
-    seed: int,
-    t: int,
-    j: int,
-) -> np.ndarray:
-    """Client j's round-t delta from global model f: local SGD, then the poison hook's replacement."""
-    train_seed = spawn_seed(seed, TAG_TRAIN, t, j)
-    delta = local_train(f, spec, shard, cfg.local_epochs, cfg.local_lr, cfg.batch_size, train_seed)
-    poisoned = poison_hook(t, j, delta) if poison_hook is not None else None
-    return delta if poisoned is None else poisoned
+@dataclass
+class _RoundTraining:
+    """Round t's local training from global model f, poison hook applied, each client once.
+
+    ``delta(j)`` trains client j alone unless it is trained already;
+    ``train_together(ids)`` trains the listed clients, none of them trained
+    yet, as ``local_train_stack`` stacks, one per shard length. Client j's
+    SGD stream is keyed on (seed, t, j) either way, so its delta is the
+    same bits however it was trained.
+    """
+
+    cfg: ProtocolConfig
+    spec: ModelSpec
+    shards: Sequence[ExampleSet]
+    poison_hook: PoisonHook | None
+    f: np.ndarray
+    seed: int
+    t: int
+    _deltas: dict[int, np.ndarray] = field(default_factory=dict)
+
+    def _keep(self, j: int, delta: np.ndarray):
+        poisoned = self.poison_hook(self.t, j, delta) if self.poison_hook is not None else None
+        self._deltas[j] = delta if poisoned is None else poisoned
+
+    def delta(self, j: int) -> np.ndarray:
+        if j not in self._deltas:
+            cfg = self.cfg
+            train_seed = spawn_seed(self.seed, TAG_TRAIN, self.t, j)
+            delta = local_train(
+                self.f, self.spec, self.shards[j], cfg.local_epochs, cfg.local_lr, cfg.batch_size, train_seed
+            )
+            self._keep(j, delta)
+        return self._deltas[j]
+
+    def train_together(self, client_ids: Iterable[int]):
+        by_length: dict[int, list[int]] = {}
+        for j in client_ids:
+            by_length.setdefault(len(self.shards[j]), []).append(j)
+        cfg = self.cfg
+        for ids in by_length.values():
+            deltas = local_train_stack(
+                self.f, self.spec, [self.shards[j] for j in ids], cfg.local_epochs, cfg.local_lr,
+                cfg.batch_size, [spawn_seed(self.seed, TAG_TRAIN, self.t, j) for j in ids],
+            )
+            for j, delta in zip(ids, deltas):
+                self._keep(j, delta)
 
 
 def run_protocol(
@@ -280,13 +333,11 @@ def run_protocol(
             p = resample_hook(t, n)
         participants = select_participants(n, cfg.m, uniform if p is None else p, seed, t)
 
-        updates = [
-            LocalUpdate(j, train=partial(_client_delta, cfg, spec, shards[j], poison_hook, f, seed, t, j))
-            for j in participants
-        ]
+        training = _RoundTraining(cfg, spec, shards, poison_hook, f, seed, t)
+        updates = [LocalUpdate(j, train=partial(training.delta, j)) for j in participants]
         received = filter_hook(list(updates), t) if filter_hook is not None else updates
-        for u in received:
-            u.delta  # train what the server receives before, not inside, aggregation
+        # train what the server receives before, not inside, aggregation
+        training.train_together([u.client_id for u in received if u.pending])
         f_next = aggregate(f, received, cfg.server_lr, cfg.clip_norm, cfg.denominator_mode, cfg.m)
 
         # The target and non-target rows partition the test set, so their
@@ -305,8 +356,8 @@ def run_protocol(
             participants=tuple(participants),
             global_before=f,
             global_after=f_next,
-            sent_models=LocalModels(f, updates),
-            received_models=LocalModels(f, received),
+            sent_models=LocalModels(f, updates, training.train_together),
+            received_models=LocalModels(f, received, training.train_together),
         )
         for obs in observers:
             obs(trace)

@@ -14,6 +14,7 @@ from fednetsim.models import (
     forward_eval,
     init_model,
     local_train,
+    local_train_stack,
     loss_gradient,
     mean_losses,
 )
@@ -223,6 +224,16 @@ def reference_local_train(params, spec, shard, epochs, lr, batch_size, seed):
     return theta - params
 
 
+def batch_size_of(kind, shard_size):
+    """A batch size of the named kind for a shard of ``shard_size`` rows."""
+    return {
+        "none": None,
+        "divisor": 1 if shard_size < 4 else next(d for d in (4, 3, 2, 1) if shard_size % d == 0),
+        "non_divisor": shard_size - 1 if shard_size > 2 else None,
+        "larger": shard_size + 5,
+    }[kind]
+
+
 class TestLocalTrainMatchesReference:
     @settings(deadline=None, max_examples=60)
     @given(
@@ -241,12 +252,7 @@ class TestLocalTrainMatchesReference:
         rng = np.random.default_rng(seed)
         params = init_model(spec, seed) + 0.1 * rng.standard_normal(spec.param_count())
         shard = random_batch(rng, spec, shard_size)
-        batch_size = {
-            "none": None,
-            "divisor": 1 if shard_size < 4 else next(d for d in (4, 3, 2, 1) if shard_size % d == 0),
-            "non_divisor": shard_size - 1 if shard_size > 2 else None,
-            "larger": shard_size + 5,
-        }[batch]
+        batch_size = batch_size_of(batch, shard_size)
         delta = local_train(params, spec, shard, epochs, 0.2, batch_size, seed)
         expected = reference_local_train(params, spec, shard, epochs, 0.2, batch_size, seed)
         assert np.array_equal(delta, expected)
@@ -269,6 +275,43 @@ class TestLocalTrainMatchesReference:
         with pytest.raises(ValueError, match=match):
             local_train(params, spec, shard, 1, 0.1, 1, 0)
         assert steps == []
+
+
+class TestLocalTrainStack:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        activation=st.sampled_from(["relu", "tanh"]),
+        hidden=st.lists(st.integers(1, 6), min_size=0, max_size=2),
+        class_count=st.integers(2, 4),
+        shard_size=st.integers(1, 17),
+        batch=st.sampled_from(["none", "divisor", "non_divisor", "larger"]),
+        k=st.integers(1, 6),
+        epochs=st.integers(0, 2),
+        seed=st.integers(0, 2**31),
+    )
+    def test_each_row_is_one_client_training(
+        self, activation, hidden, class_count, shard_size, batch, k, epochs, seed
+    ):
+        spec = ModelSpec(3, tuple(hidden), class_count, activation)
+        rng = np.random.default_rng(seed)
+        params = init_model(spec, seed) + 0.1 * rng.standard_normal(spec.param_count())
+        shards = [random_batch(rng, spec, shard_size) for _ in range(k)]
+        batch_size = batch_size_of(batch, shard_size)
+        seeds = [seed + i for i in range(k)]
+        deltas = local_train_stack(params, spec, shards, epochs, 0.2, batch_size, seeds)
+        assert deltas.shape == (k, spec.param_count())
+        for delta, shard, train_seed in zip(deltas, shards, seeds):
+            alone = local_train(params, spec, shard, epochs, 0.2, batch_size, train_seed)
+            assert delta.tobytes() == alone.tobytes()
+
+    def test_shards_of_one_stack_share_a_length(self):
+        spec = ModelSpec(5, (7,), 3)
+        rng = np.random.default_rng(3)
+        shards = [random_batch(rng, spec, 6), random_batch(rng, spec, 5)]
+        with pytest.raises(ValueError, match="equal length"):
+            local_train_stack(init_model(spec, 1), spec, shards, 1, 0.1, None, [1, 2])
+        with pytest.raises(ValueError, match="1 seeds for 2 shards"):
+            local_train_stack(init_model(spec, 1), spec, shards[:1] * 2, 1, 0.1, None, [1])
 
 
 class TestMeanLossesMatchForwardEval:

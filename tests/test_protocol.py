@@ -346,14 +346,22 @@ class TestRunProtocol:
 
 
 def count_training(monkeypatch):
-    """Count the protocol's ``local_train`` calls; fail any made inside ``aggregate``."""
+    """The train seed of every client the protocol trains, alone or in a stack.
+
+    Fails any training made inside ``aggregate``.
+    """
     calls = []
     inside = []
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         assert not inside, "an update was trained inside aggregate"
-        calls.append(args[6] if len(args) > 6 else kwargs["seed"])
-        return local_train(*args, **kwargs)
+        calls.append(args[6])
+        return local_train(*args)
+
+    def counted_stack(*args):
+        assert not inside, "an update was trained inside aggregate"
+        calls.extend(args[6])
+        return models.local_train_stack(*args)
 
     def aggregating(*args, **kwargs):
         inside.append(True)
@@ -363,6 +371,7 @@ def count_training(monkeypatch):
             inside.pop()
 
     monkeypatch.setattr(protocol, "local_train", counted)
+    monkeypatch.setattr(protocol, "local_train_stack", counted_stack)
     monkeypatch.setattr(protocol, "aggregate", aggregating)
     return calls
 
@@ -435,6 +444,36 @@ class TestLazyRound:
         assert sum(len(r.received) for r in records) < sum(len(r.participants) for r in records)
         assert len(calls) == sum(len(r.participants) for r in records)
         assert len(set(calls)) == len(calls)
+
+    def test_round_training_runs_as_stacks(self, monkeypatch):
+        # the plain attacker reads every sent model; the dropped ones it
+        # reads train as one stack too, so no client is trained alone
+        def alone(*args):
+            raise AssertionError("a client was trained alone")
+
+        monkeypatch.setattr(protocol, "local_train", alone)
+        records = self.run_attacked(self.targeted("plain"))
+        assert sum(len(r.received) for r in records) < sum(len(r.participants) for r in records)
+
+    def test_shards_of_three_lengths_equal_the_eager_loop(self, monkeypatch):
+        _, shards, spec, eval_sets, _ = small_world(n=12)
+        cfg = ProtocolConfig(m=10, rounds=6, server_lr=0.5, local_epochs=2, local_lr=0.1, batch_size=4)
+        lengths = (len(shards[0]), len(shards[0]) - 7, len(shards[0]) - 11)
+        shards = [shard.subset(np.arange(lengths[j % 3])) for j, shard in enumerate(shards)]
+        calls = count_training(monkeypatch)
+
+        def drop(ups, t):
+            return [u for u in ups if (u.client_id + t) % 4]
+
+        def scale_by_client(t, j, delta):
+            # tells the clients of one stack apart in the aggregate
+            return (1.0 + j / 8) * delta
+
+        records = run_protocol(cfg, shards, spec, eval_sets, 31, filter_hook=drop, poison_hook=scale_by_client)
+        ref_records, _ = eager_reference(cfg, shards, spec, eval_sets, 31, drop, scale_by_client)
+        assert records == ref_records
+        assert len(calls) == sum(len(r.received) for r in records)
+        assert {len(shards[j]) for r in records for j in r.received} == set(lengths)
 
     def test_delta_read_twice_trains_once(self):
         calls = []
