@@ -58,21 +58,30 @@ def gen_synthetic(
     class_count: int,
     input_dim: int,
     per_class: int,
+    eval_per_class: int,
     separation: float,
     seed: int,
-) -> ExampleSet:
-    """Gaussian blob classes with unit covariance.
+) -> tuple[ExampleSet, ExampleSet]:
+    """Gaussian blob classes with unit covariance: a train and a held-out set.
 
     Class c is centered at ``separation * u_c`` where the ``u_c`` are rows of
     a seeded orthonormal-ish matrix (exactly orthonormal when
     class_count <= input_dim). ``separation = 0`` makes the classes
     indistinguishable; a few units of separation makes them linearly
     separable with high probability.
+
+    Both sets share the class geometry and differ only in sampled points.
+    After the directions, the stream gives, class by class, c's
+    ``per_class`` training rows and then its ``eval_per_class`` held-out
+    rows, each drawn in place into its slot of the two sets (rows of class
+    c are contiguous, classes in order).
     """
     if class_count < 2:
         raise ValueError("class_count must be >= 2")
     if per_class < 1:
         raise ValueError("per_class must be >= 1")
+    if eval_per_class < 0:
+        raise ValueError("eval_per_class must be >= 0")
     if separation < 0:
         raise ValueError("separation must be >= 0")
     rng = spawn_rng(seed, 1)
@@ -83,13 +92,16 @@ def gen_synthetic(
         raw = rng.standard_normal((class_count, input_dim))
         directions = raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
-    xs = []
-    ys = []
+    sizes = (per_class, eval_per_class)
+    xs = [np.empty((class_count * rows, input_dim)) for rows in sizes]
     for c in range(class_count):
         mean = separation * directions[c]
-        xs.append(mean + rng.standard_normal((per_class, input_dim)))
-        ys.append(np.full(per_class, c, dtype=np.int64))
-    return ExampleSet(np.concatenate(xs), np.concatenate(ys))
+        for x, rows in zip(xs, sizes):
+            block = x[c * rows : (c + 1) * rows]
+            rng.standard_normal(out=block)
+            np.add(mean, block, out=block)
+    labels = np.arange(class_count, dtype=np.int64)
+    return tuple(ExampleSet(x, np.repeat(labels, rows)) for x, rows in zip(xs, sizes))
 
 
 def _largest_remainder_counts(proportions: np.ndarray, total: int) -> np.ndarray:

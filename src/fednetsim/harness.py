@@ -119,18 +119,17 @@ def build_world(cfg: ScenarioConfig, trial_seed: int) -> World:
     """Data, model spec, partition (k + k_p holders), poisoners' flipped shards, eval sets."""
     ds, part = cfg.dataset, cfg.partition
     if ds.kind == "synthetic":
-        # One pooled draw per trial, split per class, so train and eval share
+        # One draw per trial: class by class, c's training rows and then its
+        # held-out rows, straight into the two sets, so train and eval share
         # the same class geometry and differ only in sampled points.
-        pooled = gen_synthetic(
+        train, test = gen_synthetic(
             ds.class_count,
             ds.input_dim,
-            ds.per_class + ds.eval_per_class,
+            ds.per_class,
+            ds.eval_per_class,
             ds.separation,
             spawn_seed(trial_seed, TAG_DATA),
         )
-        by_class = [np.flatnonzero(pooled.y == c) for c in range(ds.class_count)]
-        train = pooled.subset(np.concatenate([idx[: ds.per_class] for idx in by_class]))
-        test = pooled.subset(np.concatenate([idx[ds.per_class :] for idx in by_class]))
     else:
         train = load_idx_dataset(ds.train_images, ds.train_labels, ds.class_count)
         test = load_idx_dataset(ds.test_images, ds.test_labels, ds.class_count)

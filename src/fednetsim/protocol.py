@@ -219,6 +219,8 @@ def aggregate(
 
     With clipping enabled each delta is scaled by ``min(1, C/||delta||_2)``
     before averaging. An empty update list leaves the model unchanged.
+    Raises ``ValueError`` if an update or the aggregated model has a
+    non-finite entry.
     """
     if denominator_mode not in DENOMINATOR_MODES:
         raise ValueError(f"denominator_mode must be one of {DENOMINATOR_MODES}")
@@ -241,7 +243,10 @@ def aggregate(
                 delta = delta * (clip_norm / norm)
         total += delta
     denom = m if denominator_mode == "fixed_m" else len(updates)
-    return f_prev + server_lr * (total / denom)
+    f_next = f_prev + server_lr * (total / denom)
+    if not np.isfinite(f_next).all():
+        raise ValueError("aggregated model contains non-finite entries")
+    return f_next
 
 
 FilterHook = Callable[[list[LocalUpdate], int], list[LocalUpdate]]
@@ -319,6 +324,7 @@ def run_protocol(
     removes dropped updates before aggregation; reading an update's delta
     trains it, so a filter that decides by client id alone saves the
     training of what it drops. All hooks default to identity behavior.
+    A global model whose target loss is not finite raises ``ValueError``.
     """
     n = len(shards)
     observers = tuple(observers)
@@ -345,6 +351,8 @@ def run_protocol(
         # the non-target pass is read for its correct count only, so no
         # loss is computed on it.
         target_eval = forward_eval(f_next, spec, eval_sets.target_set)
+        if not np.isfinite(target_eval.mean_loss):
+            raise ValueError(f"round {t}: the global model's target loss is not finite (the model diverged)")
         correct, nontarget_acc = target_eval.correct, 0.0
         if eval_sets.nontarget_set is not None:
             nontarget_eval = forward_eval(f_next, spec, eval_sets.nontarget_set)

@@ -302,7 +302,7 @@ class TestCriterion9ClipSaturation:
     def test_boost_invariance_under_clipping(self):
         spec = ModelSpec(6, (8,), 4)
         f = init_model(spec, 3)
-        src = gen_synthetic(4, 6, 80, 2.0, seed=5)
+        src, _ = gen_synthetic(4, 6, 80, 0, 2.0, seed=5)
         shard = flip_labels(src, 0, 1)
         base = craft_poison_update(f, spec, shard, 2, 0.1, 1.0, seed=9)
         assert np.linalg.norm(10 * base) > 1.0  # clip saturates

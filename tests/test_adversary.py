@@ -75,7 +75,7 @@ class LedgerWorld:
 
     def __init__(self):
         self.spec = ModelSpec(4, (), 3)
-        src = gen_synthetic(3, 4, 40, 2.0, seed=1)
+        src, _ = gen_synthetic(3, 4, 40, 0, 2.0, seed=1)
         self.target_set = src.subset(np.flatnonzero(src.y == 0))
         self.f_before = init_model(self.spec, 0)
         self.f_after = self.f_before + 0.05

@@ -106,6 +106,15 @@ class TestRun:
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
 
+    def test_diverged_global_model_exits_two_without_output(self, tmp_path):
+        # the aggregate is finite (~5e306) but its logits overflow: the run
+        # used to exit 0 with a nan loss in the CSV and bare NaN in the JSON
+        proc = run_smoke_with(tmp_path, {"protocol": {"rounds": 1, "server_lr": 1.0e308}})
+        assert proc.returncode == 2, proc.stderr
+        assert "error: round 1: the global model's target loss is not finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_integer_past_c_long_exits_two(self, tmp_path):
         proc = run_smoke_with(tmp_path, {"partition": {"n": 10**26}})
         assert proc.returncode == 2, proc.stderr

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fednetsim.datasets import (
@@ -19,27 +19,71 @@ from fednetsim.datasets import (
     partition,
 )
 from fednetsim.models import ModelSpec, forward_eval, init_model, local_train
+from fednetsim.seeding import spawn_rng
+
+
+def _pooled_reference(class_count, input_dim, per_class, eval_per_class, separation, seed):
+    """The earlier generator: one pooled draw of both sets' rows, then split per class."""
+    rng = spawn_rng(seed, 1)
+    if class_count <= input_dim:
+        q, _ = np.linalg.qr(rng.standard_normal((input_dim, class_count)))
+        directions = q.T
+    else:
+        raw = rng.standard_normal((class_count, input_dim))
+        directions = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    rows = per_class + eval_per_class
+    xs = [separation * directions[c] + rng.standard_normal((rows, input_dim)) for c in range(class_count)]
+    pooled = ExampleSet(np.concatenate(xs), np.repeat(np.arange(class_count, dtype=np.int64), rows))
+    by_class = [np.flatnonzero(pooled.y == c) for c in range(class_count)]
+    train = pooled.subset(np.concatenate([idx[:per_class] for idx in by_class]))
+    held_out = pooled.subset(np.concatenate([idx[per_class:] for idx in by_class]))
+    return train, held_out
 
 
 class TestGenSynthetic:
     def test_counts(self):
-        src = gen_synthetic(2, 5, 100, 1.0, seed=0)
-        assert len(src) == 200
-        assert (src.y == 0).sum() == 100
-        assert (src.y == 1).sum() == 100
+        train, held_out = gen_synthetic(2, 5, 100, 30, 1.0, seed=0)
+        assert len(train) == 200 and len(held_out) == 60
+        for c in (0, 1):
+            assert (train.y == c).sum() == 100
+            assert (held_out.y == c).sum() == 30
+
+    def test_no_held_out_rows(self):
+        train, held_out = gen_synthetic(3, 4, 10, 0, 1.0, seed=0)
+        assert len(train) == 30
+        assert held_out.x.shape == (0, 4) and held_out.y.shape == (0,)
 
     def test_deterministic(self):
-        a = gen_synthetic(3, 4, 50, 2.0, seed=9)
-        b = gen_synthetic(3, 4, 50, 2.0, seed=9)
+        a, _ = gen_synthetic(3, 4, 50, 0, 2.0, seed=9)
+        b, _ = gen_synthetic(3, 4, 50, 0, 2.0, seed=9)
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
-        c = gen_synthetic(3, 4, 50, 2.0, seed=10)
+        c, _ = gen_synthetic(3, 4, 50, 0, 2.0, seed=10)
         assert not np.array_equal(a.x, c.x)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(2, 12),
+        st.integers(1, 12),
+        st.integers(1, 40),
+        st.integers(0, 40),
+        st.floats(0.0, 5.0),
+        st.integers(0, 2**32),
+    )
+    @example(3, 8, 1, 1, 1.5, 11)
+    @example(8, 3, 1, 1, 1.5, 11)
+    def test_equals_pooled_draw_split_per_class(self, classes, dim, per_class, eval_per_class, sep, seed):
+        # both direction branches: classes <= dim (QR) and classes > dim (normalized rows)
+        new = gen_synthetic(classes, dim, per_class, eval_per_class, sep, seed)
+        old = _pooled_reference(classes, dim, per_class, eval_per_class, sep, seed)
+        for got, want in zip(new, old):
+            assert got.x.tobytes() == want.x.tobytes()
+            assert got.y.tobytes() == want.y.tobytes()
 
     def test_zero_separation_is_chance_level(self):
         # train a linear classifier and evaluate on 1000 fresh points from the
         # same (single) blob: accuracy must be indistinguishable from 1/C
-        src = gen_synthetic(4, 6, 500, 0.0, seed=3)
-        test = gen_synthetic(4, 6, 250, 0.0, seed=4)
+        src, _ = gen_synthetic(4, 6, 500, 0, 0.0, seed=3)
+        test, _ = gen_synthetic(4, 6, 250, 0, 0.0, seed=4)
         spec = ModelSpec(6, (), 4)
         theta = init_model(spec, 0)
         delta = local_train(theta, spec, src, 50, 0.5, None, 0)
@@ -48,25 +92,25 @@ class TestGenSynthetic:
 
     def test_large_separation_is_separable(self):
         # held-out points come from the same draw (same class geometry)
-        src = gen_synthetic(3, 8, 400, 10.0, seed=5)
-        holdout = np.concatenate([np.flatnonzero(src.y == c)[300:] for c in range(3)])
-        trained = np.concatenate([np.flatnonzero(src.y == c)[:300] for c in range(3)])
+        train, holdout = gen_synthetic(3, 8, 300, 100, 10.0, seed=5)
         spec = ModelSpec(8, (), 3)
         theta = init_model(spec, 1)
-        delta = local_train(theta, spec, src.subset(trained), 200, 0.5, None, 0)
-        acc = forward_eval(theta + delta, spec, src.subset(holdout)).accuracy
+        delta = local_train(theta, spec, train, 200, 0.5, None, 0)
+        acc = forward_eval(theta + delta, spec, holdout).accuracy
         assert acc >= 0.99
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            gen_synthetic(1, 4, 10, 1.0, seed=0)
+            gen_synthetic(1, 4, 10, 0, 1.0, seed=0)
         with pytest.raises(ValueError):
-            gen_synthetic(3, 4, 0, 1.0, seed=0)
+            gen_synthetic(3, 4, 0, 0, 1.0, seed=0)
+        with pytest.raises(ValueError):
+            gen_synthetic(3, 4, 10, -1, 1.0, seed=0)
 
 
 class TestPartition:
     def make_src(self, per_class=600, classes=5, seed=1):
-        return gen_synthetic(classes, 6, per_class, 2.0, seed=seed)
+        return gen_synthetic(classes, 6, per_class, 0, 2.0, seed=seed)[0]
 
     def test_target_quota_exact(self):
         src = self.make_src()
@@ -110,7 +154,7 @@ class TestPartition:
         k = data.draw(st.integers(0, n))
         target_class = data.draw(st.integers(0, classes - 1))
         # every pool can cover every shard, so no class runs out
-        src = gen_synthetic(classes, 3, n * local_size, 1.0, seed=seed)
+        src, _ = gen_synthetic(classes, 3, n * local_size, 0, 1.0, seed=seed)
         plan = partition(src, classes, n, k, target_class, alpha_t, alpha_d, local_size, seed=seed)
         assert len(plan.target_client_ids) == k
         assert list(plan.target_client_ids) == sorted(set(plan.target_client_ids))

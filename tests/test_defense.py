@@ -85,7 +85,7 @@ class TestServerIdentify:
         # an aggregate-only server and an encrypted attacker that watch the
         # same rounds rank clients by the same rule
         spec = ModelSpec(4, (), 3)
-        src = gen_synthetic(3, 4, 40, 2.0, seed=2)
+        src, _ = gen_synthetic(3, 4, 40, 0, 2.0, seed=2)
         valid = src.subset(np.flatnonzero(src.y == 0))
         f0 = init_model(spec, 0)
         defender = UpsamplingDefender(
@@ -104,7 +104,7 @@ class TestServerIdentify:
 class TestUpsamplingDefender:
     def world(self):
         spec = ModelSpec(4, (), 3)
-        src = gen_synthetic(3, 4, 40, 2.0, seed=2)
+        src, _ = gen_synthetic(3, 4, 40, 0, 2.0, seed=2)
         valid = src.subset(np.flatnonzero(src.y == 0))
         f0 = init_model(spec, 0)
         return spec, valid, f0
@@ -168,7 +168,7 @@ class TestUpsamplingDefender:
         from fednetsim.protocol import EvalSets, run_protocol
 
         spec = ModelSpec(5, (6,), 3)
-        src = gen_synthetic(3, 5, 400, 2.0, seed=4)
+        src, _ = gen_synthetic(3, 5, 400, 0, 2.0, seed=4)
         plan = partition(src, 3, 8, 2, 0, 0.5, 1.0, 30, seed=5)
         shards = [src.subset(idx) for idx in plan.shards]
         eval_sets = EvalSets(src, 0)

@@ -1,11 +1,14 @@
 """Golden digests: emitted files stay byte-identical across versions of the code.
 
 Each case writes the files of one command and compares their sha256 with a
-recorded value. The values hold for one numpy/OpenBLAS build (numpy 2.4.6
-with its bundled OpenBLAS, x86-64); floating-point results may differ in
-the last bit on another BLAS, so a mismatch there is not by itself a
-regression. A change that moves a digest on purpose must re-record it and
-say why.
+recorded value. The values hold for numpy 2.4.6 with its bundled OpenBLAS
+on x86-64 with AVX-512, where OpenBLAS runs its ``SkylakeX`` kernel and
+numpy dispatches its AVX-512 loops. On other kernels the last bit of a
+loss moves: under ``OPENBLAS_CORETYPE=Haswell`` (the AVX2 kernel) 10 of the
+13 cases fail, and disabling numpy's AVX-512 dispatch alone
+(``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``) fails 4. So
+a mismatch on a machine without AVX-512 is not by itself a regression. A
+change that moves a digest on purpose must re-record it and say why.
 """
 
 import hashlib

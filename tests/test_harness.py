@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 import tempfile
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -205,6 +206,20 @@ class TestBuildWorld:
         monkeypatch.setattr(harness, "run_protocol", observed)
         run_trial(cfg, seed)
         assert {1.0, cfg.poison.boost} <= set(checked)
+
+    def test_peak_memory_stays_near_the_generated_features(self):
+        # the train and held-out features are drawn in place, so the build
+        # holds them about once, not pooled and then copied per split
+        cfg = load_scenario(pathlib.Path(__file__).resolve().parent.parent / "configs" / "standard.yaml")
+        ds = cfg.dataset
+        features = ds.class_count * (ds.per_class + ds.eval_per_class) * ds.input_dim * 8
+        tracemalloc.start()
+        try:
+            build_world(cfg, cfg.base_seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * features, f"peak {peak / features:.2f}x the {features} feature bytes"
 
 
 class TestRunScenario:

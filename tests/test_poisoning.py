@@ -54,7 +54,7 @@ class TestCraftPoisonUpdate:
     def setup_method(self):
         self.spec = ModelSpec(5, (6,), 4)
         self.f = init_model(self.spec, 2)
-        src = gen_synthetic(4, 5, 50, 2.0, seed=3)
+        src, _ = gen_synthetic(4, 5, 50, 0, 2.0, seed=3)
         self.shard = flip_labels(src, 0, 1)
 
     def test_unit_boost_equals_honest_training(self):

@@ -211,16 +211,22 @@ class TestAggregate:
         with pytest.raises(ValueError, match="non-finite"):
             aggregate(self.f, [LocalUpdate(0, bad)], 1.0)
 
+    def test_overflowing_aggregate_rejected(self):
+        # finite updates whose step overflows float64
+        big = [LocalUpdate(j, np.full(4, 1e300)) for j in range(2)]
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="aggregated model contains non-finite"):
+            aggregate(self.f, big, 1e10)
+
     def test_fixed_m_requires_m(self):
         with pytest.raises(ValueError, match="fixed_m"):
             aggregate(self.f, [LocalUpdate(0, np.zeros(4))], 1.0, denominator_mode="fixed_m")
 
 
 def small_world(seed=1, n=8, k=2, classes=4, rounds=12):
-    src = gen_synthetic(classes, 5, 400, 2.5, seed=seed)
+    src, _ = gen_synthetic(classes, 5, 400, 0, 2.5, seed=seed)
     plan = partition(src, classes, n, k, 0, 0.5, 1.0, 30, seed=seed + 1)
     shards = [src.subset(idx) for idx in plan.shards]
-    holdout = gen_synthetic(classes, 5, 60, 2.5, seed=seed)  # same seed: same geometry
+    holdout, _ = gen_synthetic(classes, 5, 60, 0, 2.5, seed=seed)  # same seed: same geometry
     eval_sets = EvalSets(holdout, 0)
     spec = ModelSpec(5, (6,), classes)
     cfg = ProtocolConfig(m=4, rounds=rounds, server_lr=0.5, local_epochs=1, local_lr=0.1, batch_size=None)
@@ -240,7 +246,7 @@ class TestRunProtocol:
         # one round, all clients hold the same data: FedAvg step equals one
         # centralized full-batch step (shuffle order only permutes the
         # floating-point sums, so agreement is to rounding error)
-        shard = gen_synthetic(3, 4, 60, 2.0, seed=2)
+        shard, _ = gen_synthetic(3, 4, 60, 0, 2.0, seed=2)
         spec = ModelSpec(4, (), 3)
         n = 5
         cfg = ProtocolConfig(m=n, rounds=1, server_lr=1.0, local_epochs=1, local_lr=0.1, batch_size=None)
