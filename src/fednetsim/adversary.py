@@ -25,7 +25,7 @@ from fednetsim.config import AttackConfig
 from fednetsim.datasets import ExampleSet
 from fednetsim.models import ModelSpec, forward_eval, mean_losses
 from fednetsim.protocol import LocalModels, LocalUpdate, RoundTrace, weighted_sample_without_replacement
-from fednetsim.seeding import spawn_rng
+from fednetsim.seeding import TAG_VISIBLE_DRAW, spawn_rng
 
 
 class ContributionLedger:
@@ -80,7 +80,7 @@ def sample_visible_set(
     targets = set(int(i) for i in target_client_ids)
     if any(not 0 <= i < n for i in targets):
         raise ValueError("target client ids out of range")
-    rng = spawn_rng(seed, 5)
+    rng = spawn_rng(seed, TAG_VISIBLE_DRAW)
     concentration = np.array([alpha_v if i in targets else 1.0 for i in range(n)])
     weights = rng.dirichlet(concentration)
     return frozenset(weighted_sample_without_replacement(rng, weights, v))

@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from fednetsim.seeding import spawn_rng
+from fednetsim.seeding import TAG_MC_DRAW, spawn_rng
 
 # Validation grid shared by tests and the acceptance suite (24 points).
 MC_GRID = tuple(
@@ -390,7 +390,7 @@ def monte_carlo_rounds(
     if mode not in ("plain", "encrypted"):
         raise ValueError("mode must be 'plain' or 'encrypted'")
     _check_counts(n, m, k, min_m=1, k_n=k_n if mode == "plain" else None)
-    rng = spawn_rng(seed, 6)
+    rng = spawn_rng(seed, TAG_MC_DRAW)
     if mode == "plain":
         if k_n == 0:
             return MonteCarloResult(0.0, 0.0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fednetsim.seeding import spawn_rng
+from fednetsim.seeding import TAG_PARTITION_DRAW, TAG_SYNTHETIC_DRAW, spawn_rng
 
 
 class PartitionError(ValueError):
@@ -54,6 +54,11 @@ class PartitionPlan:
     shards: tuple[np.ndarray, ...]
 
 
+def synthetic_labels(class_count: int, rows_per_class: int) -> np.ndarray:
+    """Labels of a ``gen_synthetic`` set: class c's rows are contiguous, classes in order."""
+    return np.repeat(np.arange(class_count, dtype=np.int64), rows_per_class)
+
+
 def gen_synthetic(
     class_count: int,
     input_dim: int,
@@ -61,8 +66,9 @@ def gen_synthetic(
     eval_per_class: int,
     separation: float,
     seed: int,
+    keep=None,
 ) -> tuple[ExampleSet, ExampleSet]:
-    """Gaussian blob classes with unit covariance: a train and a held-out set.
+    """Gaussian blob classes with unit covariance: training rows and a held-out set.
 
     Class c is centered at ``separation * u_c`` where the ``u_c`` are rows of
     a seeded orthonormal-ish matrix (exactly orthonormal when
@@ -73,8 +79,12 @@ def gen_synthetic(
     Both sets share the class geometry and differ only in sampled points.
     After the directions, the stream gives, class by class, c's
     ``per_class`` training rows and then its ``eval_per_class`` held-out
-    rows, each drawn in place into its slot of the two sets (rows of class
-    c are contiguous, classes in order).
+    rows. The full training draw has ``class_count * per_class`` rows, those
+    of class c at ``c * per_class`` onward (labels ``synthetic_labels``), and
+    ``keep`` lists the indices of its rows to return, in that order; None
+    keeps them all. Each class block is drawn into one reused buffer, so the
+    full draw is never held, and every kept row is bit-equal to its row of
+    the full draw. The held-out set is drawn whole, laid out the same way.
     """
     if class_count < 2:
         raise ValueError("class_count must be >= 2")
@@ -84,7 +94,11 @@ def gen_synthetic(
         raise ValueError("eval_per_class must be >= 0")
     if separation < 0:
         raise ValueError("separation must be >= 0")
-    rng = spawn_rng(seed, 1)
+    pool = class_count * per_class
+    keep = np.arange(pool) if keep is None else np.asarray(keep, dtype=np.int64)
+    if keep.ndim != 1 or (len(keep) and (keep.min() < 0 or keep.max() >= pool)):
+        raise ValueError(f"keep must list training row indices in [0, {pool})")
+    rng = spawn_rng(seed, TAG_SYNTHETIC_DRAW)
     if class_count <= input_dim:
         q, _ = np.linalg.qr(rng.standard_normal((input_dim, class_count)))
         directions = q.T
@@ -92,16 +106,19 @@ def gen_synthetic(
         raw = rng.standard_normal((class_count, input_dim))
         directions = raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
-    sizes = (per_class, eval_per_class)
-    xs = [np.empty((class_count * rows, input_dim)) for rows in sizes]
+    train_y = keep // per_class
+    train_x = np.empty((len(keep), input_dim))
+    test_x = np.empty((class_count * eval_per_class, input_dim))
+    block = np.empty((per_class, input_dim))
     for c in range(class_count):
         mean = separation * directions[c]
-        for x, rows in zip(xs, sizes):
-            block = x[c * rows : (c + 1) * rows]
-            rng.standard_normal(out=block)
-            np.add(mean, block, out=block)
-    labels = np.arange(class_count, dtype=np.int64)
-    return tuple(ExampleSet(x, np.repeat(labels, rows)) for x, rows in zip(xs, sizes))
+        held_out = test_x[c * eval_per_class : (c + 1) * eval_per_class]
+        for x in (block, held_out):
+            rng.standard_normal(out=x)
+            np.add(mean, x, out=x)
+        rows = np.flatnonzero(train_y == c)
+        train_x[rows] = block[keep[rows] - c * per_class]
+    return ExampleSet(train_x, train_y), ExampleSet(test_x, synthetic_labels(class_count, eval_per_class))
 
 
 def _largest_remainder_counts(proportions: np.ndarray, total: int) -> np.ndarray:
@@ -119,8 +136,8 @@ def _largest_remainder_counts(proportions: np.ndarray, total: int) -> np.ndarray
 class _ClassPools:
     """Seeded, shuffled per-class index pools consumed front to back."""
 
-    def __init__(self, src: ExampleSet, class_count: int, rng: np.random.Generator):
-        self._pools = [rng.permutation(np.flatnonzero(src.y == c)) for c in range(class_count)]
+    def __init__(self, labels: np.ndarray, class_count: int, rng: np.random.Generator):
+        self._pools = [rng.permutation(np.flatnonzero(labels == c)) for c in range(class_count)]
         self._cursor = [0] * class_count
 
     def take(self, c: int, count: int) -> np.ndarray:
@@ -135,7 +152,7 @@ class _ClassPools:
 
 
 def partition(
-    src: ExampleSet,
+    labels: np.ndarray,
     class_count: int,
     n: int,
     k: int,
@@ -147,10 +164,13 @@ def partition(
 ) -> PartitionPlan:
     """Build the non-IID population: k target-class holders, Dirichlet rest.
 
-    Each of the k target clients receives ``ceil(alpha_t * local_size)``
-    target-class examples; the remainder of its shard, and the entirety of
-    every other client's shard, is filled with proportions drawn from
-    Dirichlet(alpha_d) over the non-target classes. Raises
+    The example pool is given by its labels alone and the plan's shards are
+    indices into it, so a caller can draw or keep the features of just the
+    rows the shards use. Each of the k target clients receives
+    ``ceil(alpha_t * local_size)`` target-class examples; the remainder of
+    its shard, and the entirety of every other client's shard, is filled
+    with proportions drawn from Dirichlet(alpha_d) over the non-target
+    classes. Raises
     :class:`PartitionError` naming the class that ran out if any pool is
     too small, rather than silently substituting.
     """
@@ -164,12 +184,12 @@ def partition(
         raise ValueError("target_class out of range")
     if local_size < 1:
         raise ValueError("local_size must be >= 1")
-    _check_labels(src.y, class_count)
+    _check_labels(labels, class_count)
 
-    rng = spawn_rng(seed, 2)
+    rng = spawn_rng(seed, TAG_PARTITION_DRAW)
     target_ids = sorted(int(i) for i in rng.choice(n, size=k, replace=False))
     target_id_set = set(target_ids)
-    pools = _ClassPools(src, class_count, rng)
+    pools = _ClassPools(labels, class_count, rng)
     other_classes = [c for c in range(class_count) if c != target_class]
     if not other_classes:
         raise ValueError("need at least one non-target class")

@@ -24,7 +24,7 @@ from fednetsim.adversary import (
     sample_visible_set,
 )
 from fednetsim.config import AttackConfig, ConfigError, PoisonConfig, ScenarioConfig, validate_scenario
-from fednetsim.datasets import ExampleSet, gen_synthetic, load_idx_dataset, partition
+from fednetsim.datasets import ExampleSet, gen_synthetic, load_idx_dataset, partition, synthetic_labels
 from fednetsim.defense import UpsamplingDefender
 from fednetsim.models import ModelSpec
 from fednetsim.poisoning import ModelReplacementPoisoner, PoisonPlan, default_flip_to, flip_labels
@@ -116,33 +116,23 @@ class World:
 
 
 def build_world(cfg: ScenarioConfig, trial_seed: int) -> World:
-    """Data, model spec, partition (k + k_p holders), poisoners' flipped shards, eval sets."""
+    """Data, model spec, partition (k + k_p holders), poisoners' flipped shards, eval sets.
+
+    The partition reads only the training pool's labels, so only the rows
+    its shards use are drawn (synthetic) or kept (IDX), end to end in shard
+    order, and each shard is a slice of them.
+    """
     ds, part = cfg.dataset, cfg.partition
     if ds.kind == "synthetic":
-        # One draw per trial: class by class, c's training rows and then its
-        # held-out rows, straight into the two sets, so train and eval share
-        # the same class geometry and differ only in sampled points.
-        train, test = gen_synthetic(
-            ds.class_count,
-            ds.input_dim,
-            ds.per_class,
-            ds.eval_per_class,
-            ds.separation,
-            spawn_seed(trial_seed, TAG_DATA),
-        )
+        labels = synthetic_labels(ds.class_count, ds.per_class)
     else:
         train = load_idx_dataset(ds.train_images, ds.train_labels, ds.class_count)
         test = load_idx_dataset(ds.test_images, ds.test_labels, ds.class_count)
-    spec = ModelSpec(
-        input_dim=train.x.shape[1],
-        hidden_dims=cfg.model.hidden_dims,
-        class_count=ds.class_count,
-        activation=cfg.model.activation,
-    )
+        labels = train.y
 
     k_p = cfg.poison.k_p if cfg.poison is not None else 0
     plan = partition(
-        train,
+        labels,
         ds.class_count,
         part.n,
         part.k + k_p,
@@ -152,8 +142,32 @@ def build_world(cfg: ScenarioConfig, trial_seed: int) -> World:
         part.local_size,
         spawn_seed(trial_seed, TAG_PARTITION),
     )
+    keep = np.concatenate(plan.shards)
+    if ds.kind == "synthetic":
+        # One draw per trial: class by class, c's training rows and then its
+        # held-out rows, so train and eval share the same class geometry and
+        # differ only in sampled points.
+        train, test = gen_synthetic(
+            ds.class_count,
+            ds.input_dim,
+            ds.per_class,
+            ds.eval_per_class,
+            ds.separation,
+            spawn_seed(trial_seed, TAG_DATA),
+            keep,
+        )
+    else:
+        train = train.subset(keep)
+    spec = ModelSpec(
+        input_dim=train.x.shape[1],
+        hidden_dims=cfg.model.hidden_dims,
+        class_count=ds.class_count,
+        activation=cfg.model.activation,
+    )
+
     holder_ids = list(plan.target_client_ids)
-    shards = [train.subset(idx) for idx in plan.shards]
+    ends = np.cumsum([len(idx) for idx in plan.shards])
+    shards = [ExampleSet(train.x[a:b], train.y[a:b]) for a, b in zip([0, *ends[:-1]], ends)]
     compromised = ()
     if k_p > 0:
         rng = spawn_rng(trial_seed, TAG_COMPROMISE)

@@ -12,16 +12,23 @@ trains K clients from the same global model in one pass of numpy calls
 per step, and ``local_train`` is its K=1 case. Every product is one BLAS
 call per model, so each row of a stack is bit-equal to training that
 client alone.
+
+A round loop runs on one OpenBLAS thread (``one_blas_thread``): a product
+large enough to start OpenBLAS's thread pool may sum in another order than
+on one thread, and the started workers would spin through the rest of the
+round.
 """
 
+import ctypes
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from fednetsim.datasets import ExampleSet
-from fednetsim.seeding import spawn_rng
+from fednetsim.seeding import TAG_INIT_DRAW, TAG_SGD_ORDER, spawn_rng
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -58,6 +65,58 @@ class ModelSpec:
         return sum((dims[i] + 1) * dims[i + 1] for i in range(len(dims) - 1))
 
 
+@cache
+def _openblas():
+    """ctypes handle on the OpenBLAS numpy bundles, or None where it bundles none.
+
+    Looked up on first use, through numpy's own extension module, whose
+    symbol lookup also searches the libraries it links.
+    """
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        for name, argtypes, restype in (
+            ("get_num_threads", (), ctypes.c_int),
+            ("set_num_threads", (ctypes.c_int,), None),
+            ("get_corename", (), ctypes.c_char_p),
+        ):
+            fn = getattr(lib, f"scipy_openblas_{name}64_")
+            fn.argtypes, fn.restype = argtypes, restype
+    except (AttributeError, OSError):
+        return None
+    return lib
+
+
+def blas_threads() -> int | None:
+    """OpenBLAS's current thread count, or None without numpy's bundled OpenBLAS."""
+    lib = _openblas()
+    return None if lib is None else lib.scipy_openblas_get_num_threads64_()
+
+
+def blas_core() -> str | None:
+    """The kernel OpenBLAS runs on this CPU (e.g. ``SkylakeX``), or None without it."""
+    lib = _openblas()
+    return None if lib is None else lib.scipy_openblas_get_corename64_().decode()
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the body on one OpenBLAS thread, then restore the previous count.
+
+    Inside, the bits of a product depend on neither the core count nor
+    ``OPENBLAS_NUM_THREADS``. Does nothing without numpy's bundled OpenBLAS.
+    """
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
+
+
 def _layer_views(
     params: np.ndarray, spec: ModelSpec, stacked: bool = False
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -87,7 +146,7 @@ def _layer_views(
 
 def init_model(spec: ModelSpec, seed: int) -> np.ndarray:
     """Fan-scaled uniform weights, zero biases; deterministic per (spec, seed)."""
-    rng = spawn_rng(seed, 3)
+    rng = spawn_rng(seed, TAG_INIT_DRAW)
     chunks = []
     dims = spec.layer_dims
     for i in range(len(dims) - 1):
@@ -318,7 +377,7 @@ def local_train_stack(
     layers = _layer_views(theta, spec, stacked=True)
     grad = np.empty_like(theta)
     grads = _layer_views(grad, spec, stacked=True)
-    rngs = [spawn_rng(seed, 4) for seed in seeds]
+    rngs = [spawn_rng(seed, TAG_SGD_ORDER) for seed in seeds]
     # every shard's rows, end to end, so one take per epoch shuffles them all
     x = np.concatenate([shard.x for shard in shards])
     y = np.concatenate([shard.y for shard in shards])

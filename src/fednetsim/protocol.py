@@ -31,7 +31,7 @@ import numpy as np
 
 from fednetsim.config import DENOMINATOR_MODES, ProtocolConfig
 from fednetsim.datasets import ExampleSet
-from fednetsim.models import ModelSpec, forward_eval, init_model, local_train, local_train_stack
+from fednetsim.models import ModelSpec, forward_eval, init_model, local_train, local_train_stack, one_blas_thread
 from fednetsim.seeding import TAG_INIT, TAG_SELECT, TAG_TRAIN, spawn_rng, spawn_seed
 
 
@@ -325,6 +325,8 @@ def run_protocol(
     trains it, so a filter that decides by client id alone saves the
     training of what it drops. All hooks default to identity behavior.
     A global model whose target loss is not finite raises ``ValueError``.
+    The rounds run on one OpenBLAS thread (``models.one_blas_thread``); the
+    previous thread count is back when this returns or raises.
     """
     n = len(shards)
     observers = tuple(observers)
@@ -333,53 +335,57 @@ def run_protocol(
     uniform = np.full(n, 1.0 / n)
 
     records = []
-    for t in range(1, cfg.rounds + 1):
-        p = None
-        if resample_hook is not None:
-            p = resample_hook(t, n)
-        participants = select_participants(n, cfg.m, uniform if p is None else p, seed, t)
+    # One BLAS thread, so the bits do not depend on the core count; a
+    # diverging model ends the run through the finiteness checks, not
+    # through numpy's overflow warnings.
+    with one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, cfg.rounds + 1):
+            p = None
+            if resample_hook is not None:
+                p = resample_hook(t, n)
+            participants = select_participants(n, cfg.m, uniform if p is None else p, seed, t)
 
-        training = _RoundTraining(cfg, spec, shards, poison_hook, f, seed, t)
-        updates = [LocalUpdate(j, train=partial(training.delta, j)) for j in participants]
-        received = filter_hook(list(updates), t) if filter_hook is not None else updates
-        # train what the server receives before, not inside, aggregation
-        training.train_together([u.client_id for u in received if u.pending])
-        f_next = aggregate(f, received, cfg.server_lr, cfg.clip_norm, cfg.denominator_mode, cfg.m)
+            training = _RoundTraining(cfg, spec, shards, poison_hook, f, seed, t)
+            updates = [LocalUpdate(j, train=partial(training.delta, j)) for j in participants]
+            received = filter_hook(list(updates), t) if filter_hook is not None else updates
+            # train what the server receives before, not inside, aggregation
+            training.train_together([u.client_id for u in received if u.pending])
+            f_next = aggregate(f, received, cfg.server_lr, cfg.clip_norm, cfg.denominator_mode, cfg.m)
 
-        # The target and non-target rows partition the test set, so their
-        # correct counts give the overall accuracy without a third pass;
-        # the non-target pass is read for its correct count only, so no
-        # loss is computed on it.
-        target_eval = forward_eval(f_next, spec, eval_sets.target_set)
-        if not np.isfinite(target_eval.mean_loss):
-            raise ValueError(f"round {t}: the global model's target loss is not finite (the model diverged)")
-        correct, nontarget_acc = target_eval.correct, 0.0
-        if eval_sets.nontarget_set is not None:
-            nontarget_eval = forward_eval(f_next, spec, eval_sets.nontarget_set)
-            correct += nontarget_eval.correct
-            nontarget_acc = nontarget_eval.accuracy
+            # The target and non-target rows partition the test set, so their
+            # correct counts give the overall accuracy without a third pass;
+            # the non-target pass is read for its correct count only, so no
+            # loss is computed on it.
+            target_eval = forward_eval(f_next, spec, eval_sets.target_set)
+            if not np.isfinite(target_eval.mean_loss):
+                raise ValueError(f"round {t}: the global model's target loss is not finite (the model diverged)")
+            correct, nontarget_acc = target_eval.correct, 0.0
+            if eval_sets.nontarget_set is not None:
+                nontarget_eval = forward_eval(f_next, spec, eval_sets.nontarget_set)
+                correct += nontarget_eval.correct
+                nontarget_acc = nontarget_eval.accuracy
 
-        trace = RoundTrace(
-            t=t,
-            participants=tuple(participants),
-            global_before=f,
-            global_after=f_next,
-            sent_models=LocalModels(f, updates, training.train_together),
-            received_models=LocalModels(f, received, training.train_together),
-        )
-        for obs in observers:
-            obs(trace)
-
-        records.append(
-            RoundRecord(
+            trace = RoundTrace(
                 t=t,
                 participants=tuple(participants),
-                received=tuple(sorted(u.client_id for u in received)),
-                target_loss=target_eval.mean_loss,
-                target_acc=target_eval.accuracy,
-                overall_acc=correct / len(eval_sets.test_set),
-                nontarget_acc=nontarget_acc,
+                global_before=f,
+                global_after=f_next,
+                sent_models=LocalModels(f, updates, training.train_together),
+                received_models=LocalModels(f, received, training.train_together),
             )
-        )
-        f = f_next
+            for obs in observers:
+                obs(trace)
+
+            records.append(
+                RoundRecord(
+                    t=t,
+                    participants=tuple(participants),
+                    received=tuple(sorted(u.client_id for u in received)),
+                    target_loss=target_eval.mean_loss,
+                    target_acc=target_eval.accuracy,
+                    overall_acc=correct / len(eval_sets.test_set),
+                    nontarget_acc=nontarget_acc,
+                )
+            )
+            f = f_next
     return records

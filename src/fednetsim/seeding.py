@@ -21,6 +21,16 @@ TAG_VISIBLE = 302
 TAG_ATTACK_DSTAR = 303
 TAG_SERVER_DSTAR = 304
 
+# Tags of the stream a function draws from the seed it is handed, keys
+# (seed, TAG). The values are the bare numbers the functions used before
+# they were named here, so no draw moves.
+TAG_SYNTHETIC_DRAW = 1  # datasets.gen_synthetic: class directions, then points
+TAG_PARTITION_DRAW = 2  # datasets.partition: holders, class pools, Dirichlet fills
+TAG_INIT_DRAW = 3  # models.init_model: initial weights
+TAG_SGD_ORDER = 4  # models.local_train_stack: each epoch's shuffle
+TAG_VISIBLE_DRAW = 5  # adversary.sample_visible_set: weights, then the set
+TAG_MC_DRAW = 6  # analysis.monte_carlo_rounds: the simulated rounds
+
 
 def _entropy(keys) -> np.ndarray:
     # The little-endian 32-bit words of each key, [0] for a zero key: the

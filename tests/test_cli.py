@@ -17,15 +17,18 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 
 
-def run_cli(*argv, timeout):
-    """``python -m fednetsim.cli`` in a fresh interpreter, killed after ``timeout`` seconds."""
-    env = dict(os.environ)
+def run_cli(*argv, timeout, env=None):
+    """``python -m fednetsim.cli`` in a fresh interpreter, killed after ``timeout`` seconds.
+
+    ``env`` holds environment variables to set on top of this process's.
+    """
+    env = {**os.environ, **(env or {})}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     cmd = [sys.executable, "-m", "fednetsim.cli", *argv]
     return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=timeout)
 
 
-def run_smoke_with(tmp_path, override):
+def run_smoke_with(tmp_path, override, env=None):
     """``run`` on ``smoke.yaml`` with ``override``'s sections merged in and top-level values replaced."""
     data = yaml.safe_load((CONFIGS / "smoke.yaml").read_text())
     for key, value in override.items():
@@ -35,7 +38,7 @@ def run_smoke_with(tmp_path, override):
             data[key] = value
     cfg = tmp_path / "override.yaml"
     cfg.write_text(yaml.safe_dump(data))
-    return run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out"), timeout=60)
+    return run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out"), timeout=60, env=env)
 
 
 class TestRun:
@@ -53,6 +56,23 @@ class TestRun:
         a = (tmp_path / "a" / "metrics.csv").read_bytes()
         b = (tmp_path / "b" / "metrics.csv").read_bytes()
         assert a == b
+
+    def test_bytes_independent_of_blas_thread_count(self, tmp_path):
+        # At 784 inputs the 200-row target evaluation is large enough for
+        # OpenBLAS to split over threads; on two threads round 4's target
+        # loss used to differ from one thread's in its last digit.
+        wide = {
+            "dataset": {"input_dim": 784, "eval_per_class": 200},
+            "model": {"hidden_dims": [256]},
+            "protocol": {"rounds": 4},
+        }
+        csv = {}
+        for threads in ("1", "2"):
+            (tmp_path / threads).mkdir()
+            proc = run_smoke_with(tmp_path / threads, wide, env={"OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            csv[threads] = (tmp_path / threads / "out" / "metrics.csv").read_bytes()
+        assert csv["1"] == csv["2"]
 
     def test_seed_override_changes_output(self, tmp_path):
         main(["run", "--config", str(CONFIGS / "smoke.yaml"), "--out", str(tmp_path / "a")])
@@ -114,6 +134,9 @@ class TestRun:
         assert "error: round 1: the global model's target loss is not finite" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
+        # one line: numpy's overflow warnings from the logits and the
+        # log-sum-exp used to come first, with their source lines
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
     def test_integer_past_c_long_exits_two(self, tmp_path):
         proc = run_smoke_with(tmp_path, {"partition": {"n": 10**26}})

@@ -17,14 +17,15 @@ from fednetsim.datasets import (
     load_idx_images,
     load_idx_labels,
     partition,
+    synthetic_labels,
 )
 from fednetsim.models import ModelSpec, forward_eval, init_model, local_train
-from fednetsim.seeding import spawn_rng
+from fednetsim.seeding import TAG_SYNTHETIC_DRAW, spawn_rng
 
 
 def _pooled_reference(class_count, input_dim, per_class, eval_per_class, separation, seed):
     """The earlier generator: one pooled draw of both sets' rows, then split per class."""
-    rng = spawn_rng(seed, 1)
+    rng = spawn_rng(seed, TAG_SYNTHETIC_DRAW)
     if class_count <= input_dim:
         q, _ = np.linalg.qr(rng.standard_normal((input_dim, class_count)))
         directions = q.T
@@ -79,6 +80,37 @@ class TestGenSynthetic:
             assert got.x.tobytes() == want.x.tobytes()
             assert got.y.tobytes() == want.y.tobytes()
 
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(2, 12),
+        st.integers(1, 12),
+        st.integers(1, 30),
+        st.integers(0, 10),
+        st.integers(0, 2**32),
+        st.data(),
+    )
+    def test_kept_rows_are_those_rows_of_the_full_draw(self, classes, dim, per_class, eval_per_class, seed, data):
+        # any index list: repeats, any order, empty
+        keep = data.draw(st.lists(st.integers(0, classes * per_class - 1), max_size=3 * classes * per_class))
+        full_train, full_held_out = gen_synthetic(classes, dim, per_class, eval_per_class, 1.5, seed)
+        kept, held_out = gen_synthetic(classes, dim, per_class, eval_per_class, 1.5, seed, keep)
+        idx = np.array(keep, dtype=np.int64)
+        assert kept.x.shape == (len(keep), dim)
+        assert kept.x.tobytes() == full_train.x[idx].tobytes()
+        assert kept.y.tobytes() == full_train.y[idx].tobytes()
+        assert held_out.x.tobytes() == full_held_out.x.tobytes()
+        assert held_out.y.tobytes() == full_held_out.y.tobytes()
+
+    def test_full_draw_labels(self):
+        train, held_out = gen_synthetic(3, 4, 10, 5, 1.0, seed=0)
+        assert np.array_equal(train.y, synthetic_labels(3, 10))
+        assert np.array_equal(held_out.y, synthetic_labels(3, 5))
+
+    @pytest.mark.parametrize("keep", [[-1], [30], [[0, 1]]])
+    def test_rejects_rows_outside_the_draw(self, keep):
+        with pytest.raises(ValueError, match="keep"):
+            gen_synthetic(3, 4, 10, 0, 1.0, seed=0, keep=keep)
+
     def test_zero_separation_is_chance_level(self):
         # train a linear classifier and evaluate on 1000 fresh points from the
         # same (single) blob: accuracy must be indistinguishable from 1/C
@@ -109,29 +141,29 @@ class TestGenSynthetic:
 
 
 class TestPartition:
-    def make_src(self, per_class=600, classes=5, seed=1):
-        return gen_synthetic(classes, 6, per_class, 0, 2.0, seed=seed)[0]
+    def make_labels(self, per_class=600, classes=5):
+        return synthetic_labels(classes, per_class)
 
     def test_target_quota_exact(self):
-        src = self.make_src()
-        plan = partition(src, 5, n=10, k=3, target_class=0, alpha_t=0.5, alpha_d=1.0, local_size=40, seed=2)
+        labels = self.make_labels()
+        plan = partition(labels, 5, n=10, k=3, target_class=0, alpha_t=0.5, alpha_d=1.0, local_size=40, seed=2)
         assert len(plan.target_client_ids) == 3
         for j in range(10):
-            count = int((src.y[plan.shards[j]] == 0).sum())
+            count = int((labels[plan.shards[j]] == 0).sum())
             if j in plan.target_client_ids:
                 assert count == 20  # ceil(0.5 * 40)
             else:
                 assert count == 0
 
     def test_k_zero_no_target_examples(self):
-        src = self.make_src()
-        plan = partition(src, 5, n=8, k=0, target_class=2, alpha_t=0.5, alpha_d=1.0, local_size=30, seed=3)
+        labels = self.make_labels()
+        plan = partition(labels, 5, n=8, k=0, target_class=2, alpha_t=0.5, alpha_d=1.0, local_size=30, seed=3)
         for shard in plan.shards:
-            assert (src.y[shard] == 2).sum() == 0
+            assert (labels[shard] == 2).sum() == 0
 
     def test_disjoint_and_exact_sizes(self):
-        src = self.make_src()
-        plan = partition(src, 5, n=12, k=4, target_class=1, alpha_t=0.7, alpha_d=0.5, local_size=35, seed=4)
+        labels = self.make_labels()
+        plan = partition(labels, 5, n=12, k=4, target_class=1, alpha_t=0.7, alpha_d=0.5, local_size=35, seed=4)
         all_idx = np.concatenate(plan.shards)
         assert len(all_idx) == 12 * 35
         assert len(np.unique(all_idx)) == len(all_idx)
@@ -154,8 +186,8 @@ class TestPartition:
         k = data.draw(st.integers(0, n))
         target_class = data.draw(st.integers(0, classes - 1))
         # every pool can cover every shard, so no class runs out
-        src, _ = gen_synthetic(classes, 3, n * local_size, 0, 1.0, seed=seed)
-        plan = partition(src, classes, n, k, target_class, alpha_t, alpha_d, local_size, seed=seed)
+        labels = synthetic_labels(classes, n * local_size)
+        plan = partition(labels, classes, n, k, target_class, alpha_t, alpha_d, local_size, seed=seed)
         assert len(plan.target_client_ids) == k
         assert list(plan.target_client_ids) == sorted(set(plan.target_client_ids))
         assert len(plan.shards) == n
@@ -164,53 +196,52 @@ class TestPartition:
         assert len(np.unique(rows)) == len(rows)
         quota = math.ceil(alpha_t * local_size)
         for client, shard in enumerate(plan.shards):
-            held = int((src.y[shard] == target_class).sum())
+            held = int((labels[shard] == target_class).sum())
             assert held == (quota if client in plan.target_client_ids else 0)
 
     def test_high_concentration_is_near_uniform(self):
         # alpha_d -> inf concentrates the Dirichlet at uniform proportions;
         # with 4 non-target classes every count should sit near local_size/4
-        src = self.make_src(per_class=2000, classes=5)
+        labels = self.make_labels(per_class=2000, classes=5)
         hits = 0
         trials = 100
         for seed in range(trials):
-            plan = partition(src, 5, n=6, k=0, target_class=0, alpha_t=0.5, alpha_d=1e6, local_size=40, seed=seed)
+            plan = partition(labels, 5, n=6, k=0, target_class=0, alpha_t=0.5, alpha_d=1e6, local_size=40, seed=seed)
             ok = True
             for shard in plan.shards:
-                counts = np.bincount(src.y[shard], minlength=5)[1:]
+                counts = np.bincount(labels[shard], minlength=5)[1:]
                 if np.abs(counts - 10).max() > 2:  # 20% of local_size/4
                     ok = False
             hits += ok
         assert hits >= 99
 
     def test_determinism(self):
-        src = self.make_src()
-        a = partition(src, 5, 10, 3, 0, 0.5, 1.0, 40, seed=77)
-        b = partition(src, 5, 10, 3, 0, 0.5, 1.0, 40, seed=77)
+        labels = self.make_labels()
+        a = partition(labels, 5, 10, 3, 0, 0.5, 1.0, 40, seed=77)
+        b = partition(labels, 5, 10, 3, 0, 0.5, 1.0, 40, seed=77)
         assert a.target_client_ids == b.target_client_ids
         assert all(np.array_equal(x, y) for x, y in zip(a.shards, b.shards))
 
     def test_exhaustion_error_names_class(self):
-        src = self.make_src(per_class=50)
+        labels = self.make_labels(per_class=50)
         with pytest.raises(PartitionError, match="class 0"):
-            partition(src, 5, n=10, k=8, target_class=0, alpha_t=0.9, alpha_d=1.0, local_size=40, seed=5)
+            partition(labels, 5, n=10, k=8, target_class=0, alpha_t=0.9, alpha_d=1.0, local_size=40, seed=5)
 
     def test_rejects_bad_arguments(self):
-        src = self.make_src()
+        labels = self.make_labels()
         with pytest.raises(ValueError):
-            partition(src, 5, 10, 11, 0, 0.5, 1.0, 40, seed=0)
+            partition(labels, 5, 10, 11, 0, 0.5, 1.0, 40, seed=0)
         with pytest.raises(ValueError):
-            partition(src, 5, 10, 3, 0, 0.0, 1.0, 40, seed=0)
+            partition(labels, 5, 10, 3, 0, 0.0, 1.0, 40, seed=0)
         with pytest.raises(ValueError):
-            partition(src, 5, 10, 3, 9, 0.5, 1.0, 40, seed=0)
+            partition(labels, 5, 10, 3, 9, 0.5, 1.0, 40, seed=0)
 
     @pytest.mark.parametrize("bad_label", [-1, 5])
     def test_rejects_out_of_range_label(self, bad_label):
-        src = self.make_src()
-        y = src.y.copy()
-        y[7] = bad_label
+        labels = self.make_labels()
+        labels[7] = bad_label
         with pytest.raises(ValueError, match=r"labels must lie in \[0, class_count\)"):
-            partition(ExampleSet(src.x, y), 5, 10, 3, 0, 0.5, 1.0, 40, seed=0)
+            partition(labels, 5, 10, 3, 0, 0.5, 1.0, 40, seed=0)
 
 
 class TestIdxLoader:

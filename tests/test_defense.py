@@ -169,7 +169,7 @@ class TestUpsamplingDefender:
 
         spec = ModelSpec(5, (6,), 3)
         src, _ = gen_synthetic(3, 5, 400, 0, 2.0, seed=4)
-        plan = partition(src, 3, 8, 2, 0, 0.5, 1.0, 30, seed=5)
+        plan = partition(src.y, 3, 8, 2, 0, 0.5, 1.0, 30, seed=5)
         shards = [src.subset(idx) for idx in plan.shards]
         eval_sets = EvalSets(src, 0)
         cfg = ProtocolConfig(m=3, rounds=8, server_lr=0.3, local_epochs=1, local_lr=0.1, batch_size=None)

@@ -3,26 +3,32 @@
 Each case writes the files of one command and compares their sha256 with a
 recorded value. The values hold for numpy 2.4.6 with its bundled OpenBLAS
 on x86-64 with AVX-512, where OpenBLAS runs its ``SkylakeX`` kernel and
-numpy dispatches its AVX-512 loops. On other kernels the last bit of a
-loss moves: under ``OPENBLAS_CORETYPE=Haswell`` (the AVX2 kernel) 10 of the
-13 cases fail, and disabling numpy's AVX-512 dispatch alone
+numpy dispatches its AVX-512 loops. Trials run on one BLAS thread, so the
+values depend on neither the core count nor ``OPENBLAS_NUM_THREADS``. On
+other kernels the last bit of a loss moves: under
+``OPENBLAS_CORETYPE=Haswell`` (the AVX2 kernel) 10 of the 13 cases fail,
+and disabling numpy's AVX-512 dispatch alone
 (``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``) fails 4. So
-a mismatch on a machine without AVX-512 is not by itself a regression. A
-change that moves a digest on purpose must re-record it and say why.
+a mismatch on a machine without AVX-512 is not by itself a regression, and
+a failing case names this host's OpenBLAS core and numpy version. A change
+that moves a digest on purpose must re-record it and say why.
 """
 
 import hashlib
 import pathlib
 from dataclasses import replace as dc_replace
 
+import numpy as np
 import pytest
 
 from fednetsim.cli import main
 from fednetsim.config import AttackConfig, DefenseConfig, ModelConfig, PoisonConfig, load_scenario
 from fednetsim.harness import emit_metrics, run_scenario
+from fednetsim.models import blas_core
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 SMOKE = str(CONFIGS / "smoke.yaml")
+RECORDED_ON = "OpenBLAS core SkylakeX, numpy 2.4.6"
 
 GOLDEN = {
     "smoke_run": {
@@ -179,4 +185,5 @@ def _produce(case: str, out: pathlib.Path):
 def test_golden_digest(case, tmp_path, capsys):
     _produce(case, tmp_path)
     capsys.readouterr()
-    assert _digests(tmp_path, GOLDEN[case]) == GOLDEN[case]
+    here = f"OpenBLAS core {blas_core()}, numpy {np.__version__}"
+    assert _digests(tmp_path, GOLDEN[case]) == GOLDEN[case], f"recorded on {RECORDED_ON}; this host: {here}"

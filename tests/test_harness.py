@@ -38,8 +38,9 @@ from fednetsim.harness import (
     run_trial,
     sweep_grid,
 )
+from fednetsim.datasets import gen_synthetic, partition
 from fednetsim.poisoning import craft_poison_update
-from fednetsim.seeding import TAG_TRAIN, spawn_seed
+from fednetsim.seeding import TAG_DATA, TAG_PARTITION, TAG_TRAIN, spawn_seed
 from conftest import tiny_scenario
 
 POSITIVE = st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False)
@@ -220,6 +221,39 @@ class TestBuildWorld:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * features, f"peak {peak / features:.2f}x the {features} feature bytes"
+
+    def test_build_never_holds_the_full_training_pool(self):
+        # the partition reads labels only, so only the rows its shards use
+        # are kept: 12,000 of the pool's 40,000
+        cfg = load_scenario(pathlib.Path(__file__).resolve().parent.parent / "configs" / "standard.yaml")
+        ds = cfg.dataset
+        pool = ds.class_count * ds.per_class * ds.input_dim * 8
+        tracemalloc.start()
+        try:
+            build_world(cfg, cfg.base_seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < pool, f"peak {peak / pool:.2f}x the {pool} bytes of the training pool"
+
+    def test_shards_are_the_partitioned_rows_of_the_full_draw(self):
+        cfg, seed = self.unpoisoned(), 21
+        ds, part = cfg.dataset, cfg.partition
+        world = build_world(cfg, seed)
+        train, test = gen_synthetic(
+            ds.class_count, ds.input_dim, ds.per_class, ds.eval_per_class, ds.separation,
+            spawn_seed(seed, TAG_DATA),
+        )
+        plan = partition(
+            train.y, ds.class_count, part.n, part.k, part.target_class, part.alpha_t, part.alpha_d,
+            part.local_size, spawn_seed(seed, TAG_PARTITION),
+        )
+        assert world.honest_targets == plan.target_client_ids
+        assert len(world.shards) == len(plan.shards)
+        for shard, idx in zip(world.shards, plan.shards):
+            assert shard.x.tobytes() == train.x[idx].tobytes()
+            assert shard.y.tobytes() == train.y[idx].tobytes()
+        assert world.eval_sets.test_set.x.tobytes() == test.x.tobytes()
 
 
 class TestRunScenario:

@@ -224,7 +224,7 @@ class TestAggregate:
 
 def small_world(seed=1, n=8, k=2, classes=4, rounds=12):
     src, _ = gen_synthetic(classes, 5, 400, 0, 2.5, seed=seed)
-    plan = partition(src, classes, n, k, 0, 0.5, 1.0, 30, seed=seed + 1)
+    plan = partition(src.y, classes, n, k, 0, 0.5, 1.0, 30, seed=seed + 1)
     shards = [src.subset(idx) for idx in plan.shards]
     holdout, _ = gen_synthetic(classes, 5, 60, 0, 2.5, seed=seed)  # same seed: same geometry
     eval_sets = EvalSets(holdout, 0)
@@ -601,3 +601,40 @@ class TestEvaluateOnlyWhatIsRead:
         assert passes == [len(target_set)]
         assert ledger.sums == expected
         assert ledger.counts == {j: 1 for j in expected}
+
+
+@pytest.fixture
+def two_blas_threads():
+    """OpenBLAS set to two threads for the test, its count restored after."""
+    lib = models._openblas()
+    if lib is None:
+        pytest.skip("numpy bundles no OpenBLAS")
+    before = models.blas_threads()
+    lib.scipy_openblas_set_num_threads64_(2)
+    yield
+    lib.scipy_openblas_set_num_threads64_(before)
+
+
+class TestOneBlasThread:
+    def test_rounds_run_on_one_thread_and_the_count_comes_back(self, two_blas_threads):
+        cfg, shards, spec, eval_sets, _ = small_world(rounds=3)
+        seen = []
+        run_protocol(cfg, shards, spec, eval_sets, 1, observers=[lambda trace: seen.append(models.blas_threads())])
+        assert seen == [1, 1, 1]
+        assert models.blas_threads() == 2
+
+    def test_count_comes_back_when_a_round_raises(self, two_blas_threads):
+        cfg, shards, spec, eval_sets, _ = small_world(rounds=3)
+
+        def fail(trace):
+            assert models.blas_threads() == 1
+            raise RuntimeError("observer failed")
+
+        with pytest.raises(RuntimeError, match="observer failed"):
+            run_protocol(cfg, shards, spec, eval_sets, 1, observers=[fail])
+        assert models.blas_threads() == 2
+
+    def test_core_name_read_through_the_same_handle(self):
+        if models._openblas() is None:
+            pytest.skip("numpy bundles no OpenBLAS")
+        assert isinstance(models.blas_core(), str) and models.blas_core()
