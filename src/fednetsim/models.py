@@ -191,19 +191,18 @@ def _forward(layers, activation: str, x: np.ndarray, buffers=None):
     return logits, inputs
 
 
-def _hidden_buffers(spec: ModelSpec, k: int, rows: int) -> list[tuple[np.ndarray, ...]]:
-    """Per hidden layer, ``(k, rows, width)`` buffers for one SGD step.
+def _hidden_buffers(spec: ModelSpec, k: int, rows: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per hidden layer, two ``(k, rows, width)`` buffers for one SGD step.
 
-    They hold the activation, the backpropagated error and the activation's
-    derivative (a relu mask or ``1 - tanh^2``). Training allocates them once
-    per call and reuses them every step, so a step allocates no array of
-    this size, whose fresh pages can fault on every step.
+    The first holds the activation, and then, once its last read is done,
+    the error backpropagated to the layer's output; the second holds the
+    activation's derivative (a relu mask or ``1 - tanh^2``). Training
+    allocates them once per call and reuses them every step, so a step
+    allocates no array of this size, whose fresh pages can fault on every
+    step.
     """
     aux = bool if spec.activation == "relu" else np.float64
-    return [
-        (np.empty((k, rows, h)), np.empty((k, rows, h)), np.empty((k, rows, h), aux))
-        for h in spec.hidden_dims
-    ]
+    return [(np.empty((k, rows, h)), np.empty((k, rows, h), aux)) for h in spec.hidden_dims]
 
 
 def _backprop(layers, grads, activation: str, x: np.ndarray, y: np.ndarray, buffers):
@@ -212,8 +211,10 @@ def _backprop(layers, grads, activation: str, x: np.ndarray, y: np.ndarray, buff
     ``layers`` and ``grads`` are stacked (weight, bias) views of ``(K, P)``
     parameter and gradient stacks, ``x`` is ``(K, rows, input_dim)``, ``y``
     is ``(K, rows)`` and ``buffers`` comes from ``_hidden_buffers``; inputs
-    are not validated. Each product is one BLAS call per model, so every
-    model's gradient equals its one-model (K=1) result bit for bit.
+    are not validated. The error reaching a hidden layer overwrites that
+    layer's activation, after the weight gradient and the derivative have
+    read it. Each product is one BLAS call per model, so every model's
+    gradient equals its one-model (K=1) result bit for bit.
     """
     dz, inputs = _forward(layers, activation, x, buffers)
     k, rows, classes = dz.shape
@@ -231,15 +232,15 @@ def _backprop(layers, grads, activation: str, x: np.ndarray, y: np.ndarray, buff
         np.matmul(h_in.swapaxes(-1, -2), dz, out=gw)
         np.add.reduce(dz, axis=-2, keepdims=True, out=gb)
         if i > 0:
-            _, error, aux = buffers[i - 1]
-            dz = np.matmul(dz, layers[i][0].swapaxes(-1, -2), out=error)
             # h_in is the previous layer's activation output: relu(z) > 0
             # exactly where z > 0, and tanh'(z) = 1 - tanh(z)^2.
+            aux = buffers[i - 1][1]
             if activation == "relu":
                 np.greater(h_in, 0.0, out=aux)
             else:
                 np.square(h_in, out=aux)
                 np.subtract(1.0, aux, out=aux)
+            dz = np.matmul(dz, layers[i][0].swapaxes(-1, -2), out=h_in)
             dz *= aux
 
 
@@ -356,7 +357,9 @@ def local_train_stack(
 
     The K clients start from the same global model and their shards have
     one length, so every step runs all K models through one pass of numpy
-    calls; each model keeps its own shuffle stream, keyed by its seed.
+    calls; each model keeps its own shuffle stream, keyed by its seed. The
+    returned deltas are the trained stack itself, the global model
+    subtracted in place.
     """
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
@@ -393,4 +396,5 @@ def local_train_stack(
             _backprop(layers, grads, spec.activation, xs[:, start : start + step], yb, buffers[yb.shape[1]])
             grad *= lr
             theta -= grad
-    return theta - global_params
+    theta -= global_params
+    return theta

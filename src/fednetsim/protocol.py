@@ -20,6 +20,11 @@ updates train together as one stack per shard length
 (``models.local_train_stack``), and so do the dropped ones an observer
 reads through ``LocalModels.read_together``; each row is bit-equal to
 training that client alone.
+
+A round's state (its training, updates, evaluations and trace) lives only
+for its round: the run keeps the records and the current global model, so
+round t's arrays are freed before round t+1 trains, unless an observer
+keeps the trace.
 """
 
 from collections.abc import Mapping
@@ -327,65 +332,70 @@ def run_protocol(
     A global model whose target loss is not finite raises ``ValueError``.
     The rounds run on one OpenBLAS thread (``models.one_blas_thread``); the
     previous thread count is back when this returns or raises.
+
+    Each round runs in its own call, so nothing it builds outlives it
+    unless an observer keeps the trace.
     """
     n = len(shards)
     observers = tuple(observers)
-
-    f = init_model(spec, spawn_seed(seed, TAG_INIT))
     uniform = np.full(n, 1.0 / n)
 
+    def play_round(t: int, f: np.ndarray) -> tuple[RoundRecord, np.ndarray]:
+        """Round t from global model f: its record and the next global model."""
+        p = None
+        if resample_hook is not None:
+            p = resample_hook(t, n)
+        participants = select_participants(n, cfg.m, uniform if p is None else p, seed, t)
+
+        training = _RoundTraining(cfg, spec, shards, poison_hook, f, seed, t)
+        updates = [LocalUpdate(j, train=partial(training.delta, j)) for j in participants]
+        received = filter_hook(list(updates), t) if filter_hook is not None else updates
+        # train what the server receives before, not inside, aggregation
+        training.train_together([u.client_id for u in received if u.pending])
+        f_next = aggregate(f, received, cfg.server_lr, cfg.clip_norm, cfg.denominator_mode, cfg.m)
+
+        # The target and non-target rows partition the test set, so their
+        # correct counts give the overall accuracy without a third pass;
+        # the non-target pass is read for its correct count only, so no
+        # loss is computed on it.
+        target_eval = forward_eval(f_next, spec, eval_sets.target_set)
+        if not np.isfinite(target_eval.mean_loss):
+            raise ValueError(f"round {t}: the global model's target loss is not finite (the model diverged)")
+        correct, nontarget_acc = target_eval.correct, 0.0
+        if eval_sets.nontarget_set is not None:
+            nontarget_eval = forward_eval(f_next, spec, eval_sets.nontarget_set)
+            correct += nontarget_eval.correct
+            nontarget_acc = nontarget_eval.accuracy
+
+        trace = RoundTrace(
+            t=t,
+            participants=tuple(participants),
+            global_before=f,
+            global_after=f_next,
+            sent_models=LocalModels(f, updates, training.train_together),
+            received_models=LocalModels(f, received, training.train_together),
+        )
+        for obs in observers:
+            obs(trace)
+
+        record = RoundRecord(
+            t=t,
+            participants=tuple(participants),
+            received=tuple(sorted(u.client_id for u in received)),
+            target_loss=target_eval.mean_loss,
+            target_acc=target_eval.accuracy,
+            overall_acc=correct / len(eval_sets.test_set),
+            nontarget_acc=nontarget_acc,
+        )
+        return record, f_next
+
+    f = init_model(spec, spawn_seed(seed, TAG_INIT))
     records = []
     # One BLAS thread, so the bits do not depend on the core count; a
     # diverging model ends the run through the finiteness checks, not
     # through numpy's overflow warnings.
     with one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, cfg.rounds + 1):
-            p = None
-            if resample_hook is not None:
-                p = resample_hook(t, n)
-            participants = select_participants(n, cfg.m, uniform if p is None else p, seed, t)
-
-            training = _RoundTraining(cfg, spec, shards, poison_hook, f, seed, t)
-            updates = [LocalUpdate(j, train=partial(training.delta, j)) for j in participants]
-            received = filter_hook(list(updates), t) if filter_hook is not None else updates
-            # train what the server receives before, not inside, aggregation
-            training.train_together([u.client_id for u in received if u.pending])
-            f_next = aggregate(f, received, cfg.server_lr, cfg.clip_norm, cfg.denominator_mode, cfg.m)
-
-            # The target and non-target rows partition the test set, so their
-            # correct counts give the overall accuracy without a third pass;
-            # the non-target pass is read for its correct count only, so no
-            # loss is computed on it.
-            target_eval = forward_eval(f_next, spec, eval_sets.target_set)
-            if not np.isfinite(target_eval.mean_loss):
-                raise ValueError(f"round {t}: the global model's target loss is not finite (the model diverged)")
-            correct, nontarget_acc = target_eval.correct, 0.0
-            if eval_sets.nontarget_set is not None:
-                nontarget_eval = forward_eval(f_next, spec, eval_sets.nontarget_set)
-                correct += nontarget_eval.correct
-                nontarget_acc = nontarget_eval.accuracy
-
-            trace = RoundTrace(
-                t=t,
-                participants=tuple(participants),
-                global_before=f,
-                global_after=f_next,
-                sent_models=LocalModels(f, updates, training.train_together),
-                received_models=LocalModels(f, received, training.train_together),
-            )
-            for obs in observers:
-                obs(trace)
-
-            records.append(
-                RoundRecord(
-                    t=t,
-                    participants=tuple(participants),
-                    received=tuple(sorted(u.client_id for u in received)),
-                    target_loss=target_eval.mean_loss,
-                    target_acc=target_eval.accuracy,
-                    overall_acc=correct / len(eval_sets.test_set),
-                    nontarget_acc=nontarget_acc,
-                )
-            )
-            f = f_next
+            record, f = play_round(t, f)
+            records.append(record)
     return records

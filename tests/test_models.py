@@ -1,6 +1,7 @@
 """Core model: parameter layout, evaluation identities, gradients, local SGD."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -312,6 +313,30 @@ class TestLocalTrainStack:
             local_train_stack(init_model(spec, 1), spec, shards, 1, 0.1, None, [1, 2])
         with pytest.raises(ValueError, match="1 seeds for 2 shards"):
             local_train_stack(init_model(spec, 1), spec, shards[:1] * 2, 1, 0.1, None, [1])
+
+    def test_peak_memory_is_what_the_steps_must_hold(self):
+        # a standard round's stack: 10 clients of 200 rows, batches of 100,
+        # 10 -> 64 -> 10 relu; the backpropagated error reuses the
+        # activation's buffer, so no second (K, batch, 64) array is held
+        spec = ModelSpec(10, (64,), 10)
+        k, rows, batch = 10, 200, 100
+        rng = np.random.default_rng(5)
+        shards = [random_batch(rng, spec, rows) for _ in range(k)]
+        rows_bytes = k * rows * (spec.input_dim * 8 + 8)  # features and labels
+        held = (
+            k * batch * spec.hidden_dims[0] * (8 + 1)  # one activation and one relu mask
+            + rows_bytes  # the concatenated rows
+            + 2 * rows_bytes  # two epochs' takes, at the turn of the epoch
+            + 2 * k * spec.param_count() * 8  # the parameter and gradient stacks
+        )
+        tracemalloc.start()
+        try:
+            local_train_stack(init_model(spec, 5), spec, shards, 2, 0.1, batch, list(range(k)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 64 KiB for the permutations and one step's logits, never both at once
+        assert peak <= held + 2**16, f"peak {peak} bytes, {peak - held} over the {held} the call must hold"
 
 
 class TestMeanLossesMatchForwardEval:

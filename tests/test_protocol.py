@@ -1,5 +1,7 @@
 """Participant sampling, aggregation identities, and the round loop."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -557,6 +559,22 @@ class TestLazyRound:
                 f = trace.global_before
                 delta = eager_delta(cfg, shards, spec, seed, hook, f, trace.t, j)
                 assert np.array_equal(trace.sent_models[j], f + delta)
+
+
+class TestRoundLifetime:
+    def test_a_rounds_trace_is_freed_before_the_next_round_trains(self, monkeypatch):
+        cfg, shards, spec, eval_sets, _ = small_world(rounds=4)
+        traces = []
+        rounds_before = []
+
+        def stack(*args):
+            assert all(ref() is None for ref in traces), "an earlier round's trace is still reachable"
+            rounds_before.append(len(traces))
+            return models.local_train_stack(*args)
+
+        monkeypatch.setattr(protocol, "local_train_stack", stack)
+        run_protocol(cfg, shards, spec, eval_sets, 5, observers=[lambda trace: traces.append(weakref.ref(trace))])
+        assert sorted(set(rounds_before)) == list(range(cfg.rounds))
 
 
 class TestEvaluateOnlyWhatIsRead:
