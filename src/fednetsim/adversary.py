@@ -103,8 +103,8 @@ def record_round(
     With models, each participant j in ``models`` is credited separately
     with ``loss(global_before) - loss(models[j])`` on the target set; all
     these losses come from one stacked forward pass. ``LocalModels`` are
-    read with ``read_together``, so the updates this read trains are
-    trained together too.
+    read with ``read_together``, so the deltas the round's store does not
+    hold yet train together too.
     Without, the single global difference
     ``loss(global_before) - loss(global_after)`` is credited to every
     participant, or only to those in ``visible`` when a visible set is given.

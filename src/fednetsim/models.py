@@ -117,30 +117,27 @@ def one_blas_thread():
         lib.scipy_openblas_set_num_threads64_(before)
 
 
-def _layer_views(
-    params: np.ndarray, spec: ModelSpec, stacked: bool = False
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(weight, bias) views into the flat vector, one pair per layer.
+def _layer_views(params: np.ndarray, spec: ModelSpec) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weight, bias) views into a ``(K, P)`` stack of flat vectors, one pair per layer.
 
-    With ``stacked``, ``params`` is a ``(K, P)`` stack of vectors and the
-    views are ``(K, fan_in, fan_out)`` weights and ``(K, 1, fan_out)``
-    biases, so one forward pass evaluates all K models.
+    The views are ``(K, fan_in, fan_out)`` weights and ``(K, 1, fan_out)``
+    biases, so one forward pass runs all K models; one model is a stack of
+    one.
     """
-    if params.ndim != 1 + stacked or params.shape[-1] != spec.param_count():
+    if params.ndim != 2 or params.shape[1] != spec.param_count():
         raise ValueError(
             f"parameter vector length {params.shape} does not match spec ({spec.param_count()})"
         )
-    stack = params.shape[:-1]
+    k = len(params)
     dims = spec.layer_dims
     out = []
     offset = 0
     for i in range(len(dims) - 1):
         fan_in, fan_out = dims[i], dims[i + 1]
-        w = params[..., offset : offset + fan_in * fan_out].reshape(*stack, fan_in, fan_out)
+        w = params[:, offset : offset + fan_in * fan_out].reshape(k, fan_in, fan_out)
         offset += fan_in * fan_out
-        b = params[..., offset : offset + fan_out]
+        out.append((w, params[:, None, offset : offset + fan_out]))
         offset += fan_out
-        out.append((w, b[:, None, :] if stacked else b))
     return out
 
 
@@ -256,10 +253,10 @@ def _mean_loss(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sort(_per_example_losses(logits, y), axis=-1).sum(axis=-1) / len(y)
 
 
-def _eval_logits(params: np.ndarray, spec: ModelSpec, batch: ExampleSet, stacked: bool = False):
-    """Logits on a validated batch: ``(rows, classes)``, or ``(K, rows, classes)`` if stacked."""
+def _eval_logits(params: np.ndarray, spec: ModelSpec, batch: ExampleSet):
+    """``(K, rows, classes)`` logits of a ``(K, P)`` stack on a validated batch."""
     _check_batch(spec, batch, "evaluation set")
-    logits, _ = _forward(_layer_views(params, spec, stacked), spec.activation, batch.x)
+    logits, _ = _forward(_layer_views(params, spec), spec.activation, batch.x)
     return logits
 
 
@@ -295,7 +292,7 @@ def forward_eval(params: np.ndarray, spec: ModelSpec, batch: ExampleSet) -> Eval
     change the result. The forward pass runs here; the loss and the correct
     count are each computed on first read.
     """
-    return EvalResult(_eval_logits(params, spec, batch), batch.y)
+    return EvalResult(_eval_logits(params[None], spec, batch)[0], batch.y)
 
 
 def mean_losses(params: np.ndarray, spec: ModelSpec, batch: ExampleSet) -> np.ndarray:
@@ -304,7 +301,7 @@ def mean_losses(params: np.ndarray, spec: ModelSpec, batch: ExampleSet) -> np.nd
     One forward pass evaluates all K models; each model's product is its
     own BLAS call, so every loss equals the one-model result bit for bit.
     """
-    return _mean_loss(_eval_logits(params, spec, batch, stacked=True), batch.y)
+    return _mean_loss(_eval_logits(params, spec, batch), batch.y)
 
 
 def loss_gradient(params: np.ndarray, spec: ModelSpec, batch: ExampleSet) -> np.ndarray:
@@ -313,8 +310,8 @@ def loss_gradient(params: np.ndarray, spec: ModelSpec, batch: ExampleSet) -> np.
     stack = params[None, :]
     grad = np.empty(stack.shape)
     _backprop(
-        _layer_views(stack, spec, stacked=True),
-        _layer_views(grad, spec, stacked=True),
+        _layer_views(stack, spec),
+        _layer_views(grad, spec),
         spec.activation,
         batch.x[None],
         batch.y[None],
@@ -377,9 +374,9 @@ def local_train_stack(
         raise ValueError("the shards of one stack must have equal length")
 
     theta = np.tile(global_params, (k, 1))
-    layers = _layer_views(theta, spec, stacked=True)
+    layers = _layer_views(theta, spec)
     grad = np.empty_like(theta)
-    grads = _layer_views(grad, spec, stacked=True)
+    grads = _layer_views(grad, spec)
     rngs = [spawn_rng(seed, TAG_SGD_ORDER) for seed in seeds]
     # every shard's rows, end to end, so one take per epoch shuffles them all
     x = np.concatenate([shard.x for shard in shards])

@@ -15,11 +15,11 @@ An update is computed only when it is aggregated or observed: a dropped
 update that no observer reads is never trained, and the poison hook is
 never called for it. Hooks must therefore be pure functions of their
 arguments; when, and whether, one is called for a dropped client is not
-part of the contract. After the filter runs, a round's pending received
-updates train together as one stack per shard length
-(``models.local_train_stack``), and so do the dropped ones an observer
-reads through ``LocalModels.read_together``; each row is bit-equal to
-training that client alone.
+part of the contract. A round's deltas have one store, which trains each
+client at most once: the received updates, once the filter has run, and
+the models an observer reads through ``LocalModels.read_together`` train
+as one stack per shard length (``models.local_train_stack``), and a lone
+read trains one client alone; each row is bit-equal to the lone result.
 
 A round's state (its training, updates, evaluations and trace) lives only
 for its round: the run keeps the records and the current global model, so
@@ -64,20 +64,11 @@ class LocalUpdate:
         self._train = train
 
     @property
-    def pending(self) -> bool:
-        """Whether reading ``delta`` would still run the training."""
-        return self._delta is None
-
-    @property
     def delta(self) -> np.ndarray:
         if self._delta is None:
             self._delta = self._train()
             self._train = None
         return self._delta
-
-    def __repr__(self) -> str:
-        state = "pending" if self.pending else "computed"
-        return f"LocalUpdate(client_id={self.client_id}, {state})"
 
 
 @dataclass(frozen=True)
@@ -94,37 +85,38 @@ class RoundRecord:
 
 
 class LocalModels(Mapping):
-    """Read-only client id -> local model ``global_before + delta``.
+    """Read-only client id -> local model ``training.f + delta`` for ``client_ids``.
 
-    A model is computed on each access, so reading a dropped client's model
-    is what trains its update. ``read_together`` reads many models at
-    once: it first hands the ids of the pending updates among them to
-    ``train_together``, which trains them in one go.
+    A view of the round's store of deltas: a model is computed on each
+    access, so reading one whose delta is not stored yet trains it, and
+    ``read_together`` trains the ones it reads together. Membership and
+    ``keys()`` read no model.
     """
 
-    def __init__(
-        self,
-        global_before: np.ndarray,
-        updates: Iterable[LocalUpdate],
-        train_together: Callable[[list[int]], None],
-    ):
-        self._global_before = global_before
-        self._updates = {u.client_id: u for u in updates}
-        self._train_together = train_together
+    def __init__(self, training: "_RoundTraining", client_ids: Iterable[int]):
+        self._training = training
+        self._ids = dict.fromkeys(client_ids)
 
     def __getitem__(self, client_id: int) -> np.ndarray:
-        return self._global_before + self._updates[client_id].delta
+        if client_id not in self._ids:
+            raise KeyError(client_id)
+        return self._training.f + self._training.delta(client_id)
+
+    def __contains__(self, client_id) -> bool:
+        return client_id in self._ids
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._updates)
+        return iter(self._ids)
 
     def __len__(self) -> int:
-        return len(self._updates)
+        return len(self._ids)
 
     def read_together(self, client_ids: Sequence[int]) -> list[np.ndarray]:
-        """The models of ``client_ids``, in order, their pending updates trained together."""
-        self._train_together([j for j in client_ids if self._updates[j].pending])
-        return [self[j] for j in client_ids]
+        """The models of ``client_ids``, in order, the ones not trained yet trained together."""
+        missing = [j for j in client_ids if j not in self._ids]
+        if missing:
+            raise KeyError(missing[0])
+        return [self._training.f + delta for delta in self._training.deltas(client_ids)]
 
 
 @dataclass(frozen=True)
@@ -134,11 +126,12 @@ class RoundTrace:
     ``sent_models`` are the local models as transmitted by every
     participant (visible on the wire); ``received_models`` are the subset
     that survived adversarial dropping (visible to the server). In a
-    protocol run both are ``LocalModels``: an update is computed only when
-    it is aggregated or observed, so a sent model that is not also received
-    is trained only if an observer reads it. The hooks that produce the
-    updates must be pure functions of their arguments; the poison hook may
-    not be called for a dropped client.
+    protocol run both are ``LocalModels`` views of the round's one store of
+    deltas: the received updates are trained before aggregation, and a
+    sent model that is not also received is trained only if an observer
+    reads it. The hooks that produce the updates must be pure functions of
+    their arguments; the poison hook may not be called for a dropped
+    client.
     """
 
     t: int
@@ -262,13 +255,13 @@ Observer = Callable[[RoundTrace], None]
 
 @dataclass
 class _RoundTraining:
-    """Round t's local training from global model f, poison hook applied, each client once.
+    """The store of round t's deltas: local training from global model f, poison hook applied.
 
-    ``delta(j)`` trains client j alone unless it is trained already;
-    ``train_together(ids)`` trains the listed clients, none of them trained
-    yet, as ``local_train_stack`` stacks, one per shard length. Client j's
-    SGD stream is keyed on (seed, t, j) either way, so its delta is the
-    same bits however it was trained.
+    ``delta(j)`` trains client j alone unless it is stored; ``deltas(ids)``
+    trains the listed clients not stored yet as ``local_train_stack``
+    stacks, one per shard length. Client j's SGD stream is keyed on
+    (seed, t, j) either way, so its delta is the same bits however it was
+    trained, and each client is trained and poisoned at most once.
     """
 
     cfg: ProtocolConfig
@@ -294,18 +287,21 @@ class _RoundTraining:
             self._keep(j, delta)
         return self._deltas[j]
 
-    def train_together(self, client_ids: Iterable[int]):
+    def deltas(self, client_ids: Sequence[int]) -> list[np.ndarray]:
+        """The deltas of ``client_ids``, in order."""
         by_length: dict[int, list[int]] = {}
         for j in client_ids:
-            by_length.setdefault(len(self.shards[j]), []).append(j)
+            if j not in self._deltas:
+                by_length.setdefault(len(self.shards[j]), []).append(j)
         cfg = self.cfg
         for ids in by_length.values():
-            deltas = local_train_stack(
+            stack = local_train_stack(
                 self.f, self.spec, [self.shards[j] for j in ids], cfg.local_epochs, cfg.local_lr,
                 cfg.batch_size, [spawn_seed(self.seed, TAG_TRAIN, self.t, j) for j in ids],
             )
-            for j, delta in zip(ids, deltas):
+            for j, delta in zip(ids, stack):
                 self._keep(j, delta)
+        return [self._deltas[j] for j in client_ids]
 
 
 def run_protocol(
@@ -325,10 +321,11 @@ def run_protocol(
     every client trains the same way. Hooks: ``resample_hook(t, n)`` may
     return the selection distribution for round t (None keeps uniform);
     ``poison_hook(t, client_id, delta)`` receives a client's trained delta
-    and may return a replacement for it; ``filter_hook``
-    removes dropped updates before aggregation; reading an update's delta
-    trains it, so a filter that decides by client id alone saves the
-    training of what it drops. All hooks default to identity behavior.
+    and may return a replacement for it; ``filter_hook(updates, t)``
+    removes dropped updates before aggregation and returns a sub-list of
+    the updates it is handed; reading an update's delta trains it, so a
+    filter that decides by client id alone saves the training of what it
+    drops. All hooks default to identity behavior.
     A global model whose target loss is not finite raises ``ValueError``.
     The rounds run on one OpenBLAS thread (``models.one_blas_thread``); the
     previous thread count is back when this returns or raises.
@@ -350,8 +347,9 @@ def run_protocol(
         training = _RoundTraining(cfg, spec, shards, poison_hook, f, seed, t)
         updates = [LocalUpdate(j, train=partial(training.delta, j)) for j in participants]
         received = filter_hook(list(updates), t) if filter_hook is not None else updates
+        received_ids = [u.client_id for u in received]
         # train what the server receives before, not inside, aggregation
-        training.train_together([u.client_id for u in received if u.pending])
+        training.deltas(received_ids)
         f_next = aggregate(f, received, cfg.server_lr, cfg.clip_norm, cfg.denominator_mode, cfg.m)
 
         # The target and non-target rows partition the test set, so their
@@ -372,8 +370,8 @@ def run_protocol(
             participants=tuple(participants),
             global_before=f,
             global_after=f_next,
-            sent_models=LocalModels(f, updates, training.train_together),
-            received_models=LocalModels(f, received, training.train_together),
+            sent_models=LocalModels(training, participants),
+            received_models=LocalModels(training, received_ids),
         )
         for obs in observers:
             obs(trace)
@@ -381,7 +379,7 @@ def run_protocol(
         record = RoundRecord(
             t=t,
             participants=tuple(participants),
-            received=tuple(sorted(u.client_id for u in received)),
+            received=tuple(sorted(received_ids)),
             target_loss=target_eval.mean_loss,
             target_acc=target_eval.accuracy,
             overall_acc=correct / len(eval_sets.test_set),

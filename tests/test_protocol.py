@@ -517,6 +517,45 @@ class TestLazyRound:
         assert np.array_equal(a, b)
         assert len(calls) == 1
 
+    def test_membership_and_keys_train_nothing(self, monkeypatch):
+        calls = count_training(monkeypatch)
+        cfg, shards, spec, eval_sets, _ = small_world(rounds=3)
+        seen = []
+
+        def observe(trace):
+            sent = trace.sent_models
+            assert all(j in sent for j in trace.participants)
+            assert all(j in sent.keys() for j in trace.participants)
+            assert sorted(sent.keys()) == list(trace.participants)
+            seen.append(len(sent) - len(trace.received_models))
+
+        records = run_protocol(
+            cfg, shards, spec, eval_sets, 6, filter_hook=lambda ups, t: ups[:2], observers=[observe]
+        )
+        assert seen == [cfg.m - 2] * cfg.rounds
+        assert len(calls) == sum(len(r.received) for r in records)
+
+    def test_each_client_trains_once_whichever_read_comes_first(self, monkeypatch):
+        calls = count_training(monkeypatch)
+        cfg, shards, spec, eval_sets, _ = small_world(rounds=4)
+
+        def drop_two_read_one(ups, t):
+            ups[0].delta  # a lone read of a dropped update
+            return ups[2:]
+
+        reads = []
+
+        def observe(trace):
+            ids = list(trace.sent_models)
+            reads.append((trace, ids, trace.sent_models.read_together(ids)))
+
+        run_protocol(cfg, shards, spec, eval_sets, 8, filter_hook=drop_two_read_one, observers=[observe])
+        assert len(calls) == len(set(calls)) == cfg.m * cfg.rounds
+        for trace, ids, local in reads:
+            for j, model in zip(ids, local):
+                f = trace.global_before
+                assert np.array_equal(model, f + eager_delta(cfg, shards, spec, 8, None, f, trace.t, j))
+
     @settings(deadline=None, max_examples=25)
     @given(
         st.integers(0, 2**32),
