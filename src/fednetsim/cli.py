@@ -4,11 +4,15 @@ Subcommands: ``run`` (one scenario), ``sweep`` (k_n x k_p grid),
 ``analyze`` (closed-form identification cost vs Monte-Carlo), and
 ``identify-bench`` (identification quality over observation rounds).
 Exit codes: 0 success, 1 configuration error, 2 runtime error.
+
+Each command imports the layers it runs when it runs: ``analyze`` needs
+only ``analysis``, so it loads neither PyYAML, the configuration schema nor
+the simulator. The file writers of ``fednetsim.emit`` need none of them
+either and are bound at import.
 """
 
 import argparse
 import sys
-from dataclasses import replace
 
 from fednetsim.analysis import (
     expected_rounds_encrypted,
@@ -18,15 +22,8 @@ from fednetsim.analysis import (
     monte_carlo_rounds,
     prob_nontarget_batch,
 )
-from fednetsim.config import ConfigError, load_scenario
-from fednetsim.harness import (
-    emit_identify_bench,
-    emit_metrics,
-    emit_sweep,
-    identify_bench,
-    run_scenario,
-    sweep_grid,
-)
+from fednetsim.emit import emit_identify_bench, emit_metrics, emit_sweep
+from fednetsim.errors import ConfigError
 
 
 def _int_list(text: str) -> list[int]:
@@ -80,6 +77,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    from dataclasses import replace
+
+    from fednetsim.config import load_scenario
+    from fednetsim.harness import run_scenario
+
     cfg = load_scenario(args.config)
     if args.seed is not None:
         cfg = replace(cfg, base_seed=args.seed)
@@ -99,6 +101,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from fednetsim.config import load_scenario
+    from fednetsim.harness import sweep_grid
+
     cfg = load_scenario(args.config)
     results = sweep_grid(cfg, args.kn, args.kp)
     matrix_path = emit_sweep(results, args.out)
@@ -139,6 +144,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_identify_bench(args) -> int:
+    from fednetsim.config import load_scenario
+    from fednetsim.harness import identify_bench
+
     cfg = load_scenario(args.config)
     results = identify_bench(cfg, args.rounds)
     csv_path, json_path = emit_identify_bench(results, cfg.partition.k, args.out)

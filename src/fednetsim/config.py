@@ -20,18 +20,13 @@ import types
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import Any, get_args, get_origin
 
-import yaml
-
+from fednetsim.errors import ConfigError
 from fednetsim.models import ACTIVATIONS
 
 ATTACK_KINDS = ("targeted", "perfect_knowledge", "random_drop")
 OBSERVATION_KINDS = ("plain", "encrypted", "encrypted_limited")
 SERVER_MODES = ("plain", "aggregate_only")
 DENOMINATOR_MODES = ("received_count", "fixed_m")
-
-
-class ConfigError(ValueError):
-    """A scenario configuration is malformed or inconsistent."""
 
 
 @dataclass(frozen=True)
@@ -184,6 +179,8 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
 
 def load_scenario(path) -> ScenarioConfig:
     """Load and validate a scenario YAML file."""
+    import yaml  # only loading a file needs PyYAML
+
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:

@@ -1,4 +1,4 @@
-"""Experiment orchestration: scenario runs, sweeps, benchmarks, metrics files.
+"""Experiment orchestration: scenario runs, sweeps, identification benchmarks.
 
 ``run_scenario`` executes a configured scenario for a number of independent
 trials (seeds ``base_seed + i``), wiring the attack into the protocol's
@@ -7,11 +7,10 @@ resample hook. ``sweep_grid`` crosses dropped-client and poisoned-client
 counts, and ``identify_bench`` measures identification quality over
 observation rounds for plain and encrypted adversaries.
 
-All emitted files are byte-deterministic for a fixed configuration.
+Results are returned, not written: ``fednetsim.emit`` writes them to files,
+byte-deterministic for a fixed configuration.
 """
 
-import json
-import os
 from dataclasses import dataclass
 from dataclasses import replace as dc_replace
 
@@ -42,7 +41,6 @@ from fednetsim.seeding import (
 )
 
 SERIES_METRICS = ("target_acc", "target_loss", "overall_acc", "nontarget_acc")
-CSV_HEADER = "round,trial,target_acc,target_loss,overall_acc,identified_hits,dropped_count"
 
 
 @dataclass(frozen=True)
@@ -286,50 +284,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunSummary:
     return RunSummary(config=cfg, trials=trials)
 
 
-def _write(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (bool, int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
-def emit_metrics(summary: RunSummary, out_dir, prefix: str = "metrics") -> tuple[str, str]:
-    """Write the per-round CSV and the JSON summary; returns their paths.
-
-    The CSV has one row per (round, trial); the JSON echoes the scenario
-    configuration verbatim alongside per-trial and mean scalars at rounds
-    T/2 and T.
-    """
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, f"{prefix}.csv")
-    json_path = os.path.join(out_dir, f"{prefix}_summary.json")
-
-    lines = [CSV_HEADER]
-    for trial_idx, series in enumerate(summary.trials):
-        for r in range(summary.rounds):
-            lines.append(
-                ",".join(
-                    [
-                        str(r + 1),
-                        str(trial_idx),
-                        _fmt(series.target_acc[r]),
-                        _fmt(series.target_loss[r]),
-                        _fmt(series.overall_acc[r]),
-                        str(series.identified_hits[r]),
-                        str(series.dropped_count[r]),
-                    ]
-                )
-            )
-    _write(csv_path, "\n".join(lines) + "\n")
-    payload = {"config": summary.config.to_dict(), **summary.scalars()}
-    _write(json_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return csv_path, json_path
-
-
 def _cell_config(base: ScenarioConfig, k_n: int, k_p: int) -> ScenarioConfig:
     if base.attack is None or base.attack.kind != "targeted":
         raise ConfigError("sweep requires a base config with a targeted attack section")
@@ -351,33 +305,6 @@ def sweep_grid(base: ScenarioConfig, k_n_values, k_p_values) -> dict[tuple[int, 
     if not k_ns or not k_ps:
         raise ConfigError("sweep needs at least one --kn and one --kp value")
     return {(k_n, k_p): run_scenario(_cell_config(base, k_n, k_p)) for k_n in k_ns for k_p in k_ps}
-
-
-def emit_sweep(results: dict[tuple[int, int], RunSummary], out_dir) -> str:
-    """Write one CSV per sweep cell plus the combined matrix file."""
-    os.makedirs(out_dir, exist_ok=True)
-    matrix_lines = [
-        "k_n,k_p,target_acc_half_mean,target_acc_final_mean,"
-        "overall_acc_final_mean,nontarget_acc_final_mean"
-    ]
-    for (k_n, k_p) in sorted(results):
-        summary = results[(k_n, k_p)]
-        emit_metrics(summary, out_dir, prefix=f"cell_kn{k_n}_kp{k_p}")
-        matrix_lines.append(
-            ",".join(
-                [
-                    str(k_n),
-                    str(k_p),
-                    _fmt(summary.mean_at("target_acc", summary.half_round)),
-                    _fmt(summary.mean_at("target_acc", summary.rounds)),
-                    _fmt(summary.mean_at("overall_acc", summary.rounds)),
-                    _fmt(summary.mean_at("nontarget_acc", summary.rounds)),
-                ]
-            )
-        )
-    matrix_path = os.path.join(out_dir, "sweep_matrix.csv")
-    _write(matrix_path, "\n".join(matrix_lines) + "\n")
-    return matrix_path
 
 
 def identify_bench(cfg: ScenarioConfig, checkpoint_rounds) -> dict[str, dict[int, list[int]]]:
@@ -426,23 +353,3 @@ def identify_bench(cfg: ScenarioConfig, checkpoint_rounds) -> dict[str, dict[int
             bench_cfg.protocol, world.shards, world.spec, world.eval_sets, trial_seed, observers=observers
         )
     return results
-
-
-def emit_identify_bench(results: dict, k: int, out_dir) -> tuple[str, str]:
-    """Write identification benchmark CSV and JSON summary."""
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "identify_bench.csv")
-    json_path = os.path.join(out_dir, "identify_bench_summary.json")
-    lines = ["mode,round,trial,hits,recall"]
-    means: dict[str, dict[str, float]] = {}
-    for mode in sorted(results):
-        for rnd in sorted(results[mode]):
-            hits_list = results[mode][rnd]
-            for trial_idx, hits in enumerate(hits_list):
-                lines.append(
-                    ",".join([mode, str(rnd), str(trial_idx), str(hits), _fmt(hits / k)])
-                )
-            means.setdefault(mode, {})[str(rnd)] = float(sum(hits_list) / len(hits_list))
-    _write(csv_path, "\n".join(lines) + "\n")
-    _write(json_path, json.dumps({"k": k, "mean_hits": means}, indent=2, sort_keys=True) + "\n")
-    return csv_path, json_path

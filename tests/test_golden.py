@@ -23,7 +23,8 @@ import pytest
 
 from fednetsim.cli import main
 from fednetsim.config import AttackConfig, DefenseConfig, ModelConfig, PoisonConfig, load_scenario
-from fednetsim.harness import emit_metrics, run_scenario
+from fednetsim.emit import emit_metrics
+from fednetsim.harness import run_scenario
 from fednetsim.models import blas_core
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"

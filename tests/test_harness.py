@@ -28,11 +28,9 @@ from fednetsim.config import (
     scenario_from_dict,
 )
 import fednetsim.harness as harness
+from fednetsim.emit import CSV_HEADER, emit_metrics, emit_sweep
 from fednetsim.harness import (
-    CSV_HEADER,
     build_world,
-    emit_metrics,
-    emit_sweep,
     identify_bench,
     run_scenario,
     run_trial,
