@@ -74,13 +74,18 @@ def harmonic(i: int) -> float:
     """i-th harmonic number, with H_0 = 0."""
     if i < 0:
         raise ValueError("harmonic index must be >= 0")
-    return math.fsum(1.0 / j for j in range(1, i + 1))
+    return _harmonic_gap(i, 0)
+
+
+def _harmonic_gap(hi: int, lo: int) -> float:
+    """``H_hi - H_lo`` for 0 <= lo <= hi, summed over only the hi - lo terms they differ in."""
+    return math.fsum(1.0 / j for j in range(lo + 1, hi + 1))
 
 
 def expected_rounds_plain(n: int, m: int, k: int, k_n: int) -> float:
     """Expected batches until k_n of the k target clients have appeared."""
     _check_counts(n, m, k, min_m=1, k_n=k_n)
-    return (n / m) * (harmonic(k) - harmonic(k - k_n))
+    return (n / m) * _harmonic_gap(k, k - k_n)
 
 
 def expected_rounds_plain_approx(n: int, m: int, k: int, k_n: int) -> float:
@@ -107,14 +112,19 @@ def prob_nontarget_batch_exact(n: int, k: int, m: int) -> float:
     """Target-free probability for a true m-distinct-of-n batch.
 
     Exact ratio C(n-k, m) / C(n, m), evaluated as an iterative product so
-    large inputs cannot overflow.
+    large inputs cannot overflow. The ratio equals C(n-m, k) / C(n, k), so
+    the product runs over min(m, k) factors, and it stops once it underflows
+    to 0.
     """
     _check_counts(n, m, k)
     if m > n - k:
         return 0.0
+    short, other = min(m, k), max(m, k)
     prob = 1.0
-    for i in range(m):
-        prob *= (n - k - i) / (n - i)
+    for i in range(short):
+        prob *= (n - other - i) / (n - i)
+        if prob == 0.0:
+            break
     return prob
 
 
@@ -133,7 +143,7 @@ def expected_rounds_encrypted(n: int, m: int, k: int, alpha: float) -> float:
     p = prob_nontarget_batch(n, k, m)
     if p == 0.0:
         raise ValueError("no batch can avoid target clients (k = n)")
-    batches = (n / m) * (harmonic(n - k) - harmonic(clear_to - k))
+    batches = (n / m) * _harmonic_gap(n - k, clear_to - k)
     return batches / p
 
 

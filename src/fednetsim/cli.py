@@ -7,21 +7,14 @@ Exit codes: 0 success, 1 configuration error, 2 runtime error.
 
 Each command imports the layers it runs when it runs: ``analyze`` needs
 only ``analysis``, so it loads neither PyYAML, the configuration schema nor
-the simulator. The file writers of ``fednetsim.emit`` need none of them
-either and are bound at import.
+the simulator, and the other commands do not load ``analysis``. The file
+writers of ``fednetsim.emit`` need none of them either and are bound at
+import.
 """
 
 import argparse
 import sys
 
-from fednetsim.analysis import (
-    expected_rounds_encrypted,
-    expected_rounds_encrypted_exact,
-    expected_rounds_plain,
-    expected_rounds_plain_approx,
-    monte_carlo_rounds,
-    prob_nontarget_batch,
-)
 from fednetsim.emit import emit_identify_bench, emit_metrics, emit_sweep
 from fednetsim.errors import ConfigError
 
@@ -112,20 +105,29 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from fednetsim.analysis import (
+        expected_rounds_encrypted,
+        expected_rounds_encrypted_exact,
+        expected_rounds_plain,
+        expected_rounds_plain_approx,
+        monte_carlo_rounds,
+        prob_nontarget_batch,
+    )
+
     try:
+        # Each Monte-Carlo run's work budget refuses, quickly, inputs whose
+        # closed forms or exact recursion would be long, so it runs first.
+        mc = monte_carlo_rounds(args.n, args.m, args.k, args.kn, "plain", args.mc_trials, args.seed)
         exact = expected_rounds_plain(args.n, args.m, args.k, args.kn)
         approx = expected_rounds_plain_approx(args.n, args.m, args.k, args.kn)
-        mc = monte_carlo_rounds(args.n, args.m, args.k, args.kn, "plain", args.mc_trials, args.seed)
         p = prob_nontarget_batch(args.n, args.k, args.m)
         enc = enc_exact = mc_enc = None
         if args.alpha is not None:
-            enc = expected_rounds_encrypted(args.n, args.m, args.k, args.alpha)
-            # The Monte-Carlo's work budget refuses, quickly, inputs whose exact
-            # recursion would be long, so it runs first.
             mc_enc = monte_carlo_rounds(
                 args.n, args.m, args.k, args.kn, "encrypted", args.mc_trials, args.seed,
                 alpha=args.alpha,
             )
+            enc = expected_rounds_encrypted(args.n, args.m, args.k, args.alpha)
             enc_exact = expected_rounds_encrypted_exact(args.n, args.m, args.k, args.alpha)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -354,9 +354,10 @@ def local_train_stack(
 
     The K clients start from the same global model and their shards have
     one length, so every step runs all K models through one pass of numpy
-    calls; each model keeps its own shuffle stream, keyed by its seed. The
-    returned deltas are the trained stack itself, the global model
-    subtracted in place.
+    calls; each model keeps its own shuffle stream, keyed by its seed. A
+    step gathers only its own batch's ``(K, batch, input_dim)`` rows, so no
+    epoch's shuffled copy of the shards is ever held. The returned deltas
+    are the trained stack itself, the global model subtracted in place.
     """
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
@@ -378,7 +379,7 @@ def local_train_stack(
     grad = np.empty_like(theta)
     grads = _layer_views(grad, spec)
     rngs = [spawn_rng(seed, TAG_SGD_ORDER) for seed in seeds]
-    # every shard's rows, end to end, so one take per epoch shuffles them all
+    # every shard's rows, end to end, so one take per step gathers a batch of all K
     x = np.concatenate([shard.x for shard in shards])
     y = np.concatenate([shard.y for shard in shards])
     first_row = np.arange(0, k * n, n)[:, None]
@@ -386,11 +387,10 @@ def local_train_stack(
     buffers = {rows: _hidden_buffers(spec, k, rows) for rows in {step, n % step} if rows}
     for _ in range(epochs):
         order = np.stack([rng.permutation(n) for rng in rngs]) + first_row
-        xs = np.take(x, order, axis=0)
-        ys = np.take(y, order)
         for start in range(0, n, step):
-            yb = ys[:, start : start + step]
-            _backprop(layers, grads, spec.activation, xs[:, start : start + step], yb, buffers[yb.shape[1]])
+            batch = order[:, start : start + step]
+            yb = np.take(y, batch)
+            _backprop(layers, grads, spec.activation, np.take(x, batch, axis=0), yb, buffers[yb.shape[1]])
             grad *= lr
             theta -= grad
     theta -= global_params

@@ -147,8 +147,11 @@ class EvalSets:
     """Held-out data evaluated after every round.
 
     ``target_set`` and ``nontarget_set`` are the rows of ``test_set`` whose
-    label is, and is not, ``target_class``; ``nontarget_set`` is None when
-    every row is of the target class.
+    label is, and is not, ``target_class``, in order; ``nontarget_set`` is
+    None when every row is of the target class. A set whose rows are one
+    contiguous block of ``test_set`` is a view of it, and only a scattered
+    set is a copy. A synthetic test set is stored class by class, so both
+    sets are views when the target class is its first or last class.
     """
 
     test_set: ExampleSet
@@ -160,10 +163,15 @@ class EvalSets:
         is_target = self.test_set.y == self.target_class
         if not is_target.any():
             raise ValueError(f"test set has no example of target class {self.target_class}")
-        object.__setattr__(self, "target_set", self.test_set.subset(np.flatnonzero(is_target)))
-        nontarget_idx = np.flatnonzero(~is_target)
-        nontarget_set = self.test_set.subset(nontarget_idx) if len(nontarget_idx) else None
-        object.__setattr__(self, "nontarget_set", nontarget_set)
+        object.__setattr__(self, "target_set", self._rows(is_target))
+        object.__setattr__(self, "nontarget_set", self._rows(~is_target) if not is_target.all() else None)
+
+    def _rows(self, mask: np.ndarray) -> ExampleSet:
+        idx = np.flatnonzero(mask)
+        first, last = int(idx[0]), int(idx[-1])
+        if last - first + 1 == len(idx):
+            return ExampleSet(self.test_set.x[first : last + 1], self.test_set.y[first : last + 1])
+        return self.test_set.subset(idx)
 
 
 def weighted_sample_without_replacement(

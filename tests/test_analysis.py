@@ -117,6 +117,11 @@ class TestExpectedRoundsPlain:
         with pytest.raises(ValueError):
             expected_rounds_plain(60, 10, 15, 16)
 
+    def test_sums_only_the_terms_the_harmonics_differ_in(self):
+        for k, k_n in [(15, 15), (15, 1), (100, 37), (1000, 999)]:
+            gap = harmonic(k) - harmonic(k - k_n)
+            assert abs(expected_rounds_plain(1000, 10, k, k_n) - 100 * gap) <= 1e-14 * 100 * gap
+
 
 class TestProbNontargetBatch:
     def test_no_targets(self):
@@ -134,6 +139,15 @@ class TestProbNontargetBatch:
         for n, k, m in [(60, 15, 10), (30, 5, 7), (100, 20, 12)]:
             expected = math.comb(n - k, m) / math.comb(n, m)
             assert abs(prob_nontarget_batch_exact(n, k, m) - expected) < 1e-12
+
+    def test_exact_runs_over_the_shorter_product(self):
+        # C(n-k, m) / C(n, m) = C(n-m, k) / C(n, k): min(m, k) factors either way
+        for n, k, m in [(60, 3, 40), (100, 1, 90), (30, 15, 15)]:
+            expected = math.comb(n - k, m) / math.comb(n, m)
+            assert abs(prob_nontarget_batch_exact(n, k, m) - expected) <= 1e-14 * expected
+        n, k, m = 10**6, 3, 10**5
+        expected = math.prod((n - m - i) / (n - i) for i in range(k))
+        assert prob_nontarget_batch_exact(n, k, m) == expected
 
     def test_exact_zero_when_batch_cannot_avoid(self):
         assert prob_nontarget_batch_exact(10, 6, 5) == 0.0

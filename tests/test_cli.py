@@ -325,6 +325,36 @@ class TestAnalyze:
         assert figure in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_plain_closed_form_of_a_huge_population_is_quick(self):
+        # H_k - H_{k-1} is one term, however large k is
+        proc = run_cli(
+            "analyze", "--n", "1000000000000", "--m", "1", "--k", "1000000000000", "--kn", "1",
+            timeout=5,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "plain rounds (harmonic):    1.00" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "m, k, figure",
+        [
+            # H_{n-k} alone would take about a day; the Monte-Carlo's table
+            # refusal runs before the closed forms
+            ("100000000000", "15", "entries"),
+            # the target-free probability's 4e11 factors underflow to 0 after
+            # about a thousand
+            ("500000000000", "400000000000", "p=0 per round"),
+        ],
+    )
+    def test_encrypted_run_on_a_huge_population_is_refused_quickly(self, m, k, figure):
+        proc = run_cli(
+            "analyze", "--n", "1000000000000", "--m", m, "--k", k, "--kn", "1", "--alpha", "0.5",
+            timeout=5,
+        )
+        assert proc.returncode == 1
+        assert "configuration error" in proc.stderr
+        assert figure in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestSweepCommand:
     def test_tiny_sweep(self, tmp_path):

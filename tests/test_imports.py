@@ -3,8 +3,9 @@
 Each module is imported in a fresh interpreter under a bare package object
 that skips ``__init__.py``, so no import cycle hides behind whatever the
 package or another module imports first; the package itself is imported
-once more the normal way. Its exports resolve lazily, and ``analyze`` must
-not load PyYAML, the configuration schema or the simulator.
+once more the normal way. Its exports resolve lazily, ``analyze`` must not
+load PyYAML, the configuration schema or the simulator, and ``run`` must not
+load the analysis layer.
 
 There is no linter in the toolchain, so an import left behind by a deletion
 is caught here: every name a module imports must be used in it.
@@ -69,6 +70,21 @@ def test_analyze_loads_no_simulator():
     proc = python("-c", ANALYZE, *SIMULATOR)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0"
+
+
+RUN = """
+import sys
+import fednetsim.cli
+rc = fednetsim.cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2], "--trials", "1"])
+print(rc, "fednetsim.analysis" in sys.modules)
+"""
+
+
+def test_run_loads_no_analysis(tmp_path):
+    smoke = PACKAGE.parent.parent / "configs" / "smoke.yaml"
+    proc = python("-c", RUN, str(smoke), str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 # The package's exports, by defining module.

@@ -347,6 +347,30 @@ class TestRunProtocol:
         only_target = EvalSets(eval_sets.target_set, 0)
         assert only_target.nontarget_set is None
 
+    @pytest.mark.parametrize("target, views", [(0, True), (3, True), (1, False), (2, False)])
+    def test_eval_sets_are_views_of_one_block_and_copies_otherwise(self, target, views):
+        # a synthetic test set is stored class by class, so the first and the
+        # last class leave both sets one block each, and a middle class splits
+        # the non-target rows in two
+        test, _ = gen_synthetic(4, 5, 60, 0, 2.5, seed=3)
+        eval_sets = EvalSets(test, target)
+        is_target = test.y == target
+        for part, mask in ((eval_sets.target_set, is_target), (eval_sets.nontarget_set, ~is_target)):
+            assert np.array_equal(part.x, test.x[mask]) and np.array_equal(part.y, test.y[mask])
+            assert part.x.strides == test.x.strides
+        assert np.shares_memory(eval_sets.target_set.x, test.x)
+        assert np.shares_memory(eval_sets.target_set.y, test.y)
+        assert np.shares_memory(eval_sets.nontarget_set.x, test.x) == views
+        assert np.shares_memory(eval_sets.nontarget_set.y, test.y) == views
+
+    def test_scattered_target_rows_are_copied(self):
+        test = ExampleSet(np.arange(10.0).reshape(5, 2), np.array([0, 1, 0, 1, 1]))
+        eval_sets = EvalSets(test, 0)
+        assert np.array_equal(eval_sets.target_set.x, test.x[[0, 2]])
+        assert np.array_equal(eval_sets.nontarget_set.y, [1, 1, 1])
+        assert not np.shares_memory(eval_sets.target_set.x, test.x)
+        assert not np.shares_memory(eval_sets.nontarget_set.x, test.x)
+
     def test_eval_sets_without_target_rows_rejected(self):
         test = ExampleSet(np.zeros((3, 5)), np.array([1, 2, 3]))
         with pytest.raises(ValueError, match="target class 0"):
