@@ -357,16 +357,31 @@ def _simulate_plain(n, m, k, k_n, trials, rng) -> np.ndarray:
     return draws / m
 
 
-def _simulate_encrypted(n, m, k, needed, trials, rng) -> np.ndarray:
-    p = prob_nontarget_batch_exact(n, k, m)
-    # At least ceil(needed/m) target-free rounds of mean 1/p rounds each; past
-    # 2**53 rounds float64 counts are inexact and one wait can saturate int64.
-    clean_rounds = -(-needed // m)
-    if p * 2.0**53 < clean_rounds:
+def _countable_p(n: int, m: int, k: int, clean_rounds: int) -> float:
+    """The exact target-free probability p; ValueError if ``clean_rounds`` such rounds overrun 2**53.
+
+    Past 2**53 rounds float64 counts are inexact and one wait can saturate
+    int64. Each of p's min(m, k) factors rounds to at most the float of
+    (n - max(m, k)) / n, so the computed p exceeds that float's power by
+    its product's rounding, under 2x while min(m, k) < 2**52. Twice the
+    power is checked first: it refuses only what p would, without p's
+    factors, which may never underflow.
+    """
+    bound = ((n - max(m, k)) / n) ** min(m, k)
+    p = None if bound * 2.0**54 < clean_rounds else prob_nontarget_batch_exact(n, k, m)
+    if p is None or p * 2.0**53 < clean_rounds:
+        at = f"at most p={bound:.3g}" if p is None else f"at p={p:.3g}"
         raise ValueError(
-            f"target-free batches are too rare to count rounds: at p={p:.3g} per round, "
+            f"target-free batches are too rare to count rounds: {at} per round, "
             f"the {clean_rounds} needed are expected to take over 2**53 rounds"
         )
+    return p
+
+
+def _simulate_encrypted(n, m, k, needed, trials, rng) -> np.ndarray:
+    # At least ceil(needed/m) target-free rounds of mean 1/p rounds each.
+    clean_rounds = -(-needed // m)
+    p = _countable_p(n, m, k, clean_rounds)
     _check_work(trials * clean_rounds)  # a lower bound, checked before the O(needed * m) table
     cdf, mean_batches = _clearing(n - k, m, needed)
     _check_work(trials * mean_batches)

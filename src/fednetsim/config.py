@@ -248,19 +248,18 @@ def validate_scenario(cfg: ScenarioConfig):
         _require(atk.kind in ATTACK_KINDS, f"attack.kind: must be one of {ATTACK_KINDS}")
         _require(atk.k_n >= 0, "attack.k_n: must be >= 0")
         _require(atk.k_n <= part.n, "attack.k_n: cannot exceed n")
+        _require(
+            atk.visible_size is None or 1 <= atk.visible_size <= part.n,
+            "attack.visible_size: need 1 <= visible_size <= n when set",
+        )
+        _require(atk.alpha_v is None or atk.alpha_v > 0, "attack.alpha_v: must be > 0 when set")
         if atk.kind == "targeted":
             _require(atk.mode in OBSERVATION_KINDS, f"attack.mode: must be one of {OBSERVATION_KINDS}")
             _require(atk.t_n >= 1, "attack.t_n: must be >= 1")
             _require(atk.target_set_size >= 1, "attack.target_set_size: must be >= 1")
             if atk.mode == "encrypted_limited":
-                _require(
-                    atk.visible_size is not None and 1 <= atk.visible_size <= part.n,
-                    "attack.visible_size: need 1 <= visible_size <= n for encrypted_limited",
-                )
-                _require(
-                    atk.alpha_v is not None and atk.alpha_v > 0,
-                    "attack.alpha_v: must be > 0 for encrypted_limited",
-                )
+                _require(atk.visible_size is not None, "attack.visible_size: required for encrypted_limited")
+                _require(atk.alpha_v is not None, "attack.alpha_v: required for encrypted_limited")
         elif atk.kind == "perfect_knowledge":
             _require(atk.k_n <= part.k, "attack.k_n: perfect knowledge drops at most k target clients")
 

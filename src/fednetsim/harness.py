@@ -1,11 +1,11 @@
 """Experiment orchestration: scenario runs, sweeps, identification benchmarks.
 
-``run_scenario`` executes a configured scenario for a number of independent
-trials (seeds ``base_seed + i``), wiring the attack into the protocol's
-filter hook, poisoning into the poison hook, and the defense into the
-resample hook. ``sweep_grid`` crosses dropped-client and poisoned-client
-counts, and ``identify_bench`` measures identification quality over
-observation rounds for plain and encrypted adversaries.
+``run_scenario`` is the one loop over trial seeds (``base_seed + i``). Each
+``run_trial`` wires the attack into the protocol's filter hook, poisoning
+into the poison hook, the defense into the resample hook, and any passive
+watchers (targeted attackers that observe but never drop) in as observers.
+``sweep_grid`` crosses dropped-client and poisoned-client counts, and
+``identify_bench`` is a run with a plain and an encrypted watcher.
 
 Results are returned, not written: ``fednetsim.emit`` writes them to files,
 byte-deterministic for a fixed configuration.
@@ -53,6 +53,8 @@ class TrialSeries:
     nontarget_acc: list[float]
     identified_hits: list[int]
     dropped_count: list[int]
+    # per watcher, in ``watch`` order: its hits on the honest targets each round
+    watched_hits: tuple[list[int], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -191,8 +193,24 @@ def _subsample(examples: ExampleSet, size: int, rng: np.random.Generator) -> Exa
     return examples.subset(idx)
 
 
-def run_trial(cfg: ScenarioConfig, trial_seed: int) -> TrialSeries:
-    """One independent run of the configured scenario."""
+def _targeted_attacker(atk: AttackConfig, world: World, n: int, trial_seed: int) -> TargetedDropAttacker:
+    """A targeted attacker on its own D* sample (and, for ``encrypted_limited``, visible set)."""
+    visible = None
+    if atk.mode == "encrypted_limited":
+        visible = sample_visible_set(
+            n, world.honest_targets, atk.visible_size, atk.alpha_v, spawn_seed(trial_seed, TAG_VISIBLE)
+        )
+    dstar = _subsample(world.eval_sets.target_set, atk.target_set_size, spawn_rng(trial_seed, TAG_ATTACK_DSTAR))
+    return TargetedDropAttacker(atk, world.spec, dstar, visible)
+
+
+def run_trial(cfg: ScenarioConfig, trial_seed: int, watch: tuple[AttackConfig, ...] = ()) -> TrialSeries:
+    """One independent run of the configured scenario.
+
+    Each ``watch`` section is built into a targeted attacker that observes
+    but is never the filter hook, so it leaves the run as it is; its
+    per-round hits are the series' ``watched_hits``.
+    """
     part = cfg.partition
     world = build_world(cfg, trial_seed)
     spec = world.spec
@@ -203,17 +221,7 @@ def run_trial(cfg: ScenarioConfig, trial_seed: int) -> TrialSeries:
     if cfg.attack is not None:
         atk = cfg.attack
         if atk.kind == "targeted":
-            visible = None
-            if atk.mode == "encrypted_limited":
-                visible = sample_visible_set(
-                    part.n,
-                    honest_targets,
-                    atk.visible_size,
-                    atk.alpha_v,
-                    spawn_seed(trial_seed, TAG_VISIBLE),
-                )
-            dstar = _subsample(target_pool, atk.target_set_size, spawn_rng(trial_seed, TAG_ATTACK_DSTAR))
-            attacker = TargetedDropAttacker(atk, spec, dstar, visible)
+            attacker = _targeted_attacker(atk, world, part.n, trial_seed)
         else:
             rng = spawn_rng(trial_seed, TAG_ATTACK)
             if atk.kind == "perfect_knowledge":
@@ -223,6 +231,7 @@ def run_trial(cfg: ScenarioConfig, trial_seed: int) -> TrialSeries:
             size = min(atk.k_n, len(pool))
             drop_ids = sorted(int(i) for i in rng.choice(pool, size=size, replace=False))
             attacker = FixedSetDropper(drop_ids)
+    watchers = [_targeted_attacker(w, world, part.n, trial_seed) for w in watch]
 
     poisoner = None
     if world.compromised:
@@ -240,18 +249,15 @@ def run_trial(cfg: ScenarioConfig, trial_seed: int) -> TrialSeries:
         if dfn.clip_norm is not None:
             proto = dc_replace(proto, clip_norm=dfn.clip_norm)
 
-    hits_series: list[int] = []
-    observers = []
-    if attacker is not None:
-        observers.append(attacker.observe)
+    scored = [attacker, *watchers]
+    hits: list[list[int]] = [[] for _ in scored]
+    observers = [s.observe for s in scored if s is not None]
     if defender is not None:
         observers.append(defender.observe)
 
     def snapshot_hits(trace: RoundTrace):
-        if attacker is None:
-            hits_series.append(0)
-        else:
-            hits_series.append(identification_score(attacker.identified, honest_targets).hits)
+        for series, s in zip(hits, scored):
+            series.append(0 if s is None else identification_score(s.identified, honest_targets).hits)
 
     observers.append(snapshot_hits)
 
@@ -272,15 +278,16 @@ def run_trial(cfg: ScenarioConfig, trial_seed: int) -> TrialSeries:
         target_loss=[r.target_loss for r in records],
         overall_acc=[r.overall_acc for r in records],
         nontarget_acc=[r.nontarget_acc for r in records],
-        identified_hits=hits_series,
+        identified_hits=hits[0],
         dropped_count=[len(r.participants) - len(r.received) for r in records],
+        watched_hits=tuple(hits[1:]),
     )
 
 
-def run_scenario(cfg: ScenarioConfig) -> RunSummary:
-    """Run all trials of a scenario (seeds ``base_seed + i``)."""
+def run_scenario(cfg: ScenarioConfig, watch: tuple[AttackConfig, ...] = ()) -> RunSummary:
+    """Run all trials of a scenario (seeds ``base_seed + i``), each with the ``watch`` watchers."""
     validate_scenario(cfg)
-    trials = [run_trial(cfg, cfg.base_seed + i) for i in range(cfg.trials)]
+    trials = [run_trial(cfg, cfg.base_seed + i, watch) for i in range(cfg.trials)]
     return RunSummary(config=cfg, trials=trials)
 
 
@@ -293,9 +300,7 @@ def _cell_config(base: ScenarioConfig, k_n: int, k_p: int) -> ScenarioConfig:
         poison = dc_replace(poison_base, k_p=k_p)
     else:
         poison = None
-    cfg = dc_replace(base, attack=attack, poison=poison)
-    validate_scenario(cfg)
-    return cfg
+    return dc_replace(base, attack=attack, poison=poison)
 
 
 def sweep_grid(base: ScenarioConfig, k_n_values, k_p_values) -> dict[tuple[int, int], RunSummary]:
@@ -304,17 +309,19 @@ def sweep_grid(base: ScenarioConfig, k_n_values, k_p_values) -> dict[tuple[int, 
     k_ps = sorted(set(int(v) for v in k_p_values))
     if not k_ns or not k_ps:
         raise ConfigError("sweep needs at least one --kn and one --kp value")
-    return {(k_n, k_p): run_scenario(_cell_config(base, k_n, k_p)) for k_n in k_ns for k_p in k_ps}
+    cells = {(k_n, k_p): _cell_config(base, k_n, k_p) for k_n in k_ns for k_p in k_ps}
+    for cfg in cells.values():  # every cell is checked before the first trial runs
+        validate_scenario(cfg)
+    return {cell: run_scenario(cfg) for cell, cfg in cells.items()}
 
 
 def identify_bench(cfg: ScenarioConfig, checkpoint_rounds) -> dict[str, dict[int, list[int]]]:
     """Identification hit counts per mode and checkpoint round, per trial.
 
-    Runs the protocol without any interference (training proceeds
-    normally) next to a passive plain and a passive encrypted attacker
-    (no filter hook, so they never drop), and scores what each has
-    identified at every checkpoint; each names ``partition.k`` clients.
-    Returns ``{mode: {round: [hits per trial]}}``.
+    Runs the scenario without attack, poisoning or defense (training
+    proceeds normally) with a passive plain and a passive encrypted
+    watcher, and scores what each has identified at every checkpoint; each
+    names ``partition.k`` clients. Returns ``{mode: {round: [hits per trial]}}``.
     """
     validate_scenario(cfg)
     if cfg.partition.k == 0:
@@ -330,26 +337,10 @@ def identify_bench(cfg: ScenarioConfig, checkpoint_rounds) -> dict[str, dict[int
         protocol=dc_replace(cfg.protocol, rounds=checkpoints[-1]),
     )
     size = (cfg.attack or AttackConfig()).target_set_size
-
     modes = ("plain", "encrypted")
-    results = {mode: {c: [] for c in checkpoints} for mode in modes}
-    for i in range(bench_cfg.trials):
-        trial_seed = bench_cfg.base_seed + i
-        world = build_world(bench_cfg, trial_seed)
-        dstar = _subsample(world.eval_sets.target_set, size, spawn_rng(trial_seed, TAG_ATTACK_DSTAR))
-        watchers = {
-            mode: TargetedDropAttacker(AttackConfig(mode=mode, t_n=1, k_n=cfg.partition.k), world.spec, dstar)
-            for mode in modes
-        }
-
-        def score(trace: RoundTrace):
-            if trace.t in checkpoints:
-                for mode, watcher in watchers.items():
-                    hits = identification_score(watcher.identified, world.honest_targets).hits
-                    results[mode][trace.t].append(hits)
-
-        observers = [w.observe for w in watchers.values()] + [score]
-        run_protocol(
-            bench_cfg.protocol, world.shards, world.spec, world.eval_sets, trial_seed, observers=observers
-        )
-    return results
+    watch = tuple(AttackConfig(mode=m, t_n=1, k_n=cfg.partition.k, target_set_size=size) for m in modes)
+    trials = run_scenario(bench_cfg, watch).trials
+    return {
+        mode: {c: [t.watched_hits[i][c - 1] for t in trials] for c in checkpoints}
+        for i, mode in enumerate(modes)
+    }

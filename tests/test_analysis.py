@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fednetsim import analysis
@@ -151,6 +151,32 @@ class TestProbNontargetBatch:
 
     def test_exact_zero_when_batch_cannot_avoid(self):
         assert prob_nontarget_batch_exact(10, 6, 5) == 0.0
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        n=st.integers(1, 10**6),
+        short_share=st.floats(0, 1),
+        other_share=st.floats(0, 1),
+        m_is_short=st.booleans(),
+        scale=st.floats(2**-8, 2**8),
+    )
+    @example(n=200, short_share=0.2, other_share=0.75, m_is_short=False, scale=1.0)
+    @example(n=10**6, short_share=0.0, other_share=0.5, m_is_short=False, scale=1.0)
+    def test_early_refusal_refuses_only_what_p_refuses(self, n, short_share, other_share, m_is_short, scale):
+        # min(m, k) <= 10**4 keeps the exact product cheap; the round count is
+        # drawn around the exact refusal's threshold, p * 2**53
+        short = round(short_share * min(n, 10**4))
+        other = short + round(other_share * (n - short))
+        m, k = (short, other) if m_is_short else (other, short)
+        assume(m >= 1)
+        p = prob_nontarget_batch_exact(n, k, m)
+        clean_rounds = max(1, math.ceil(p * 2.0**53 * scale))
+        try:
+            assert analysis._countable_p(n, m, k, clean_rounds) == p
+        except ValueError as exc:
+            assert p * 2.0**53 < clean_rounds, str(exc)
+            return
+        assert p * 2.0**53 >= clean_rounds
 
     def test_approximation_envelope_small_target_share(self):
         # the independent-draw value tracks the exact subset ratio within 20%

@@ -355,6 +355,18 @@ class TestAnalyze:
         assert figure in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_target_free_probability_is_bounded_before_its_product(self):
+        # 1e8 factors of 1 - 1e-6 never underflow; their bound (1 - 1e-6)**1e8,
+        # about 4e-44, refuses before the product runs
+        proc = run_cli(
+            "analyze", "--n", "100000000000000", "--m", "100000000", "--k", "100000000", "--kn", "1",
+            "--alpha", "0.00000100000001", timeout=5,
+        )
+        assert proc.returncode == 1
+        assert "configuration error" in proc.stderr
+        assert "at most p=" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestSweepCommand:
     def test_tiny_sweep(self, tmp_path):

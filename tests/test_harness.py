@@ -579,6 +579,19 @@ class TestConfigLoading:
                 {"attack": {"mode": "encrypted_limited", "visible_size": 5}}, r"attack\.alpha_v:",
                 id="attack.alpha_v",
             ),
+            # a visibility field is range-checked in every mode it is set in
+            pytest.param(
+                {"attack": {"mode": "encrypted", "visible_size": 10**11}}, r"attack\.visible_size:",
+                id="attack.visible_size>n",
+            ),
+            pytest.param(
+                {"attack": {"mode": "plain", "visible_size": 0}}, r"attack\.visible_size:",
+                id="attack.visible_size=0",
+            ),
+            pytest.param(
+                {"attack": {"mode": "encrypted", "alpha_v": 0.0}}, r"attack\.alpha_v:",
+                id="attack.alpha_v=0",
+            ),
             # the former PoisonPlan checks, with their old inputs
             pytest.param(
                 {"poison": {"k_p": 1, "boost": -2.0, "flip_to": 1, "start_round": 1}}, r"poison\.boost:",
@@ -632,6 +645,19 @@ class TestConfigLoading:
         assert smoke.protocol.rounds == 10
 
 
+@pytest.fixture
+def trial_calls(monkeypatch):
+    """The seeds of every ``harness.run_trial`` call, in call order."""
+    calls = []
+
+    def counted(cfg, trial_seed, *args):
+        calls.append(trial_seed)
+        return run_trial(cfg, trial_seed, *args)
+
+    monkeypatch.setattr(harness, "run_trial", counted)
+    return calls
+
+
 class TestSweep:
     def test_zero_cell_equals_base_run(self, tmp_path):
         base = tiny_scenario(trials=1)
@@ -682,6 +708,12 @@ class TestSweep:
         assert calls == [(1, None)]
         assert list(res) == [(1, 0)]
 
+    def test_bad_cell_is_refused_before_any_trial(self, trial_calls):
+        base = tiny_scenario(trials=1, protocol=ProtocolConfig(m=4, rounds=3, batch_size=5))
+        with pytest.raises(ConfigError, match=r"attack\.k_n"):
+            sweep_grid(base, (0, base.partition.n + 1), (0,))
+        assert trial_calls == []
+
     @pytest.mark.parametrize("k_n, k_p", [((), (0,)), ((0,), ())])
     def test_empty_axis_rejected(self, k_n, k_p):
         with pytest.raises(ConfigError, match="--kn"):
@@ -699,7 +731,52 @@ class TestSweep:
         assert (tmp_path / "cell_kn1_kp0_summary.json").exists()
 
 
+# one watcher per observation mode
+WATCH = (
+    AttackConfig(mode="plain", t_n=3, k_n=3, target_set_size=30),
+    AttackConfig(mode="encrypted", t_n=3, k_n=3, target_set_size=30),
+    AttackConfig(mode="encrypted_limited", t_n=3, k_n=3, target_set_size=30, visible_size=5, alpha_v=2.0),
+)
+
+
+class TestWatchers:
+    def defended_smoke(self):
+        smoke = load_scenario(pathlib.Path(__file__).resolve().parent.parent / "configs" / "smoke.yaml")
+        return replace(
+            smoke,
+            attack=replace(smoke.attack, mode="plain"),
+            poison=PoisonConfig(k_p=2, boost=10.0),
+            defense=DefenseConfig(t_s=3, k_s=2, upsample_factor=2.0, clip_norm=1.0),
+        )
+
+    def test_watchers_leave_the_run_as_it_is(self):
+        cfg = self.defended_smoke()
+        for seed in (7, 8):
+            watched = run_trial(cfg, seed, WATCH)
+            assert len(watched.watched_hits) == len(WATCH)
+            assert all(len(hits) == cfg.protocol.rounds for hits in watched.watched_hits)
+            assert replace(watched, watched_hits=()) == run_trial(cfg, seed)
+
+
 class TestIdentifyBench:
+    def test_runs_each_trial_through_run_trial(self, trial_calls):
+        cfg = tiny_scenario(trials=3)
+        identify_bench(cfg, (2, 5))
+        assert trial_calls == [cfg.base_seed + i for i in range(cfg.trials)]
+
+    def test_hits_are_the_watched_hits_at_the_checkpoints(self):
+        cfg = tiny_scenario(trials=2)
+        res = identify_bench(cfg, (2, 5, 8))
+        bench_cfg = replace(cfg, attack=None, poison=None, protocol=replace(cfg.protocol, rounds=8))
+        watch = tuple(
+            AttackConfig(mode=mode, t_n=1, k_n=cfg.partition.k, target_set_size=cfg.attack.target_set_size)
+            for mode in ("plain", "encrypted")
+        )
+        trials = run_scenario(bench_cfg, watch).trials
+        for i, mode in enumerate(("plain", "encrypted")):
+            for c in (2, 5, 8):
+                assert res[mode][c] == [t.watched_hits[i][c - 1] for t in trials]
+
     def test_structure_and_determinism(self):
         cfg = tiny_scenario(trials=2)
         res = identify_bench(cfg, (2, 5, 8))
