@@ -63,6 +63,12 @@ MC_GRID = tuple(
 
 # Largest encrypted clearing table built, in float64 entries (32 MiB).
 MAX_TABLE_ENTRIES = 2**22
+# Most terms a harmonic-number difference sums; a longer one comes from the
+# asymptotic series. ``analyze`` prints only shorter ones: k_n <= 10**5 past
+# the plain work budget, n - ceil(k/alpha) <= 2**21 past the table limit.
+MAX_HARMONIC_TERMS = 2**21
+# Where the series starts when a difference runs past MAX_HARMONIC_TERMS.
+_EXPANSION_FROM = 64
 # Largest Monte-Carlo run started, in expected draw steps: k_n geometric draws
 # per plain trial, one table lookup per target-free batch of an encrypted
 # trial. An encrypted trial's batches run one loop pass each, so this also
@@ -77,9 +83,25 @@ def harmonic(i: int) -> float:
     return _harmonic_gap(i, 0)
 
 
+def _harmonic_tail(x: int) -> float:
+    """``H_x - ln x - gamma`` for x >= ``_EXPANSION_FROM``: its asymptotic series to x**-6."""
+    inv_sq = 1.0 / x / x
+    return 0.5 / x - inv_sq * (1 / 12 - inv_sq * (1 / 120 - inv_sq / 252))
+
+
 def _harmonic_gap(hi: int, lo: int) -> float:
-    """``H_hi - H_lo`` for 0 <= lo <= hi, summed over only the hi - lo terms they differ in."""
-    return math.fsum(1.0 / j for j in range(lo + 1, hi + 1))
+    """``H_hi - H_lo`` for 0 <= lo <= hi.
+
+    Up to ``MAX_HARMONIC_TERMS`` terms it sums only the hi - lo terms the
+    two differ in. Past that, it sums the terms below ``_EXPANSION_FROM`` and
+    takes the rest from the asymptotic series, whose first omitted term is
+    under 2e-17 from there on.
+    """
+    if hi - lo <= MAX_HARMONIC_TERMS:
+        return math.fsum(1.0 / j for j in range(lo + 1, hi + 1))
+    head = _harmonic_gap(_EXPANSION_FROM, lo) if lo < _EXPANSION_FROM else 0.0
+    lo = max(lo, _EXPANSION_FROM)
+    return head + math.log1p((hi - lo) / lo) + (_harmonic_tail(hi) - _harmonic_tail(lo))
 
 
 def expected_rounds_plain(n: int, m: int, k: int, k_n: int) -> float:
@@ -381,8 +403,8 @@ def _countable_p(n: int, m: int, k: int, clean_rounds: int) -> float:
 def _simulate_encrypted(n, m, k, needed, trials, rng) -> np.ndarray:
     # At least ceil(needed/m) target-free rounds of mean 1/p rounds each.
     clean_rounds = -(-needed // m)
+    _check_work(trials * clean_rounds)  # a lower bound, checked before p's product and the table
     p = _countable_p(n, m, k, clean_rounds)
-    _check_work(trials * clean_rounds)  # a lower bound, checked before the O(needed * m) table
     cdf, mean_batches = _clearing(n - k, m, needed)
     _check_work(trials * mean_batches)
     batches = _sample_batches(cdf, trials, rng)

@@ -11,10 +11,14 @@ Every rule is checked once, here. Loading checks each value against its
 field's annotation (no ``bool`` for a number, an integer is a float, a
 float is finite, ``null`` only where ``| None`` allows it; nothing is
 coerced), and :func:`validate_scenario` checks ranges and cross-field
-consistency. Unknown keys anywhere are errors. Failures raise
-:class:`ConfigError` with the dotted path of the offending field.
+consistency whenever a :class:`ScenarioConfig` is built, so a scenario
+that exists is valid: one loaded from a file, and one derived from
+another with ``dataclasses.replace``, is checked where it is made.
+Unknown keys anywhere are errors. Failures raise :class:`ConfigError`
+with the dotted path of the offending field.
 """
 
+import math
 import sys
 import types
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -115,6 +119,9 @@ class ScenarioConfig:
     trials: int = 4
     base_seed: int = 1234
 
+    def __post_init__(self):
+        validate_scenario(self)
+
     def to_dict(self) -> dict:
         out = asdict(self)
         out["model"]["hidden_dims"] = list(self.model.hidden_dims)
@@ -172,9 +179,7 @@ def _build(cls, data: Any, path: str, prefix: str):
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Build and validate a ScenarioConfig from a plain mapping."""
-    cfg = _build(ScenarioConfig, data, "top level", "")
-    validate_scenario(cfg)
-    return cfg
+    return _build(ScenarioConfig, data, "top level", "")
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -201,7 +206,11 @@ def _require(cond: bool, message: str):
 
 
 def validate_scenario(cfg: ScenarioConfig):
-    """Cross-field consistency checks with field-level messages."""
+    """Range and cross-field consistency checks with field-level messages.
+
+    ``ScenarioConfig`` runs them when it is built, so calling this again on
+    one is a no-op; it stays public as the list of rules.
+    """
     ds, part, model, proto = cfg.dataset, cfg.partition, cfg.model, cfg.protocol
 
     _require(ds.kind in ("synthetic", "idx"), "dataset.kind: must be 'synthetic' or 'idx'")
@@ -280,6 +289,21 @@ def validate_scenario(cfg: ScenarioConfig):
             )
         else:
             _require(poi.start_round >= 0, "poison.start_round: must be >= 0")
+
+    if ds.kind == "synthetic":
+        # The partition takes every shard's rows from the pool without
+        # replacement, and the k + k_p holders' quotas from the target class alone.
+        pool = ds.class_count * ds.per_class
+        _require(
+            part.n * part.local_size <= pool,
+            f"partition.n: need n * local_size <= class_count * per_class, the synthetic pool ({pool} rows)",
+        )
+        holders = part.k + (cfg.poison.k_p if cfg.poison is not None else 0)
+        _require(
+            holders * math.ceil(part.alpha_t * part.local_size) <= ds.per_class,
+            f"partition.k: need (k + k_p) * ceil(alpha_t * local_size) <= per_class, "
+            f"the target class's pool ({ds.per_class} rows)",
+        )
 
     if cfg.defense is not None:
         dfn = cfg.defense

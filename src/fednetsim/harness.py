@@ -22,9 +22,10 @@ from fednetsim.adversary import (
     identification_score,
     sample_visible_set,
 )
-from fednetsim.config import AttackConfig, ConfigError, PoisonConfig, ScenarioConfig, validate_scenario
+from fednetsim.config import AttackConfig, PoisonConfig, ScenarioConfig
 from fednetsim.datasets import ExampleSet, gen_synthetic, load_idx_dataset, partition, synthetic_labels
 from fednetsim.defense import UpsamplingDefender
+from fednetsim.errors import ConfigError
 from fednetsim.models import ModelSpec
 from fednetsim.poisoning import ModelReplacementPoisoner, PoisonPlan, default_flip_to, flip_labels
 from fednetsim.protocol import EvalSets, RoundTrace, run_protocol
@@ -286,7 +287,6 @@ def run_trial(cfg: ScenarioConfig, trial_seed: int, watch: tuple[AttackConfig, .
 
 def run_scenario(cfg: ScenarioConfig, watch: tuple[AttackConfig, ...] = ()) -> RunSummary:
     """Run all trials of a scenario (seeds ``base_seed + i``), each with the ``watch`` watchers."""
-    validate_scenario(cfg)
     trials = [run_trial(cfg, cfg.base_seed + i, watch) for i in range(cfg.trials)]
     return RunSummary(config=cfg, trials=trials)
 
@@ -309,9 +309,8 @@ def sweep_grid(base: ScenarioConfig, k_n_values, k_p_values) -> dict[tuple[int, 
     k_ps = sorted(set(int(v) for v in k_p_values))
     if not k_ns or not k_ps:
         raise ConfigError("sweep needs at least one --kn and one --kp value")
+    # a cell is checked as it is built, so a bad one is refused before any trial runs
     cells = {(k_n, k_p): _cell_config(base, k_n, k_p) for k_n in k_ns for k_p in k_ps}
-    for cfg in cells.values():  # every cell is checked before the first trial runs
-        validate_scenario(cfg)
     return {cell: run_scenario(cfg) for cell, cfg in cells.items()}
 
 
@@ -323,7 +322,6 @@ def identify_bench(cfg: ScenarioConfig, checkpoint_rounds) -> dict[str, dict[int
     watcher, and scores what each has identified at every checkpoint; each
     names ``partition.k`` clients. Returns ``{mode: {round: [hits per trial]}}``.
     """
-    validate_scenario(cfg)
     if cfg.partition.k == 0:
         raise ConfigError("identify-bench needs partition.k >= 1: recall over zero targets is undefined")
     checkpoints = sorted(set(int(c) for c in checkpoint_rounds))

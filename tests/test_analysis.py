@@ -1,6 +1,10 @@
 """Closed-form identification cost, batch probabilities, Monte-Carlo checks."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +23,8 @@ from fednetsim.analysis import (
     prob_nontarget_batch_exact,
 )
 from fednetsim.seeding import spawn_rng
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 # Encrypted points of the benchmark's Monte-Carlo grid, then k = 0 and alpha = 1.
 ENCRYPTED_POINTS = (
@@ -89,6 +95,30 @@ class TestHarmonic:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             harmonic(-1)
+
+    @pytest.mark.parametrize("lo", [0, 1000, 10**9])
+    def test_series_past_the_cap_agrees_with_the_sum(self, lo):
+        hi = lo + analysis.MAX_HARMONIC_TERMS + 1
+        exact = math.fsum(1.0 / j for j in range(lo + 1, hi + 1))
+        assert analysis._harmonic_gap(hi, lo) == pytest.approx(exact, rel=1e-12, abs=0)
+
+    def test_long_gaps_return_quickly(self):
+        # summing 10**12 terms takes hours; a hang kills the child, not the suite
+        code = (
+            "import time\n"
+            "from fednetsim.analysis import expected_rounds_plain, harmonic\n"
+            "start = time.perf_counter()\n"
+            "values = expected_rounds_plain(10**12, 1, 10**12, 10**12), harmonic(10**12)\n"
+            "print(time.perf_counter() - start, *values)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        elapsed, rounds, h = map(float, proc.stdout.split())
+        assert elapsed < 1.0
+        # H_n = ln n + gamma + 1/(2n) - ..., and the plain wait is (n/m) * H_k here
+        assert h == pytest.approx(math.log(10**12) + 0.5772156649015329 + 0.5e-12, rel=1e-15)
+        assert rounds == 10**12 * h
 
 
 class TestExpectedRoundsPlain:

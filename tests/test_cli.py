@@ -9,6 +9,8 @@ import sys
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fednetsim import analysis
 from fednetsim.cli import main
@@ -139,9 +141,17 @@ class TestRun:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
     def test_integer_past_c_long_exits_two(self, tmp_path):
-        proc = run_smoke_with(tmp_path, {"partition": {"n": 10**26}})
+        proc = run_smoke_with(tmp_path, {"dataset": {"per_class": 10**26}})
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("n", [10**9, 10**26])
+    def test_population_past_the_synthetic_pool_exits_one(self, tmp_path, n):
+        # it used to exit 2 on "class 1 exhausted", or on C long conversion
+        proc = run_smoke_with(tmp_path, {"partition": {"n": n}})
+        assert proc.returncode == 1, proc.stderr
+        assert "configuration error: partition.n:" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_missing_data_file_exits_two(self, tmp_path, capsys):
@@ -367,6 +377,18 @@ class TestAnalyze:
         assert "at most p=" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_work_bound_is_checked_before_the_target_free_probability(self):
+        # p's 1e8 factors take seconds to multiply; 10000 trials of at least
+        # ceil((1e15 - 1e8) / 1e8) target-free rounds are refused without p
+        proc = run_cli(
+            "analyze", "--n", "1000000000000000", "--m", "100000000", "--k", "100000000", "--kn", "1",
+            "--alpha", "1", timeout=5,
+        )
+        assert proc.returncode == 1
+        assert "configuration error" in proc.stderr
+        assert "1e+11 draw steps" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestSweepCommand:
     def test_tiny_sweep(self, tmp_path):
@@ -425,3 +447,100 @@ class TestIdentifyBenchCommand:
         assert lines[0] == "mode,round,trial,hits,recall"
         # two modes x two checkpoints x one trial
         assert len(lines) == 1 + 4
+
+
+# Edge values of the fuzzed `run` scenario, configs/smoke.yaml with a poison
+# and a defense section (n=10, k=3, 4 classes of 300 rows, 40-row shards):
+# 0, 1, each legal bound and one past it, and 10**12. A count that sizes an
+# allocation gets 10**15 instead, past any address space, and rounds, epochs
+# and trials stay small, so that every run the rules accept ends quickly.
+FLOAT_EDGES = [0.0, 1.0, -1.0, 1e12, math.nan, math.inf]
+RUN_EDGES = {
+    "dataset.kind": ["idx"],
+    "dataset.class_count": [0, 1, 2, 10**15],
+    "dataset.input_dim": [0, 1, 10**15],
+    "dataset.per_class": [0, 1, 99, 100, 10**15],
+    "dataset.separation": FLOAT_EDGES,
+    "dataset.eval_per_class": [0, 1, 10**15],
+    "partition.n": [0, 1, 4, 5, 30, 31, 10**12],
+    "partition.k": [-1, 0, 1, 9, 10, 10**12],
+    "partition.target_class": [-1, 0, 3, 4],
+    "partition.alpha_t": [*FLOAT_EDGES, 1e-300],
+    "partition.alpha_d": [*FLOAT_EDGES, 1e-300],
+    "partition.local_size": [0, 1, 120, 121, 10**12],
+    "model.hidden_dims": [[], [0], [1], [10**15]],
+    "model.activation": ["tanh", "gelu"],
+    "protocol.m": [0, 1, 10, 11],
+    "protocol.rounds": [0, 1],
+    "protocol.server_lr": [*FLOAT_EDGES, 1e308],
+    "protocol.local_epochs": [-1, 0, 1],
+    "protocol.local_lr": [*FLOAT_EDGES, 1e308],
+    "protocol.batch_size": [None, 0, 1, 40, 41, 10**12],
+    "protocol.clip_norm": [*FLOAT_EDGES, 5e-324],
+    "protocol.denominator_mode": ["fixed_m", "median"],
+    "attack.kind": ["perfect_knowledge", "random_drop", "psychic"],
+    "attack.mode": ["plain", "encrypted_limited", "psychic"],
+    "attack.t_n": [0, 1, 10, 11, 10**12],
+    "attack.k_n": [-1, 0, 1, 10, 11, 10**12],
+    "attack.target_set_size": [0, 1, 50, 51, 10**12],
+    "attack.visible_size": [0, 1, 10, 11, 10**12],
+    "attack.alpha_v": FLOAT_EDGES,
+    "poison.k_p": [-1, 0, 1, 7, 8, 10**12],
+    "poison.boost": [*FLOAT_EDGES, 1e308],
+    "poison.flip_to": [-1, 0, 1, 3, 4],
+    "poison.start_round": [-1, 0, 1, 10**12],
+    "defense.t_s": [0, 1, 10, 11, 10**12],
+    "defense.k_s": [-1, 0, 1, 4, 5, 10**12],
+    "defense.upsample_factor": [*FLOAT_EDGES, 4.999, 5.0],
+    "defense.server_mode": ["aggregate_only", "psychic"],
+    "defense.valid_set_size": [0, 1, 10**12],
+    "defense.clip_norm": [*FLOAT_EDGES, 5e-324],
+    "trials": [-1, 0, 1, 2],
+    "base_seed": [-1, 0, 2**64, 10**12],
+}
+RUN_FLAGS = [(), ("--seed", "-1"), ("--seed", str(2**64)), ("--trials", "0"), ("--trials", "2")]
+
+
+def _analyze_argv(draw):
+    # every argument at a legal edge, then at most one pushed past its bound
+    n = draw(st.sampled_from([1, 60, 10**12]))
+    m, k = draw(st.sampled_from([1, n])), draw(st.sampled_from([0, 1, n]))
+    args = {
+        "n": n, "m": m, "k": k, "kn": draw(st.sampled_from([0, min(1, k), k])),
+        "mc-trials": draw(st.sampled_from([100, 10000, 10**12])), "seed": draw(st.sampled_from([0, 10**12])),
+        "alpha": draw(st.sampled_from([None, k / n or 1.0, 1.0])),  # precision alpha needs k / alpha <= n
+    }
+    past = {
+        "n": [0], "m": [0, n + 1], "k": [n + 1], "kn": [k + 1], "mc-trials": [99], "seed": [-1],
+        "alpha": [0.0, 1.0000000000000002, k / n * (1 - 1e-9), 1e12, math.nan, math.inf],
+    }
+    key = draw(st.sampled_from([None, *past]))
+    if key is not None:
+        args[key] = draw(st.sampled_from(past[key]))
+    return ["analyze", *(f"--{name}={value}" for name, value in args.items() if value is not None)]
+
+
+def _run_argv(draw, tmp):
+    data = yaml.safe_load((CONFIGS / "smoke.yaml").read_text())
+    data["poison"] = {"k_p": 1, "boost": 10.0}
+    data["defense"] = {"t_s": 3, "k_s": 2}
+    path = draw(st.sampled_from(sorted(RUN_EDGES)))
+    *section, key = path.split(".")
+    (data[section[0]] if section else data)[key] = draw(st.sampled_from(RUN_EDGES[path]))
+    cfg = tmp / "fuzz.yaml"
+    cfg.write_text(yaml.safe_dump(data))
+    return ["run", "--config", str(cfg), "--out", str(tmp / "out"), *draw(st.sampled_from(RUN_FLAGS))]
+
+
+@settings(derandomize=True, max_examples=16, deadline=None)
+@given(st.data())
+def test_every_command_ends_in_an_exit_code(tmp_path_factory, data):
+    # a bad input ends in exit 1 (configuration) or 2 (runtime), never a
+    # traceback or a hang; each example runs `run` or `analyze`
+    if data.draw(st.booleans(), label="run"):
+        argv = _run_argv(data.draw, tmp_path_factory.mktemp("fuzz"))
+    else:
+        argv = _analyze_argv(data.draw)
+    proc = run_cli(*argv, timeout=10)
+    assert proc.returncode in (0, 1, 2), proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -49,24 +49,6 @@ OPTIONAL_POSITIVE = st.none() | POSITIVE
 def scenarios(draw):
     """Scenario configs that pass ``validate_scenario``."""
     classes = draw(st.integers(2, 12))
-    if draw(st.booleans()):
-        path = st.text(st.characters(codec="utf-8", exclude_categories=("Cc", "Cs")), min_size=1)
-        dataset = DatasetConfig(
-            kind="idx",
-            class_count=classes,
-            train_images=draw(path),
-            train_labels=draw(path),
-            test_images=draw(path),
-            test_labels=draw(path),
-        )
-    else:
-        dataset = DatasetConfig(
-            class_count=classes,
-            input_dim=draw(st.integers(1, 64)),
-            per_class=draw(st.integers(1, 10**6)),
-            separation=draw(st.floats(0, 100)),
-            eval_per_class=draw(st.integers(1, 10**4)),
-        )
     n = draw(st.integers(1, 200))
     k = draw(st.integers(0, n))
     target_class = draw(st.integers(0, classes - 1))
@@ -127,6 +109,28 @@ def scenarios(draw):
             server_mode=draw(st.sampled_from(["plain", "aggregate_only"])),
             valid_set_size=draw(st.integers(1, 10**4)),
             clip_norm=draw(OPTIONAL_POSITIVE),
+        )
+    if draw(st.booleans()):
+        path = st.text(st.characters(codec="utf-8", exclude_categories=("Cc", "Cs")), min_size=1)
+        dataset = DatasetConfig(
+            kind="idx",
+            class_count=classes,
+            train_images=draw(path),
+            train_labels=draw(path),
+            test_images=draw(path),
+            test_labels=draw(path),
+        )
+    else:
+        # a synthetic pool at least as large as the partition takes, overall
+        # and from the target class
+        holders = k + (poison.k_p if poison is not None else 0)
+        least = max(-(-n * part.local_size // classes), holders * math.ceil(part.alpha_t * part.local_size), 1)
+        dataset = DatasetConfig(
+            class_count=classes,
+            input_dim=draw(st.integers(1, 64)),
+            per_class=draw(st.integers(least, least + 10**6)),
+            separation=draw(st.floats(0, 100)),
+            eval_per_class=draw(st.integers(1, 10**4)),
         )
     return ScenarioConfig(
         dataset=dataset,
@@ -398,12 +402,8 @@ class TestRunScenario:
         assert acc_poisoned < acc_clean - 0.2
 
     def test_defense_requires_consistent_plan(self, tiny_cfg):
-        cfg = replace(
-            tiny_cfg,
-            defense=DefenseConfig(t_s=8, k_s=8, upsample_factor=2.0)
-        )
         with pytest.raises(ConfigError, match="k_s"):
-            run_scenario(cfg)
+            replace(tiny_cfg, defense=DefenseConfig(t_s=8, k_s=8, upsample_factor=2.0))
 
     def test_defended_run_executes(self, tiny_cfg):
         cfg = replace(
@@ -602,6 +602,14 @@ class TestConfigLoading:
                 id="poison.flip_to",
             ),
             pytest.param({"poison": {"start_round": -1}}, r"poison\.start_round:", id="poison.start_round"),
+            # the synthetic pool covers the partition: all n shards, and the
+            # k + k_p holders' target-class quotas (defaults: 60 x 200 rows, 15 x 120)
+            pytest.param({"partition": {"n": 10**9}}, r"partition\.n:", id="partition.n*local_size"),
+            pytest.param({"dataset": {"per_class": 1500}}, r"partition\.k:", id="partition.k*quota"),
+            pytest.param(
+                {"dataset": {"per_class": 2000}, "poison": {"k_p": 5, "start_round": 1}}, r"partition\.k:",
+                id="partition.(k+k_p)*quota",
+            ),
             pytest.param({"defense": {"t_s": 0}}, r"defense\.t_s:", id="defense.t_s"),
             pytest.param({"defense": {"k_s": -1}}, r"defense\.k_s:", id="defense.k_s"),
             pytest.param(
@@ -623,6 +631,27 @@ class TestConfigLoading:
     def test_rule_rejected_with_its_path(self, data, message):
         with pytest.raises(ConfigError, match=message):
             scenario_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "section, changes, message",
+        [
+            pytest.param("dataset", {"class_count": 1}, r"dataset\.class_count:", id="dataset"),
+            pytest.param("partition", {"local_size": 0}, r"partition\.local_size:", id="partition"),
+            pytest.param("model", {"activation": "gelu"}, r"model\.activation:", id="model"),
+            pytest.param("protocol", {"m": 13}, r"protocol\.m:", id="protocol"),
+            pytest.param("attack", {"t_n": 0}, r"attack\.t_n:", id="attack"),
+            pytest.param("poison", {"boost": 0.0}, r"poison\.boost:", id="poison"),
+            pytest.param("defense", {"t_s": 0}, r"defense\.t_s:", id="defense"),
+            pytest.param(None, {"trials": 0}, r"trials:", id="top-level"),
+        ],
+    )
+    def test_replace_breaking_a_rule_raises_at_the_replace(self, section, changes, message):
+        # a derived scenario is checked where it is made, not where it runs
+        cfg = tiny_scenario(defense=DefenseConfig(t_s=8, k_s=3))
+        if section is not None:
+            changes = {section: replace(getattr(cfg, section), **changes)}
+        with pytest.raises(ConfigError, match=message):
+            replace(cfg, **changes)
 
     def test_idx_requires_paths(self):
         with pytest.raises(ConfigError, match="train_images"):
@@ -691,7 +720,7 @@ class TestSweep:
         assert clipped.mean_at("target_acc", 40) > no_clip.mean_at("target_acc", 40)
 
     def test_requires_targeted_attack(self):
-        base = tiny_scenario(attack=None)
+        base = tiny_scenario(attack=None, poison=None)
         with pytest.raises(ConfigError, match="targeted"):
             sweep_grid(base, (0,), (0,))
 
