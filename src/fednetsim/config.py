@@ -292,15 +292,18 @@ def validate_scenario(cfg: ScenarioConfig):
 
     if ds.kind == "synthetic":
         # The partition takes every shard's rows from the pool without
-        # replacement, and the k + k_p holders' quotas from the target class alone.
-        pool = ds.class_count * ds.per_class
-        _require(
-            part.n * part.local_size <= pool,
-            f"partition.n: need n * local_size <= class_count * per_class, the synthetic pool ({pool} rows)",
-        )
+        # replacement: the k + k_p holders' quotas from the target class, and
+        # every other row from the non-target classes.
         holders = part.k + (cfg.poison.k_p if cfg.poison is not None else 0)
+        quotas = holders * math.ceil(part.alpha_t * part.local_size)
+        pool = (ds.class_count - 1) * ds.per_class
         _require(
-            holders * math.ceil(part.alpha_t * part.local_size) <= ds.per_class,
+            part.n * part.local_size - quotas <= pool,
+            f"partition.n: need n * local_size - (k + k_p) * ceil(alpha_t * local_size) <= "
+            f"(class_count - 1) * per_class, the non-target classes' pool ({pool} rows)",
+        )
+        _require(
+            quotas <= ds.per_class,
             f"partition.k: need (k + k_p) * ceil(alpha_t * local_size) <= per_class, "
             f"the target class's pool ({ds.per_class} rows)",
         )

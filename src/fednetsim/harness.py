@@ -295,11 +295,8 @@ def _cell_config(base: ScenarioConfig, k_n: int, k_p: int) -> ScenarioConfig:
     if base.attack is None or base.attack.kind != "targeted":
         raise ConfigError("sweep requires a base config with a targeted attack section")
     attack = dc_replace(base.attack, k_n=k_n)
-    if k_p > 0:
-        poison_base = base.poison if base.poison is not None else PoisonConfig()
-        poison = dc_replace(poison_base, k_p=k_p)
-    else:
-        poison = None
+    # k_p = 0 is the unpoisoned cell; any other count, a negative one too, is checked as a section
+    poison = dc_replace(base.poison or PoisonConfig(), k_p=k_p) if k_p != 0 else None
     return dc_replace(base, attack=attack, poison=poison)
 
 

@@ -154,6 +154,14 @@ class TestRun:
         assert "configuration error: partition.n:" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("override", [{"partition": {"n": 30}}, {"dataset": {"class_count": 2}}])
+    def test_non_target_rows_past_the_synthetic_pool_exit_one(self, tmp_path, override):
+        # the non-target classes cannot fill the shards; it used to exit 2 on "class 2 exhausted"
+        proc = run_smoke_with(tmp_path, override)
+        assert proc.returncode == 1, proc.stderr
+        assert "configuration error: partition.n:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_missing_data_file_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "idx.yaml"
         cfg.write_text(
@@ -411,6 +419,17 @@ class TestSweepCommand:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_negative_kp_exits_one_before_any_cell(self, tmp_path):
+        # it used to run as a second unpoisoned cell, `cell_kn3_kp-1`
+        proc = run_cli(
+            "sweep", "--config", str(CONFIGS / "smoke.yaml"),
+            "--kn", "3", "--kp=-1,0", "--out", str(tmp_path / "out"),
+            timeout=10,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "configuration error: poison.k_p: must be >= 0" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_clip_flag_is_gone(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main([
@@ -501,7 +520,7 @@ RUN_EDGES = {
 RUN_FLAGS = [(), ("--seed", "-1"), ("--seed", str(2**64)), ("--trials", "0"), ("--trials", "2")]
 
 
-def _analyze_argv(draw):
+def _analyze_argv(draw, tmp):
     # every argument at a legal edge, then at most one pushed past its bound
     n = draw(st.sampled_from([1, 60, 10**12]))
     m, k = draw(st.sampled_from([1, n])), draw(st.sampled_from([0, 1, n]))
@@ -532,15 +551,39 @@ def _run_argv(draw, tmp):
     return ["run", "--config", str(cfg), "--out", str(tmp / "out"), *draw(st.sampled_from(RUN_FLAGS))]
 
 
-@settings(derandomize=True, max_examples=16, deadline=None)
+def _counts(draw, legal, past):
+    # 1-3 legal values with repeats, then half the time one value past its
+    # bound appended, or "" for an empty list
+    values = draw(st.lists(st.sampled_from(legal), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        bad = draw(st.sampled_from(past))
+        values = [*values, bad] if bad != "" else []
+    return ",".join(map(str, values))
+
+
+def _sweep_argv(draw, tmp):
+    # smoke's n=10, k=3 bound k_n by 10 and k_p by 7: at most 3 x 3 ten-round cells
+    kn = _counts(draw, [0, 1, 10], [-1, 11, ""])
+    kp = _counts(draw, [0, 1, 7], [-1, 8, 10, 11, ""])
+    return ["sweep", "--config", str(CONFIGS / "smoke.yaml"), f"--kn={kn}", f"--kp={kp}", "--out", str(tmp / "out")]
+
+
+def _identify_bench_argv(draw, tmp):
+    # the last checkpoint is the bench's round count, so it stays small
+    rounds = _counts(draw, [1, 2, 10], [0, -1, ""])
+    return ["identify-bench", "--config", str(CONFIGS / "smoke.yaml"), f"--rounds={rounds}", "--out", str(tmp / "out")]
+
+
+COMMANDS = {"run": _run_argv, "analyze": _analyze_argv, "sweep": _sweep_argv, "identify-bench": _identify_bench_argv}
+
+
+@settings(derandomize=True, max_examples=32, deadline=None)
 @given(st.data())
 def test_every_command_ends_in_an_exit_code(tmp_path_factory, data):
     # a bad input ends in exit 1 (configuration) or 2 (runtime), never a
-    # traceback or a hang; each example runs `run` or `analyze`
-    if data.draw(st.booleans(), label="run"):
-        argv = _run_argv(data.draw, tmp_path_factory.mktemp("fuzz"))
-    else:
-        argv = _analyze_argv(data.draw)
+    # traceback or a hang; each example runs one of the four commands
+    command = data.draw(st.sampled_from(sorted(COMMANDS)), label="command")
+    argv = COMMANDS[command](data.draw, tmp_path_factory.mktemp("fuzz"))
     proc = run_cli(*argv, timeout=10)
     assert proc.returncode in (0, 1, 2), proc.stderr
     assert "Traceback" not in proc.stderr

@@ -12,10 +12,23 @@ and disabling numpy's AVX-512 dispatch alone
 a mismatch on a machine without AVX-512 is not by itself a regression, and
 a failing case names this host's OpenBLAS core and numpy version. A change
 that moves a digest on purpose must re-record it and say why.
+
+The portable tier holds on those other kernels too. Under both overrides
+above only ``target_loss`` moves, by under 1e-15, and every count and
+accuracy stays equal. So ``golden_portable.json`` records, per case and
+file, the sha256 of the file with every loss blanked and the losses
+themselves: the rest must match exactly, and each loss within an absolute
+1e-12. One test re-runs three smoke cases in a child process under each
+override. ``python tests/test_golden.py`` re-records that file from the
+code as it is, beside a re-recorded digest.
 """
 
 import hashlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
 from dataclasses import replace as dc_replace
 
 import numpy as np
@@ -27,7 +40,9 @@ from fednetsim.emit import emit_metrics
 from fednetsim.harness import run_scenario
 from fednetsim.models import blas_core
 
-CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+TESTS = pathlib.Path(__file__).resolve().parent
+CONFIGS = TESTS.parent / "configs"
+PORTABLE = TESTS / "golden_portable.json"
 SMOKE = str(CONFIGS / "smoke.yaml")
 RECORDED_ON = "OpenBLAS core SkylakeX, numpy 2.4.6"
 
@@ -188,3 +203,81 @@ def test_golden_digest(case, tmp_path, capsys):
     capsys.readouterr()
     here = f"OpenBLAS core {blas_core()}, numpy {np.__version__}"
     assert _digests(tmp_path, GOLDEN[case]) == GOLDEN[case], f"recorded on {RECORDED_ON}; this host: {here}"
+
+
+def _blank_losses(node, losses, in_loss=False):
+    """``node`` with every value under a key naming a loss set to None; those values go to ``losses``."""
+    if isinstance(node, dict):
+        return {key: _blank_losses(value, losses, in_loss or "loss" in key) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_blank_losses(value, losses, in_loss) for value in node]
+    if in_loss:
+        losses.append(float(node))
+        return None
+    return node
+
+
+def _portable(path: pathlib.Path) -> list:
+    """``[sha256 of the file with its losses blanked, [its losses in file order]]``."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".csv":
+        header, *rows = text.splitlines()
+        names = header.split(",")
+        content = {"header": names, "rows": [dict(zip(names, row.split(","))) for row in rows]}
+    else:
+        content = json.loads(text)
+    losses = []
+    blanked = json.dumps(_blank_losses(content, losses), sort_keys=True)
+    return [hashlib.sha256(blanked.encode()).hexdigest(), losses]
+
+
+def _assert_portable(case: str, out_dir: pathlib.Path):
+    recorded = json.loads(PORTABLE.read_text(encoding="utf-8"))[case]
+    for name, (digest, losses) in recorded.items():
+        got_digest, got_losses = _portable(out_dir / name)
+        assert got_digest == digest, f"{case}/{name}: a count, accuracy or other exact field moved"
+        np.testing.assert_allclose(got_losses, losses, rtol=0, atol=1e-12, err_msg=f"{case}/{name}")
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_portable_values(case, tmp_path, capsys):
+    _produce(case, tmp_path)
+    capsys.readouterr()
+    _assert_portable(case, tmp_path)
+
+
+# Cases whose digest moves under at least one override (the last two under both).
+OTHER_KERNEL_CASES = ("smoke_run", "smoke_perfect_knowledge", "smoke_random_drop")
+OTHER_KERNELS = {
+    "openblas_haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "numpy_no_avx512": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+}
+CHILD = """
+import pathlib, sys
+sys.path.insert(0, sys.argv[1])
+from test_golden import _produce
+for case in sys.argv[3:]:
+    _produce(case, pathlib.Path(sys.argv[2], case))
+"""
+
+
+@pytest.mark.parametrize("kernel", sorted(OTHER_KERNELS))
+def test_portable_values_hold_on_another_kernel(kernel, tmp_path):
+    env = {**os.environ, **OTHER_KERNELS[kernel]}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(TESTS.parent / "src"), env.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-c", CHILD, str(TESTS), str(tmp_path), *OTHER_KERNEL_CASES]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for case in OTHER_KERNEL_CASES:
+        _assert_portable(case, tmp_path / case)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    record = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for case, files in sorted(GOLDEN.items()):
+            _produce(case, pathlib.Path(tmp, case))
+            record[case] = {name: _portable(pathlib.Path(tmp, case, name)) for name in sorted(files)}
+    PORTABLE.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

@@ -121,10 +121,10 @@ def scenarios(draw):
             test_labels=draw(path),
         )
     else:
-        # a synthetic pool at least as large as the partition takes, overall
-        # and from the target class
-        holders = k + (poison.k_p if poison is not None else 0)
-        least = max(-(-n * part.local_size // classes), holders * math.ceil(part.alpha_t * part.local_size), 1)
+        # a synthetic pool at least as large as the partition takes, from the
+        # target class and from the non-target classes
+        quotas = (k + (poison.k_p if poison is not None else 0)) * math.ceil(part.alpha_t * part.local_size)
+        least = max(quotas, -(-(n * part.local_size - quotas) // (classes - 1)), 1)
         dataset = DatasetConfig(
             class_count=classes,
             input_dim=draw(st.integers(1, 64)),
@@ -602,9 +602,11 @@ class TestConfigLoading:
                 id="poison.flip_to",
             ),
             pytest.param({"poison": {"start_round": -1}}, r"poison\.start_round:", id="poison.start_round"),
-            # the synthetic pool covers the partition: all n shards, and the
-            # k + k_p holders' target-class quotas (defaults: 60 x 200 rows, 15 x 120)
+            # the synthetic pool covers the partition: the k + k_p holders'
+            # target-class quotas, and every other row from the non-target
+            # classes (defaults: 60 x 200 rows, 15 x 120 of them target rows)
             pytest.param({"partition": {"n": 10**9}}, r"partition\.n:", id="partition.n*local_size"),
+            pytest.param({"dataset": {"class_count": 3}}, r"partition\.n:", id="partition.n*local_size-quotas"),
             pytest.param({"dataset": {"per_class": 1500}}, r"partition\.k:", id="partition.k*quota"),
             pytest.param(
                 {"dataset": {"per_class": 2000}, "poison": {"k_p": 5, "start_round": 1}}, r"partition\.k:",
