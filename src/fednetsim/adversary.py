@@ -23,7 +23,7 @@ import numpy as np
 
 from fednetsim.config import AttackConfig
 from fednetsim.datasets import ExampleSet
-from fednetsim.models import ModelSpec, forward_eval, mean_losses
+from fednetsim.models import ModelSpec, forward_eval
 from fednetsim.protocol import LocalModels, LocalUpdate, RoundTrace, weighted_sample_without_replacement
 from fednetsim.seeding import TAG_VISIBLE_DRAW, spawn_rng
 
@@ -101,34 +101,28 @@ def record_round(
     plain server, None under encrypted observation.
 
     With models, each participant j in ``models`` is credited separately
-    with ``loss(global_before) - loss(models[j])`` on the target set; all
-    these losses come from one stacked forward pass. ``LocalModels`` are
-    read with ``read_together``, so the deltas the round's store does not
-    hold yet train together too.
+    with ``loss(global_before) - loss(models[j])`` on the target set.
+    ``LocalModels`` are read with ``read_together``, so the deltas the
+    round's store does not hold yet train together too.
     Without, the single global difference
     ``loss(global_before) - loss(global_after)`` is credited to every
     participant, or only to those in ``visible`` when a visible set is given.
+    Either way, all the round's losses come from one stacked forward pass.
     """
     if models is not None:
         credited = [j for j in sorted(models) if j in trace.participants]
         if isinstance(models, LocalModels):
-            local = models.read_together(credited)
+            compared = models.read_together(credited)
         else:
-            local = [models[j] for j in credited]
-        stack = np.stack([trace.global_before, *local])
-        loss_before, *local_losses = mean_losses(stack, spec, target_set)
-        for j, loss_local in zip(credited, local_losses):
-            ledger.record(j, loss_before - loss_local)
-        return ledger
-
-    credited = trace.participants
-    if visible is not None:
-        credited = tuple(j for j in credited if j in visible)
-    loss_before = forward_eval(trace.global_before, spec, target_set).mean_loss
-    loss_after = forward_eval(trace.global_after, spec, target_set).mean_loss
-    change = loss_before - loss_after
-    for j in sorted(credited):
-        ledger.record(j, change)
+            compared = [models[j] for j in credited]
+    else:
+        credited = sorted(j for j in trace.participants if visible is None or j in visible)
+        compared = [trace.global_after]
+    loss_before, *losses = forward_eval(np.stack([trace.global_before, *compared]), spec, target_set).mean_loss
+    if models is None:
+        losses *= len(credited)  # the one global change is every credited client's
+    for j, loss in zip(credited, losses):
+        ledger.record(j, loss_before - loss)
     return ledger
 
 

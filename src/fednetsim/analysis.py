@@ -22,10 +22,10 @@ the stopping times directly so the formulas can be cross-checked by
 simulation.
 
 The plain simulation adds, per trial, the Geometric(r/n) draws each of the
-k_n targets takes to arrive. Its waits come from a vectorized sampler that
-reproduces numpy's own ``Generator.geometric``, draw for draw and in the
-generator's state afterwards, for the installed numpy; a property test
-guards that.
+k_n targets takes to arrive. Below r/n = 1/3 its waits come from a
+vectorized inversion that reproduces numpy's own ``Generator.geometric``,
+draw for draw and in the generator's state afterwards, for the installed
+numpy (a property test guards that); from 1/3 on they are numpy's.
 
 The encrypted side also has an exact form for true m-distinct-of-n batches.
 A target-free batch, a uniform m-subset of the n - k non-targets, newly
@@ -330,31 +330,16 @@ _SEARCH_FROM_P = 1 / 3
 _WAIT_CAP = 2.0**63
 
 
-def _search_sums(p: float) -> np.ndarray:
-    """Partial sums p, p + pq, ... added as numpy's search adds them, while they grow.
-
-    numpy's walk never ends for a uniform above the last of them.
-    """
-    q = 1.0 - p
-    total = prod = p
-    sums = [total]
-    while True:
-        prod *= q
-        if total + prod == total:
-            return np.array(sums)
-        total += prod
-        sums.append(total)
-
-
 def _geometric(p: float, size: int, rng: np.random.Generator) -> np.ndarray:
     """``rng.geometric(p, size)`` as float64, from the same draws of ``rng``.
 
     numpy draws one wait at a time in C: below p = 1/3 by inversion,
     ``ceil(-E / log1p(-p))`` of one standard exponential E, capped at
-    INT64_MAX; from there on by one uniform U and a walk up the partial sums
-    of the pmf until one reaches U. Both are done here over a whole array,
-    with the same arithmetic, so the values and the generator's state after
-    the call are equal to numpy's (the float64 of INT64_MAX is 2**63).
+    INT64_MAX; from there on by one uniform and a walk up the partial sums
+    of the pmf. The inversion is done here over a whole array, with the
+    same arithmetic, so the values and the generator's state after the call
+    are equal to numpy's (the float64 of INT64_MAX is 2**63); the search is
+    numpy's own.
     """
     if p < _SEARCH_FROM_P:
         waits = rng.standard_exponential(size)
@@ -362,8 +347,7 @@ def _geometric(p: float, size: int, rng: np.random.Generator) -> np.ndarray:
             waits /= -math.log1p(-p)
         np.ceil(waits, out=waits)
         return np.minimum(waits, _WAIT_CAP, out=waits)
-    steps = np.searchsorted(_search_sums(p), rng.random(size), side="left")
-    return np.add(steps, 1.0)
+    return rng.geometric(p, size).astype(np.float64)
 
 
 def _simulate_plain(n, m, k, k_n, trials, rng) -> np.ndarray:

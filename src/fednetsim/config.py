@@ -230,6 +230,8 @@ def validate_scenario(cfg: ScenarioConfig):
     _require(0 < part.alpha_t <= 1, "partition.alpha_t: must be in (0, 1]")
     _require(part.alpha_d > 0, "partition.alpha_d: must be > 0")
     _require(part.local_size >= 1, "partition.local_size: must be >= 1")
+    # the partition's target quota is ceil(alpha_t * local_size), in float arithmetic
+    _require(part.local_size <= sys.float_info.max, "partition.local_size: must be within the float range")
 
     _require(model.activation in ACTIVATIONS, f"model.activation: must be one of {ACTIVATIONS}")
     _require(all(h >= 1 for h in model.hidden_dims), "model.hidden_dims: widths must be >= 1")
@@ -314,7 +316,7 @@ def validate_scenario(cfg: ScenarioConfig):
         _require(dfn.k_s >= 0, "defense.k_s: must be >= 0")
         _require(dfn.upsample_factor >= 1, "defense.upsample_factor: must be >= 1")
         _require(
-            dfn.k_s * dfn.upsample_factor < part.n,
+            dfn.k_s < part.n and dfn.k_s * dfn.upsample_factor < part.n,
             "defense.k_s: need k_s * upsample_factor < n",
         )
         _require(dfn.server_mode in SERVER_MODES, f"defense.server_mode: must be one of {SERVER_MODES}")

@@ -253,18 +253,13 @@ def _mean_loss(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sort(_per_example_losses(logits, y), axis=-1).sum(axis=-1) / len(y)
 
 
-def _eval_logits(params: np.ndarray, spec: ModelSpec, batch: ExampleSet):
-    """``(K, rows, classes)`` logits of a ``(K, P)`` stack on a validated batch."""
-    _check_batch(spec, batch, "evaluation set")
-    logits, _ = _forward(_layer_views(params, spec), spec.activation, batch.x)
-    return logits
-
-
 class EvalResult:
-    """Mean loss, accuracy and correct count of one model on a batch.
+    """Mean loss, accuracy and correct count of one model, or of each model of a stack, on a batch.
 
-    ``mean_loss`` and ``correct`` are each computed from the logits on
-    first read and then kept, so a caller pays only for what it reads.
+    For one model they are a float, a float and an int; for a ``(K, P)``
+    stack, arrays of K values. ``mean_loss`` and ``correct`` are each
+    computed from the logits on first read and then kept, so a caller pays
+    only for what it reads.
     """
 
     def __init__(self, logits: np.ndarray, y: np.ndarray):
@@ -272,15 +267,17 @@ class EvalResult:
         self._y = y
 
     @cached_property
-    def mean_loss(self) -> float:
-        return float(_mean_loss(self._logits, self._y))
+    def mean_loss(self) -> float | np.ndarray:
+        loss = _mean_loss(self._logits, self._y)
+        return loss if loss.ndim else float(loss)
 
     @cached_property
-    def correct(self) -> int:
-        return int((self._logits.argmax(axis=-1) == self._y).sum())
+    def correct(self) -> int | np.ndarray:
+        correct = (self._logits.argmax(axis=-1) == self._y).sum(axis=-1)
+        return correct if correct.ndim else int(correct)
 
     @property
-    def accuracy(self) -> float:
+    def accuracy(self) -> float | np.ndarray:
         return self.correct / len(self._y)
 
 
@@ -291,17 +288,14 @@ def forward_eval(params: np.ndarray, spec: ModelSpec, batch: ExampleSet) -> Eval
     over value-sorted per-example losses, so permuting the batch cannot
     change the result. The forward pass runs here; the loss and the correct
     count are each computed on first read.
+
+    ``params`` is one ``(P,)`` vector or a ``(K, P)`` stack. One forward
+    pass evaluates all K models; each model's product is its own BLAS call,
+    so every value equals the one-model result bit for bit.
     """
-    return EvalResult(_eval_logits(params[None], spec, batch)[0], batch.y)
-
-
-def mean_losses(params: np.ndarray, spec: ModelSpec, batch: ExampleSet) -> np.ndarray:
-    """``forward_eval(p, spec, batch).mean_loss`` for every row p of a ``(K, P)`` stack.
-
-    One forward pass evaluates all K models; each model's product is its
-    own BLAS call, so every loss equals the one-model result bit for bit.
-    """
-    return _mean_loss(_eval_logits(params, spec, batch), batch.y)
+    _check_batch(spec, batch, "evaluation set")
+    logits, _ = _forward(_layer_views(np.atleast_2d(params), spec), spec.activation, batch.x)
+    return EvalResult(logits[0] if params.ndim == 1 else logits, batch.y)
 
 
 def loss_gradient(params: np.ndarray, spec: ModelSpec, batch: ExampleSet) -> np.ndarray:

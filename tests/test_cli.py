@@ -470,7 +470,8 @@ class TestIdentifyBenchCommand:
 
 # Edge values of the fuzzed `run` scenario, configs/smoke.yaml with a poison
 # and a defense section (n=10, k=3, 4 classes of 300 rows, 40-row shards):
-# 0, 1, each legal bound and one past it, and 10**12. A count that sizes an
+# 0, 1, each legal bound and one past it, and 10**12 (10**400, past the float
+# range, where a rule multiplies the count by a float). A count that sizes an
 # allocation gets 10**15 instead, past any address space, and rounds, epochs
 # and trials stay small, so that every run the rules accept ends quickly.
 FLOAT_EDGES = [0.0, 1.0, -1.0, 1e12, math.nan, math.inf]
@@ -486,7 +487,7 @@ RUN_EDGES = {
     "partition.target_class": [-1, 0, 3, 4],
     "partition.alpha_t": [*FLOAT_EDGES, 1e-300],
     "partition.alpha_d": [*FLOAT_EDGES, 1e-300],
-    "partition.local_size": [0, 1, 120, 121, 10**12],
+    "partition.local_size": [0, 1, 120, 121, 10**12, 10**400],
     "model.hidden_dims": [[], [0], [1], [10**15]],
     "model.activation": ["tanh", "gelu"],
     "protocol.m": [0, 1, 10, 11],
@@ -509,7 +510,7 @@ RUN_EDGES = {
     "poison.flip_to": [-1, 0, 1, 3, 4],
     "poison.start_round": [-1, 0, 1, 10**12],
     "defense.t_s": [0, 1, 10, 11, 10**12],
-    "defense.k_s": [-1, 0, 1, 4, 5, 10**12],
+    "defense.k_s": [-1, 0, 1, 4, 5, 10**12, 10**400],
     "defense.upsample_factor": [*FLOAT_EDGES, 4.999, 5.0],
     "defense.server_mode": ["aggregate_only", "psychic"],
     "defense.valid_set_size": [0, 1, 10**12],

@@ -614,6 +614,11 @@ class TestConfigLoading:
             ),
             pytest.param({"defense": {"t_s": 0}}, r"defense\.t_s:", id="defense.t_s"),
             pytest.param({"defense": {"k_s": -1}}, r"defense\.k_s:", id="defense.k_s"),
+            # past the float range: named, not an OverflowError from the float rules
+            pytest.param(
+                {"partition": {"local_size": 10**400}}, r"partition\.local_size:", id="partition.local_size>float"
+            ),
+            pytest.param({"defense": {"k_s": 10**400}}, r"defense\.k_s:", id="defense.k_s>float"),
             pytest.param(
                 {"defense": {"upsample_factor": 0.5}}, r"defense\.upsample_factor:", id="defense.upsample_factor"
             ),

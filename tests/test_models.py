@@ -17,7 +17,6 @@ from fednetsim.models import (
     local_train,
     local_train_stack,
     loss_gradient,
-    mean_losses,
 )
 from fednetsim.seeding import spawn_rng
 
@@ -345,6 +344,8 @@ class TestLocalTrainStack:
 
 
 class TestMeanLossesMatchForwardEval:
+    """A stack's ``forward_eval`` values match the one-model loop's, bit for bit."""
+
     @settings(deadline=None, max_examples=60)
     @given(
         activation=st.sampled_from(["relu", "tanh"]),
@@ -359,9 +360,12 @@ class TestMeanLossesMatchForwardEval:
         rng = np.random.default_rng(seed)
         stack = init_model(spec, seed) + 0.5 * rng.standard_normal((k, spec.param_count()))
         batch = random_batch(rng, spec, rows)
-        losses = mean_losses(stack, spec, batch)
-        assert losses.shape == (k,)
-        assert np.array_equal(losses, [forward_eval(p, spec, batch).mean_loss for p in stack])
+        res = forward_eval(stack, spec, batch)
+        singles = [forward_eval(p, spec, batch) for p in stack]
+        assert res.mean_loss.shape == res.correct.shape == (k,)
+        assert np.array_equal(res.mean_loss, [r.mean_loss for r in singles])
+        assert np.array_equal(res.correct, [r.correct for r in singles])
+        assert np.array_equal(res.accuracy, [r.accuracy for r in singles])
 
     @pytest.mark.parametrize(
         "params_len, x_dim, labels, match",
@@ -380,16 +384,17 @@ class TestMeanLossesMatchForwardEval:
         with pytest.raises(ValueError, match=match):
             forward_eval(params, spec, batch)
         with pytest.raises(ValueError, match=match):
-            mean_losses(np.stack([params, params]), spec, batch)
+            forward_eval(np.stack([params, params]), spec, batch)
 
-    def test_stack_and_vector_are_not_interchangeable(self):
+    def test_a_stack_of_one_gives_arrays_and_a_vector_scalars(self):
         spec = ModelSpec(5, (7,), 3)
-        params = np.zeros(spec.param_count())
-        batch = ExampleSet(np.zeros((3, 5)), np.array([0, 1, 2]))
-        with pytest.raises(ValueError, match="parameter vector length"):
-            mean_losses(params, spec, batch)
-        with pytest.raises(ValueError, match="parameter vector length"):
-            forward_eval(params[None, :], spec, batch)
+        params = init_model(spec, 3)
+        batch = random_batch(np.random.default_rng(1), spec, 9)
+        one = forward_eval(params, spec, batch)
+        assert type(one.mean_loss) is float and type(one.correct) is int
+        stacked = forward_eval(params[None, :], spec, batch)
+        assert stacked.mean_loss.shape == stacked.correct.shape == (1,)
+        assert stacked.mean_loss[0] == one.mean_loss and stacked.correct[0] == one.correct
 
 
 class TestEvalResultIsLazy:

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 import fednetsim.models as models
 import fednetsim.protocol as protocol
 from fednetsim.adversary import ContributionLedger, FixedSetDropper, TargetedDropAttacker, record_round
-from fednetsim.config import AttackConfig, ProtocolConfig
+from fednetsim.config import AttackConfig, DefenseConfig, ProtocolConfig
 from fednetsim.datasets import ExampleSet, gen_synthetic, partition
+from fednetsim.defense import UpsamplingDefender
 from fednetsim.models import ModelSpec, forward_eval, init_model, local_train
 from fednetsim.poisoning import ModelReplacementPoisoner, PoisonPlan
 from fednetsim.protocol import (
@@ -640,6 +641,19 @@ class TestRoundLifetime:
         assert sorted(set(rounds_before)) == list(range(cfg.rounds))
 
 
+def count_forward_passes(monkeypatch):
+    """From now on, record the row count of every forward pass; returns the list."""
+    passes = []
+    real = models._forward
+
+    def counted(layers, activation, x):
+        passes.append(len(x))
+        return real(layers, activation, x)
+
+    monkeypatch.setattr(models, "_forward", counted)
+    return passes
+
+
 class TestEvaluateOnlyWhatIsRead:
     """A round evaluates only what its record or an observer reads."""
 
@@ -670,18 +684,36 @@ class TestEvaluateOnlyWhatIsRead:
         )
         loss_before = forward_eval(before, spec, target_set).mean_loss
         expected = {j: loss_before - forward_eval(local[j], spec, target_set).mean_loss for j in (1, 3, 4, 6)}
-        passes = []
-        real = models._forward
-
-        def counted(layers, activation, x):
-            passes.append(len(x))
-            return real(layers, activation, x)
-
-        monkeypatch.setattr(models, "_forward", counted)
+        passes = count_forward_passes(monkeypatch)
         ledger = record_round(ContributionLedger(), trace, local, target_set, spec)
         assert passes == [len(target_set)]
         assert ledger.sums == expected
         assert ledger.counts == {j: 1 for j in expected}
+
+    @pytest.mark.parametrize("observer", ["encrypted", "encrypted_limited", "aggregate_only"])
+    def test_encrypted_record_round_makes_one_forward_pass(self, monkeypatch, observer):
+        # global_before and global_after go through one stacked pass, not two
+        _, _, spec, eval_sets, _ = small_world()
+        target_set = eval_sets.target_set
+        before = init_model(spec, 1)
+        after = before + 0.1 * np.random.default_rng(0).standard_normal(before.shape)
+        local = dict.fromkeys((1, 3, 4, 6), after)
+        trace = RoundTrace(
+            t=1, participants=(1, 3, 4, 6), global_before=before, global_after=after,
+            sent_models=local, received_models=local,
+        )
+        if observer == "aggregate_only":
+            watcher = UpsamplingDefender(DefenseConfig(t_s=5, k_s=1, server_mode=observer), spec, target_set)
+        else:
+            visible = frozenset({3, 6, 7}) if observer == "encrypted_limited" else None
+            watcher = TargetedDropAttacker(AttackConfig(mode=observer, t_n=5, k_n=1), spec, target_set, visible)
+        credited = (3, 6) if observer == "encrypted_limited" else (1, 3, 4, 6)
+        change = forward_eval(before, spec, target_set).mean_loss - forward_eval(after, spec, target_set).mean_loss
+        passes = count_forward_passes(monkeypatch)
+        watcher.observe(trace)
+        assert passes == [len(target_set)]
+        assert watcher.ledger.sums == dict.fromkeys(credited, change)
+        assert watcher.ledger.counts == dict.fromkeys(credited, 1)
 
 
 @pytest.fixture
