@@ -13,11 +13,11 @@ The attacker watches the protocol under one of three knowledge levels:
 
 Clients are ranked by the mean of their accumulated loss differences; the
 top k are dropped in every round they participate after the observation
-phase ends.
+phase ends. ``LedgerObserver`` is the one observation path, for the
+attacker and the defending server (``fednetsim.defense``) alike.
 """
 
-from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,46 +86,6 @@ def sample_visible_set(
     return frozenset(weighted_sample_without_replacement(rng, weights, v))
 
 
-def record_round(
-    ledger: ContributionLedger,
-    trace: RoundTrace,
-    models: Mapping[int, np.ndarray] | None,
-    target_set: ExampleSet,
-    spec: ModelSpec,
-    visible: frozenset[int] | None = None,
-) -> ContributionLedger:
-    """Accumulate this round's loss differences into the ledger.
-
-    ``models`` is the per-client model dict the observing party can see:
-    the sent models for a plain network attacker, the received ones for a
-    plain server, None under encrypted observation.
-
-    With models, each participant j in ``models`` is credited separately
-    with ``loss(global_before) - loss(models[j])`` on the target set.
-    ``LocalModels`` are read with ``read_together``, so the deltas the
-    round's store does not hold yet train together too.
-    Without, the single global difference
-    ``loss(global_before) - loss(global_after)`` is credited to every
-    participant, or only to those in ``visible`` when a visible set is given.
-    Either way, all the round's losses come from one stacked forward pass.
-    """
-    if models is not None:
-        credited = [j for j in sorted(models) if j in trace.participants]
-        if isinstance(models, LocalModels):
-            compared = models.read_together(credited)
-        else:
-            compared = [models[j] for j in credited]
-    else:
-        credited = sorted(j for j in trace.participants if visible is None or j in visible)
-        compared = [trace.global_after]
-    loss_before, *losses = forward_eval(np.stack([trace.global_before, *compared]), spec, target_set).mean_loss
-    if models is None:
-        losses *= len(credited)  # the one global change is every credited client's
-    for j, loss in zip(credited, losses):
-        ledger.record(j, loss_before - loss)
-    return ledger
-
-
 def identify_clients(ledger: ContributionLedger, k_n: int) -> list[int]:
     """The k_n observed clients with the largest mean loss difference.
 
@@ -148,34 +108,81 @@ def drop_filter(
     return [u for u in updates if u.client_id not in blocked]
 
 
-@dataclass(frozen=True)
-class IdentificationScore:
-    hits: int
-    precision: float
-    recall: float
+def identification_score(identified, target_client_ids) -> int:
+    """Hits: how many of the identified clients are true target holders."""
+    return len(set(identified) & set(target_client_ids))
 
 
-def identification_score(identified, target_client_ids) -> IdentificationScore:
-    """Overlap between an identified set and the true target holders."""
-    z = set(identified)
-    targets = set(target_client_ids)
-    hits = len(z & targets)
-    precision = hits / len(z) if z else 0.0
-    recall = hits / len(targets) if targets else 0.0
-    return IdentificationScore(hits, precision, recall)
+@dataclass(eq=False)
+class LedgerObserver:
+    """A party that credits clients with loss differences on ``target_set`` and ranks them.
+
+    The attacker and the server are both one; only ``view``, what the party
+    sees of a round, differs:
+
+    * ``sent`` - every participant's transmitted model (a ``plain`` attacker);
+    * ``received`` - the models that reached the server (a ``plain`` server);
+    * ``aggregate`` - who took part and the global model before and after
+      (an encrypted attacker, or a server behind secure aggregation).
+
+    A model view credits each participant j it sees with
+    ``loss(global_before) - loss(model_j)``, the aggregate view each one with
+    ``loss(global_before) - loss(global_after)``; with ``visible``, only
+    those in it. With ``skip_dropped_rounds``, a round with fewer updates
+    received than sent is not recorded. The ``k`` clients of largest mean
+    credit are identified at round ``start`` and, with ``refresh``, after
+    every later round. A round's losses come from one stacked forward pass.
+    """
+
+    view: str
+    spec: ModelSpec
+    target_set: ExampleSet
+    k: int
+    start: int
+    refresh: bool = True
+    visible: frozenset[int] | None = None
+    skip_dropped_rounds: bool = False
+    ledger: ContributionLedger = field(default_factory=ContributionLedger, init=False)
+    identified: list[int] = field(default_factory=list, init=False)
+
+    def observe(self, trace: RoundTrace):
+        if not (self.skip_dropped_rounds and len(trace.received_models) < len(trace.participants)):
+            self._credit(trace)
+        if trace.t == self.start or (self.refresh and trace.t > self.start):
+            self.identified = identify_clients(self.ledger, self.k)
+
+    def _credit(self, trace: RoundTrace):
+        aggregate = self.view == "aggregate"
+        if aggregate:
+            credited = [j for j in sorted(trace.participants) if self._sees(j)]
+            compared = [trace.global_after]
+        else:
+            models = trace.sent_models if self.view == "sent" else trace.received_models
+            credited = [j for j in sorted(models) if j in trace.participants and self._sees(j)]
+            if isinstance(models, LocalModels):
+                compared = models.read_together(credited)
+            else:
+                compared = [models[j] for j in credited]
+        stack = np.stack([trace.global_before, *compared])
+        loss_before, *losses = forward_eval(stack, self.spec, self.target_set).mean_loss
+        if aggregate:
+            losses *= len(credited)  # the one global change is every credited client's
+        for j, loss in zip(credited, losses):
+            self.ledger.record(j, loss_before - loss)
+
+    def _sees(self, client_id: int) -> bool:
+        return self.visible is None or client_id in self.visible
 
 
-class TargetedDropAttacker:
-    """Stateful driver wiring identification and dropping into a protocol run.
+class TargetedDropAttacker(LedgerObserver):
+    """A network attacker that identifies target holders and drops their updates after t_n.
 
     ``attack`` is a validated ``targeted`` attack section; ``target_set``
     is the attacker's target-population sample, and ``visible_set`` the
     clients an ``encrypted_limited`` attacker can see (None sees everyone).
-    Feed it to ``run_protocol`` as both filter hook and observer. In
-    encrypted modes the ledger is frozen for rounds in which fewer updates
-    were received than sent: the attacker is the only filter, so it dropped
-    them itself, and the aggregate it observes reflects its own
-    interference, not client behavior.
+    Feed it to ``run_protocol`` as both filter hook and observer. An
+    encrypted attacker skips the rounds it dropped updates in: it is the
+    only filter, so the aggregate it sees reflects its own interference.
     """
 
     def __init__(
@@ -185,34 +192,21 @@ class TargetedDropAttacker:
         target_set: ExampleSet,
         visible_set: frozenset[int] | None = None,
     ):
-        self.attack = attack
-        self.spec = spec
-        self.target_set = target_set
-        self.visible_set = visible_set
-        self.ledger = ContributionLedger()
-        self.identified: list[int] = []
+        plain = attack.mode == "plain"
+        view = "sent" if plain else "aggregate"
+        super().__init__(
+            view, spec, target_set, attack.k_n, attack.t_n, attack.refresh, visible_set, skip_dropped_rounds=not plain
+        )
 
     def filter_updates(self, updates: list[LocalUpdate], t: int) -> list[LocalUpdate]:
-        return drop_filter(updates, self.identified, t, self.attack.t_n)
-
-    def observe(self, trace: RoundTrace):
-        atk = self.attack
-        if atk.mode == "plain":
-            record_round(self.ledger, trace, trace.sent_models, self.target_set, self.spec)
-        elif len(trace.received_models) == len(trace.participants):
-            record_round(self.ledger, trace, None, self.target_set, self.spec, self.visible_set)
-        if trace.t == atk.t_n or (atk.refresh and trace.t > atk.t_n):
-            self.identified = identify_clients(self.ledger, atk.k_n)
+        return drop_filter(updates, self.identified, t, self.start)
 
 
 class FixedSetDropper:
-    """Baseline attacker dropping a fixed client set from the first round."""
+    """Baseline attacker dropping a fixed client set from the first round; it observes nothing."""
 
     def __init__(self, drop_ids):
         self.identified = sorted(int(i) for i in drop_ids)
 
     def filter_updates(self, updates: list[LocalUpdate], t: int) -> list[LocalUpdate]:
         return drop_filter(updates, self.identified, t, 0)
-
-    def observe(self, trace: RoundTrace):
-        pass

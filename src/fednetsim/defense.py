@@ -1,22 +1,21 @@
 """Server-side defense: defensive up-sampling of high-contribution clients.
 
-The server runs the same loss-difference identification as the attacker,
-but with server knowledge: per-client updates in standard deployments
-(``plain``), or only the aggregated model under MPC-style secure
-aggregation (``aggregate_only``). Identified high-contribution clients get
-their selection probability raised to ``lam / n`` while everyone else drops
-to ``(n - k_s * lam) / (n^2 - k_s * n)``, which keeps the distribution
-normalized exactly. Update clipping, the other defense, is part of
-aggregation (``fednetsim.protocol.aggregate``).
+The server is a ``LedgerObserver`` like the attacker, on its own view: the
+per-client updates it received in standard deployments (``plain``), or
+only the aggregated model under MPC-style secure aggregation
+(``aggregate_only``), which is what an encrypted attacker sees. Identified
+high-contribution clients get their selection probability raised to
+``lam / n`` while everyone else drops to ``(n - k_s * lam) / (n^2 - k_s * n)``,
+which keeps the distribution normalized exactly. Update clipping, the other
+defense, is part of aggregation (``fednetsim.protocol.aggregate``).
 """
 
 import numpy as np
 
-from fednetsim.adversary import ContributionLedger, identify_clients, record_round
+from fednetsim.adversary import LedgerObserver
 from fednetsim.config import DefenseConfig
 from fednetsim.datasets import ExampleSet
 from fednetsim.models import ModelSpec
-from fednetsim.protocol import RoundTrace
 
 
 def upsample_probabilities(identified, n: int, factor: float) -> np.ndarray:
@@ -40,8 +39,8 @@ def upsample_probabilities(identified, n: int, factor: float) -> np.ndarray:
     return p
 
 
-class UpsamplingDefender:
-    """Stateful driver wiring server identification into participant sampling.
+class UpsamplingDefender(LedgerObserver):
+    """Server identification from round ``t_s`` on, wired into participant sampling.
 
     ``defense`` is a validated defense section and ``valid_set`` the
     server's target-population sample. Feed it to ``run_protocol`` as both
@@ -51,19 +50,11 @@ class UpsamplingDefender:
     """
 
     def __init__(self, defense: DefenseConfig, spec: ModelSpec, valid_set: ExampleSet):
-        self.defense = defense
-        self.spec = spec
-        self.valid_set = valid_set
-        self.ledger = ContributionLedger()
-        self.identified: list[int] = []
+        view = "received" if defense.server_mode == "plain" else "aggregate"
+        super().__init__(view, spec, valid_set, defense.k_s, defense.t_s)
+        self.factor = defense.upsample_factor
 
     def resample(self, t: int, n: int) -> np.ndarray | None:
-        if t <= self.defense.t_s or not self.identified:
+        if t <= self.start or not self.identified:
             return None
-        return upsample_probabilities(self.identified, n, self.defense.upsample_factor)
-
-    def observe(self, trace: RoundTrace):
-        models = trace.received_models if self.defense.server_mode == "plain" else None
-        record_round(self.ledger, trace, models, self.valid_set, self.spec)
-        if trace.t >= self.defense.t_s:
-            self.identified = identify_clients(self.ledger, self.defense.k_s)
+        return upsample_probabilities(self.identified, n, self.factor)

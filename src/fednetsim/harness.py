@@ -18,6 +18,7 @@ import numpy as np
 
 from fednetsim.adversary import (
     FixedSetDropper,
+    LedgerObserver,
     TargetedDropAttacker,
     identification_score,
     sample_visible_set,
@@ -252,13 +253,11 @@ def run_trial(cfg: ScenarioConfig, trial_seed: int, watch: tuple[AttackConfig, .
 
     scored = [attacker, *watchers]
     hits: list[list[int]] = [[] for _ in scored]
-    observers = [s.observe for s in scored if s is not None]
-    if defender is not None:
-        observers.append(defender.observe)
+    observers = [p.observe for p in (*scored, defender) if isinstance(p, LedgerObserver)]
 
     def snapshot_hits(trace: RoundTrace):
         for series, s in zip(hits, scored):
-            series.append(0 if s is None else identification_score(s.identified, honest_targets).hits)
+            series.append(0 if s is None else identification_score(s.identified, honest_targets))
 
     observers.append(snapshot_hits)
 

@@ -1,4 +1,4 @@
-"""Observation modes, the contribution ledger, identification, and dropping."""
+"""Observation views, the contribution ledger, identification, and dropping."""
 
 import functools
 import operator
@@ -10,14 +10,16 @@ from hypothesis import strategies as st
 
 from fednetsim.adversary import (
     ContributionLedger,
+    FixedSetDropper,
+    LedgerObserver,
     TargetedDropAttacker,
     drop_filter,
     identification_score,
     identify_clients,
-    record_round,
     sample_visible_set,
 )
 from fednetsim.config import AttackConfig
+from fednetsim.defense import UpsamplingDefender
 from fednetsim.datasets import gen_synthetic
 from fednetsim.models import ModelSpec, forward_eval, init_model
 from fednetsim.protocol import LocalUpdate, RoundTrace
@@ -71,7 +73,7 @@ class TestSampleVisibleSet:
 
 
 class LedgerWorld:
-    """Tiny model world for exercising record_round branches."""
+    """Tiny model world for exercising the observation views."""
 
     def __init__(self):
         self.spec = ModelSpec(4, (), 3)
@@ -96,38 +98,53 @@ class LedgerWorld:
 
 
 class TestRecordRound:
+    """One round recorded into a ``LedgerObserver``'s ledger, per view."""
+
+    def recorded(self, w, view, *traces, visible=None):
+        observer = LedgerObserver(view, w.spec, w.target_set, 1, 1, visible=visible)
+        for trace in traces:
+            observer.observe(trace)
+        return observer.ledger
+
     def test_encrypted_credits_all_participants(self):
         w = LedgerWorld()
-        ledger = ContributionLedger()
-        record_round(ledger, w.trace((3, 7)), None, w.target_set, w.spec)
+        ledger = self.recorded(w, "aggregate", w.trace((3, 7)))
         change = w.loss(w.f_before) - w.loss(w.f_after)
         assert ledger.counts == {3: 1, 7: 1}
         assert ledger.mean(3) == ledger.mean(7) == change
 
     def test_plain_zero_difference_for_unchanged_model(self):
         w = LedgerWorld()
-        ledger = ContributionLedger()
-        local = {5: w.f_before.copy(), 6: w.f_before + 0.1}
-        trace = w.trace((5, 6), local)
-        record_round(ledger, trace, trace.sent_models, w.target_set, w.spec)
+        ledger = self.recorded(w, "sent", w.trace((5, 6), {5: w.f_before.copy(), 6: w.f_before + 0.1}))
         assert ledger.rounds_seen(5) == 1 and ledger.mean(5) == 0.0
         assert ledger.rounds_seen(6) == 1
 
     def test_limited_visibility_intersects(self):
         w = LedgerWorld()
-        ledger = ContributionLedger()
-        record_round(ledger, w.trace((3, 7)), None, w.target_set, w.spec, frozenset({3}))
+        ledger = self.recorded(w, "aggregate", w.trace((3, 7)), visible=frozenset({3}))
         assert set(ledger.counts) == {3}
 
     def test_full_visible_set_equals_encrypted(self):
         w = LedgerWorld()
-        limited = ContributionLedger()
-        encrypted = ContributionLedger()
-        for t, parts in enumerate([(0, 4), (2, 9, 5), (1,)], start=1):
-            trace = w.trace(parts, t=t)
-            record_round(limited, trace, None, w.target_set, w.spec, frozenset(range(10)))
-            record_round(encrypted, trace, None, w.target_set, w.spec)
-        assert limited == encrypted
+        traces = [w.trace(parts, t=t) for t, parts in enumerate([(0, 4), (2, 9, 5), (1,)], start=1)]
+        assert self.recorded(w, "aggregate", *traces, visible=frozenset(range(10))) == self.recorded(w, "aggregate", *traces)
+
+    def test_model_views_credit_what_they_see(self):
+        # sent: every participant's model; received: only the ones that
+        # arrived; both limited to a visible set when one is given
+        w = LedgerWorld()
+        sent = {j: w.f_before + 0.01 * j for j in (2, 4, 6)}
+        trace = RoundTrace(1, (2, 4, 6), w.f_before, w.f_after, sent, {4: sent[4]})
+        assert set(self.recorded(w, "sent", trace).counts) == {2, 4, 6}
+        assert set(self.recorded(w, "received", trace).counts) == {4}
+        assert set(self.recorded(w, "sent", trace, visible=frozenset({2, 4})).counts) == {2, 4}
+
+    def test_parties_are_views_not_observers_of_their_own(self):
+        # attacker and defender share LedgerObserver.observe; the fixed-set
+        # baseline observes nothing
+        assert "observe" not in vars(TargetedDropAttacker) and "observe" not in vars(UpsamplingDefender)
+        assert TargetedDropAttacker.observe is UpsamplingDefender.observe is LedgerObserver.observe
+        assert not hasattr(FixedSetDropper([1]), "observe")
 
 
 class TestIdentifyClients:
@@ -215,22 +232,16 @@ class TestDropFilter:
 
 class TestIdentificationScore:
     def test_perfect(self):
-        s = identification_score([1, 2, 3], [1, 2, 3])
-        assert (s.hits, s.precision, s.recall) == (3, 1.0, 1.0)
+        assert identification_score([1, 2, 3], [1, 2, 3]) == 3
 
     def test_disjoint(self):
-        s = identification_score([4, 5], [1, 2])
-        assert (s.hits, s.precision, s.recall) == (0, 0.0, 0.0)
+        assert identification_score([4, 5], [1, 2]) == 0
 
     def test_empty_identified(self):
-        s = identification_score([], [1, 2])
-        assert (s.hits, s.precision, s.recall) == (0, 0.0, 0.0)
+        assert identification_score([], [1, 2]) == 0
 
     def test_partial(self):
-        s = identification_score([1, 5, 6, 7], [1, 2])
-        assert s.hits == 1
-        assert s.precision == 0.25
-        assert s.recall == 0.5
+        assert identification_score([1, 5, 6, 7], [1, 2]) == 1
 
 
 class TestTargetedDropAttacker:

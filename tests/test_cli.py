@@ -76,6 +76,18 @@ class TestRun:
             csv[threads] = (tmp_path / threads / "out" / "metrics.csv").read_bytes()
         assert csv["1"] == csv["2"]
 
+    @pytest.mark.parametrize("server_mode", ["plain", "aggregate_only"])
+    @pytest.mark.parametrize("mode", ["plain", "encrypted", "encrypted_limited"])
+    def test_every_observer_pair_runs(self, mode, server_mode, tmp_path, capsys):
+        # the fuzz below changes two fields at a time, but its fixed draws never pair these two
+        data = yaml.safe_load((CONFIGS / "smoke.yaml").read_text())
+        data["attack"].update(mode=mode, visible_size=6, alpha_v=0.5)
+        data["defense"] = {"t_s": 3, "k_s": 2, "server_mode": server_mode, "valid_set_size": 30}
+        cfg = tmp_path / "pair.yaml"
+        cfg.write_text(yaml.safe_dump(data))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "metrics.csv").exists()
+
     def test_seed_override_changes_output(self, tmp_path):
         main(["run", "--config", str(CONFIGS / "smoke.yaml"), "--out", str(tmp_path / "a")])
         main(["run", "--config", str(CONFIGS / "smoke.yaml"), "--out", str(tmp_path / "b"), "--seed", "99"])
@@ -544,9 +556,10 @@ def _run_argv(draw, tmp):
     data = yaml.safe_load((CONFIGS / "smoke.yaml").read_text())
     data["poison"] = {"k_p": 1, "boost": 10.0}
     data["defense"] = {"t_s": 3, "k_s": 2}
-    path = draw(st.sampled_from(sorted(RUN_EDGES)))
-    *section, key = path.split(".")
-    (data[section[0]] if section else data)[key] = draw(st.sampled_from(RUN_EDGES[path]))
+    # two fields changed together, so that two sections' fields can meet in one example
+    for path in draw(st.lists(st.sampled_from(sorted(RUN_EDGES)), min_size=2, max_size=2, unique=True)):
+        *section, key = path.split(".")
+        (data[section[0]] if section else data)[key] = draw(st.sampled_from(RUN_EDGES[path]))
     cfg = tmp / "fuzz.yaml"
     cfg.write_text(yaml.safe_dump(data))
     return ["run", "--config", str(cfg), "--out", str(tmp / "out"), *draw(st.sampled_from(RUN_FLAGS))]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fednetsim.adversary import ContributionLedger, TargetedDropAttacker, record_round
+from fednetsim.adversary import TargetedDropAttacker
 from fednetsim.config import AttackConfig, DefenseConfig, ProtocolConfig
 from fednetsim.datasets import gen_synthetic
 from fednetsim.defense import UpsamplingDefender, upsample_probabilities
@@ -154,12 +154,12 @@ class TestUpsamplingDefender:
         spec, valid, f0 = self.world()
         dfn = DefenseConfig(t_s=9, k_s=2, upsample_factor=2.0, server_mode="aggregate_only")
         defender = UpsamplingDefender(dfn, spec, valid)
-        attacker_ledger = ContributionLedger()
+        attacker = TargetedDropAttacker(AttackConfig(mode="encrypted", t_n=9, k_n=2), spec, valid)
         for t, parts in enumerate([(0, 3), (2, 5, 8), (1, 3)], start=1):
             trace = self.make_trace(f0, t, parts, parts)
             defender.observe(trace)
-            record_round(attacker_ledger, trace, None, valid, spec)
-        assert defender.ledger == attacker_ledger
+            attacker.observe(trace)
+        assert defender.ledger == attacker.ledger
 
     def test_empty_identified_set_is_a_noop(self):
         # k_s = 0 never reweights, so a defended run is bitwise identical to

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import fednetsim.models as models
 import fednetsim.protocol as protocol
-from fednetsim.adversary import ContributionLedger, FixedSetDropper, TargetedDropAttacker, record_round
+from fednetsim.adversary import FixedSetDropper, LedgerObserver, TargetedDropAttacker
 from fednetsim.config import AttackConfig, DefenseConfig, ProtocolConfig
 from fednetsim.datasets import ExampleSet, gen_synthetic, partition
 from fednetsim.defense import UpsamplingDefender
@@ -455,7 +455,8 @@ class TestLazyRound:
         cfg, shards, spec, eval_sets, _ = small_world(rounds=12)
         return run_protocol(
             cfg, shards, spec, eval_sets, seed,
-            filter_hook=attacker.filter_updates, observers=[attacker.observe],
+            filter_hook=attacker.filter_updates,
+            observers=[attacker.observe] if isinstance(attacker, LedgerObserver) else [],
         )
 
     def targeted(self, kind):
@@ -684,8 +685,10 @@ class TestEvaluateOnlyWhatIsRead:
         )
         loss_before = forward_eval(before, spec, target_set).mean_loss
         expected = {j: loss_before - forward_eval(local[j], spec, target_set).mean_loss for j in (1, 3, 4, 6)}
+        observer = LedgerObserver("sent", spec, target_set, 1, 5)
         passes = count_forward_passes(monkeypatch)
-        ledger = record_round(ContributionLedger(), trace, local, target_set, spec)
+        observer.observe(trace)
+        ledger = observer.ledger
         assert passes == [len(target_set)]
         assert ledger.sums == expected
         assert ledger.counts == {j: 1 for j in expected}
