@@ -24,7 +24,7 @@ import numpy as np
 from fednetsim.config import AttackConfig
 from fednetsim.datasets import ExampleSet
 from fednetsim.models import ModelSpec, forward_eval
-from fednetsim.protocol import LocalModels, LocalUpdate, RoundTrace, weighted_sample_without_replacement
+from fednetsim.protocol import LocalUpdate, RoundTrace, weighted_sample_without_replacement
 from fednetsim.seeding import TAG_VISIBLE_DRAW, spawn_rng
 
 
@@ -44,18 +44,8 @@ class ContributionLedger:
         self.sums[j] = self.sums.get(j, 0.0) + float(value)
         self.counts[j] = self.counts.get(j, 0) + 1
 
-    def rounds_seen(self, client_id: int) -> int:
-        return self.counts.get(client_id, 0)
-
     def mean(self, client_id: int) -> float:
         return self.sums[client_id] / self.counts[client_id]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ContributionLedger)
-            and self.sums == other.sums
-            and self.counts == other.counts
-        )
 
 
 def sample_visible_set(
@@ -120,18 +110,21 @@ class LedgerObserver:
     The attacker and the server are both one; only ``view``, what the party
     sees of a round, differs:
 
-    * ``sent`` - every participant's transmitted model (a ``plain`` attacker);
-    * ``received`` - the models that reached the server (a ``plain`` server);
+    * ``sent`` - the local model of every participant (a ``plain`` attacker);
+    * ``received`` - the local models of the ``received`` ids, the ones that
+      reached the server (a ``plain`` server);
     * ``aggregate`` - who took part and the global model before and after
       (an encrypted attacker, or a server behind secure aggregation).
 
-    A model view credits each participant j it sees with
-    ``loss(global_before) - loss(model_j)``, the aggregate view each one with
-    ``loss(global_before) - loss(global_after)``; with ``visible``, only
-    those in it. With ``skip_dropped_rounds``, a round with fewer updates
-    received than sent is not recorded. The ``k`` clients of largest mean
-    credit are identified at round ``start`` and, with ``refresh``, after
-    every later round. A round's losses come from one stacked forward pass.
+    A model view credits each client j of its ids with
+    ``loss(global_before) - loss(model_j)``, reading the models through the
+    trace's ``local_models``; the aggregate view credits each participant
+    with ``loss(global_before) - loss(global_after)``. With ``visible``,
+    only the ids in it are credited. With ``skip_dropped_rounds``, a round
+    with fewer ids received than participants is not recorded. The ``k``
+    clients of largest mean credit are identified at round ``start`` and,
+    with ``refresh``, after every later round. A round's losses come from
+    one stacked forward pass.
     """
 
     view: str
@@ -146,23 +139,16 @@ class LedgerObserver:
     identified: list[int] = field(default_factory=list, init=False)
 
     def observe(self, trace: RoundTrace):
-        if not (self.skip_dropped_rounds and len(trace.received_models) < len(trace.participants)):
+        if not (self.skip_dropped_rounds and len(trace.received) < len(trace.participants)):
             self._credit(trace)
         if trace.t == self.start or (self.refresh and trace.t > self.start):
             self.identified = identify_clients(self.ledger, self.k)
 
     def _credit(self, trace: RoundTrace):
         aggregate = self.view == "aggregate"
-        if aggregate:
-            credited = [j for j in sorted(trace.participants) if self._sees(j)]
-            compared = [trace.global_after]
-        else:
-            models = trace.sent_models if self.view == "sent" else trace.received_models
-            credited = [j for j in sorted(models) if j in trace.participants and self._sees(j)]
-            if isinstance(models, LocalModels):
-                compared = models.read_together(credited)
-            else:
-                compared = [models[j] for j in credited]
+        ids = trace.received if self.view == "received" else trace.participants
+        credited = [j for j in ids if self._sees(j)]
+        compared = [trace.global_after] if aggregate else trace.local_models(credited)
         stack = np.stack([trace.global_before, *compared])
         loss_before, *losses = forward_eval(stack, self.spec, self.target_set).mean_loss
         if aggregate:

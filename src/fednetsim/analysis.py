@@ -435,5 +435,5 @@ def monte_carlo_rounds(
             return MonteCarloResult(0.0, 0.0)
         samples = _simulate_encrypted(n, m, k, needed, trials, rng)
     mean = float(samples.mean())
-    stderr = float(samples.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    stderr = float(samples.std(ddof=1) / math.sqrt(trials))
     return MonteCarloResult(mean, stderr)

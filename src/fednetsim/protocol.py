@@ -17,7 +17,7 @@ never called for it. Hooks must therefore be pure functions of their
 arguments; when, and whether, one is called for a dropped client is not
 part of the contract. A round's deltas have one store, which trains each
 client at most once: the received updates, once the filter has run, and
-the models an observer reads through ``LocalModels.read_together`` train
+the models an observer reads through ``RoundTrace.local_models`` train
 as one stack per shard length (``models.local_train_stack``), and a lone
 read trains one client alone; each row is bit-equal to the lone result.
 
@@ -27,10 +27,9 @@ round t's arrays are freed before round t+1 trains, unless an observer
 keeps the trace.
 """
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -84,62 +83,27 @@ class RoundRecord:
     nontarget_acc: float
 
 
-class LocalModels(Mapping):
-    """Read-only client id -> local model ``training.f + delta`` for ``client_ids``.
-
-    A view of the round's store of deltas: a model is computed on each
-    access, so reading one whose delta is not stored yet trains it, and
-    ``read_together`` trains the ones it reads together. Membership and
-    ``keys()`` read no model.
-    """
-
-    def __init__(self, training: "_RoundTraining", client_ids: Iterable[int]):
-        self._training = training
-        self._ids = dict.fromkeys(client_ids)
-
-    def __getitem__(self, client_id: int) -> np.ndarray:
-        if client_id not in self._ids:
-            raise KeyError(client_id)
-        return self._training.f + self._training.delta(client_id)
-
-    def __contains__(self, client_id) -> bool:
-        return client_id in self._ids
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._ids)
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def read_together(self, client_ids: Sequence[int]) -> list[np.ndarray]:
-        """The models of ``client_ids``, in order, the ones not trained yet trained together."""
-        missing = [j for j in client_ids if j not in self._ids]
-        if missing:
-            raise KeyError(missing[0])
-        return [self._training.f + delta for delta in self._training.deltas(client_ids)]
-
-
 @dataclass(frozen=True)
 class RoundTrace:
-    """Full per-round information handed to observers (attacker, defender).
+    """What a party can see of one round, handed to observers (attacker, defender).
 
-    ``sent_models`` are the local models as transmitted by every
-    participant (visible on the wire); ``received_models`` are the subset
-    that survived adversarial dropping (visible to the server). In a
-    protocol run both are ``LocalModels`` views of the round's one store of
-    deltas: the received updates are trained before aggregation, and a
-    sent model that is not also received is trained only if an observer
-    reads it. The hooks that produce the updates must be pure functions of
-    their arguments; the poison hook may not be called for a dropped
-    client.
+    ``participants`` are the ids that took part and ``received`` the ones
+    whose update survived adversarial dropping, both sorted as in
+    ``RoundRecord``. ``local_models(ids)`` returns the local models of
+    ``ids``, in order, as their clients transmitted them; in a protocol run
+    it reads the round's one store of deltas, so a model that is not also
+    received is trained only if an observer reads it, and the ones read
+    together train together. The hooks that produce the updates must be
+    pure functions of their arguments; the poison hook may not be called
+    for a dropped client.
     """
 
     t: int
     participants: tuple[int, ...]
+    received: tuple[int, ...]
     global_before: np.ndarray
     global_after: np.ndarray
-    sent_models: Mapping[int, np.ndarray]
-    received_models: Mapping[int, np.ndarray]
+    local_models: Callable[[Sequence[int]], list[np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -311,6 +275,10 @@ class _RoundTraining:
                 self._keep(j, delta)
         return [self._deltas[j] for j in client_ids]
 
+    def models(self, client_ids: Sequence[int]) -> list[np.ndarray]:
+        """The local models ``f + delta`` of ``client_ids``, in order."""
+        return [self.f + delta for delta in self.deltas(client_ids)]
+
 
 def run_protocol(
     cfg: ProtocolConfig,
@@ -376,18 +344,18 @@ def run_protocol(
         trace = RoundTrace(
             t=t,
             participants=tuple(participants),
+            received=tuple(sorted(received_ids)),
             global_before=f,
             global_after=f_next,
-            sent_models=LocalModels(training, participants),
-            received_models=LocalModels(training, received_ids),
+            local_models=training.models,
         )
         for obs in observers:
             obs(trace)
 
         record = RoundRecord(
             t=t,
-            participants=tuple(participants),
-            received=tuple(sorted(received_ids)),
+            participants=trace.participants,
+            received=trace.received,
             target_loss=target_eval.mean_loss,
             target_acc=target_eval.accuracy,
             overall_acc=correct / len(eval_sets.test_set),

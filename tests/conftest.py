@@ -1,4 +1,4 @@
-"""Shared scenario factories for harness-level tests."""
+"""Shared scenario factories for harness-level tests, and hand-built round traces."""
 
 from dataclasses import replace
 
@@ -13,6 +13,7 @@ from fednetsim.config import (
     ProtocolConfig,
     ScenarioConfig,
 )
+from fednetsim.protocol import RoundTrace
 
 
 def tiny_scenario(**overrides) -> ScenarioConfig:
@@ -39,3 +40,19 @@ def tiny_scenario(**overrides) -> ScenarioConfig:
 @pytest.fixture
 def tiny_cfg():
     return tiny_scenario()
+
+
+def round_trace(t, participants, global_before, global_after, models=None, received=None) -> RoundTrace:
+    """A ``RoundTrace`` whose ``local_models`` reads client models from the dict ``models``.
+
+    ``received`` defaults to every participant; both are sorted, as in a run.
+    """
+    models = {} if models is None else models
+    return RoundTrace(
+        t=t,
+        participants=tuple(sorted(participants)),
+        received=tuple(sorted(participants if received is None else received)),
+        global_before=global_before,
+        global_after=global_after,
+        local_models=lambda ids: [models[j] for j in ids],
+    )

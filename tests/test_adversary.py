@@ -22,7 +22,9 @@ from fednetsim.config import AttackConfig
 from fednetsim.defense import UpsamplingDefender
 from fednetsim.datasets import gen_synthetic
 from fednetsim.models import ModelSpec, forward_eval, init_model
-from fednetsim.protocol import LocalUpdate, RoundTrace
+from fednetsim.protocol import LocalUpdate
+
+from conftest import round_trace
 
 
 def make_ledger(entries):
@@ -86,15 +88,7 @@ class LedgerWorld:
         return forward_eval(params, self.spec, self.target_set).mean_loss
 
     def trace(self, participants, local_models=None, t=1):
-        models = local_models or {}
-        return RoundTrace(
-            t=t,
-            participants=tuple(participants),
-            global_before=self.f_before,
-            global_after=self.f_after,
-            sent_models=models,
-            received_models=models,
-        )
+        return round_trace(t, participants, self.f_before, self.f_after, local_models)
 
 
 class TestRecordRound:
@@ -116,8 +110,7 @@ class TestRecordRound:
     def test_plain_zero_difference_for_unchanged_model(self):
         w = LedgerWorld()
         ledger = self.recorded(w, "sent", w.trace((5, 6), {5: w.f_before.copy(), 6: w.f_before + 0.1}))
-        assert ledger.rounds_seen(5) == 1 and ledger.mean(5) == 0.0
-        assert ledger.rounds_seen(6) == 1
+        assert ledger.counts == {5: 1, 6: 1} and ledger.mean(5) == 0.0
 
     def test_limited_visibility_intersects(self):
         w = LedgerWorld()
@@ -127,14 +120,16 @@ class TestRecordRound:
     def test_full_visible_set_equals_encrypted(self):
         w = LedgerWorld()
         traces = [w.trace(parts, t=t) for t, parts in enumerate([(0, 4), (2, 9, 5), (1,)], start=1)]
-        assert self.recorded(w, "aggregate", *traces, visible=frozenset(range(10))) == self.recorded(w, "aggregate", *traces)
+        limited = self.recorded(w, "aggregate", *traces, visible=frozenset(range(10)))
+        encrypted = self.recorded(w, "aggregate", *traces)
+        assert limited.counts == encrypted.counts and limited.sums == encrypted.sums
 
     def test_model_views_credit_what_they_see(self):
         # sent: every participant's model; received: only the ones that
         # arrived; both limited to a visible set when one is given
         w = LedgerWorld()
         sent = {j: w.f_before + 0.01 * j for j in (2, 4, 6)}
-        trace = RoundTrace(1, (2, 4, 6), w.f_before, w.f_after, sent, {4: sent[4]})
+        trace = round_trace(1, (2, 4, 6), w.f_before, w.f_after, sent, received=(4,))
         assert set(self.recorded(w, "sent", trace).counts) == {2, 4, 6}
         assert set(self.recorded(w, "received", trace).counts) == {4}
         assert set(self.recorded(w, "sent", trace, visible=frozenset({2, 4})).counts) == {2, 4}
@@ -200,7 +195,7 @@ class TestLedgerProperties:
     def test_mean_is_bit_equal_to_list_mean(self, events):
         ledger = make_ledger(per_client_lists(events))
         for client, values in per_client_lists(events).items():
-            assert ledger.rounds_seen(client) == len(values)
+            assert ledger.counts[client] == len(values)
             assert ledger.mean(client) == left_sum(values) / len(values)
 
     @settings(deadline=None)
@@ -246,14 +241,7 @@ class TestIdentificationScore:
 
 class TestTargetedDropAttacker:
     def make_trace(self, w, t, participants, sent, received=None):
-        return RoundTrace(
-            t=t,
-            participants=tuple(participants),
-            global_before=w.f_before,
-            global_after=w.f_after,
-            sent_models=sent,
-            received_models=sent if received is None else received,
-        )
+        return round_trace(t, participants, w.f_before, w.f_after, sent, received)
 
     def test_plain_separability(self):
         # exactly one client ever lowers the target loss; it must be the one
@@ -277,13 +265,13 @@ class TestTargetedDropAttacker:
         attacker.filter_updates([LocalUpdate(3, np.zeros(len(w.f_before)))], 1)
         attacker.observe(self.make_trace(w, 1, (3,), sent))
         assert attacker.identified == [3]
-        seen_before = attacker.ledger.rounds_seen(3)
+        seen_before = attacker.ledger.counts[3]
         # round 2: client 3 participates again, gets dropped; the attacker
         # corrupted the aggregate, so nothing may be recorded
         kept = attacker.filter_updates([LocalUpdate(3, np.zeros(len(w.f_before)))], 2)
         assert kept == []
-        attacker.observe(self.make_trace(w, 2, (3,), sent, received={}))
-        assert attacker.ledger.rounds_seen(3) == seen_before
+        attacker.observe(self.make_trace(w, 2, (3,), sent, received=()))
+        assert attacker.ledger.counts[3] == seen_before
 
     def test_plain_mode_never_freezes(self):
         w = LedgerWorld()
@@ -293,7 +281,7 @@ class TestTargetedDropAttacker:
         attacker.observe(self.make_trace(w, 1, (3,), sent))
         attacker.filter_updates([LocalUpdate(3, w.f_after - w.f_before)], 2)
         attacker.observe(self.make_trace(w, 2, (3,), sent))
-        assert attacker.ledger.rounds_seen(3) == 2
+        assert attacker.ledger.counts[3] == 2
 
     def test_no_refresh_freezes_identified_set(self):
         w = LedgerWorld()

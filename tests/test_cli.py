@@ -556,6 +556,8 @@ def _run_argv(draw, tmp):
     data = yaml.safe_load((CONFIGS / "smoke.yaml").read_text())
     data["poison"] = {"k_p": 1, "boost": 10.0}
     data["defense"] = {"t_s": 3, "k_s": 2}
+    # no rule refuses these for the other modes, and they make an encrypted_limited draw a valid run
+    data["attack"] |= {"visible_size": 6, "alpha_v": 0.5}
     # two fields changed together, so that two sections' fields can meet in one example
     for path in draw(st.lists(st.sampled_from(sorted(RUN_EDGES)), min_size=2, max_size=2, unique=True)):
         *section, key = path.split(".")

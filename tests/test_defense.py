@@ -10,7 +10,9 @@ from fednetsim.config import AttackConfig, DefenseConfig, ProtocolConfig
 from fednetsim.datasets import gen_synthetic
 from fednetsim.defense import UpsamplingDefender, upsample_probabilities
 from fednetsim.models import ModelSpec, init_model
-from fednetsim.protocol import RoundTrace, select_participants
+from fednetsim.protocol import select_participants
+
+from conftest import round_trace
 
 
 class TestUpsampleProbabilities:
@@ -93,8 +95,8 @@ class TestServerIdentify:
         )
         attacker = TargetedDropAttacker(AttackConfig(mode="encrypted", t_n=1, k_n=2), spec, valid)
         for t, (parts, step) in enumerate([((1, 5), 0.03), ((2, 5), -0.02), ((1, 9), 0.01)], start=1):
-            models = {j: f0 for j in parts}  # nothing is dropped: every participant is received
-            trace = RoundTrace(t, parts, f0, f0 + step, models, models)
+            # nothing is dropped: every participant is received
+            trace = round_trace(t, parts, f0, f0 + step, {j: f0 for j in parts})
             defender.observe(trace)
             attacker.observe(trace)
         assert len(defender.identified) == 2
@@ -110,14 +112,7 @@ class TestUpsamplingDefender:
         return spec, valid, f0
 
     def make_trace(self, f0, t, participants, received):
-        return RoundTrace(
-            t=t,
-            participants=tuple(participants),
-            global_before=f0,
-            global_after=f0 + 0.02,
-            sent_models={j: f0 + 0.01 for j in participants},
-            received_models={j: f0 + 0.01 for j in received},
-        )
+        return round_trace(t, participants, f0, f0 + 0.02, {j: f0 + 0.01 for j in participants}, received)
 
     def test_uniform_before_warmup(self):
         spec, valid, f0 = self.world()
@@ -159,7 +154,8 @@ class TestUpsamplingDefender:
             trace = self.make_trace(f0, t, parts, parts)
             defender.observe(trace)
             attacker.observe(trace)
-        assert defender.ledger == attacker.ledger
+        assert defender.ledger.counts == attacker.ledger.counts
+        assert defender.ledger.sums == attacker.ledger.sums
 
     def test_empty_identified_set_is_a_noop(self):
         # k_s = 0 never reweights, so a defended run is bitwise identical to

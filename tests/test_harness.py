@@ -197,7 +197,8 @@ class TestBuildWorld:
                     f, world.spec, world.shards[j], proto.local_epochs, proto.local_lr, boost,
                     spawn_seed(seed, TAG_TRAIN, trace.t, j), proto.batch_size,
                 )
-                assert np.array_equal(trace.sent_models[j], f + crafted)
+                (model,) = trace.local_models([j])
+                assert np.array_equal(model, f + crafted)
                 checked.append(boost)
 
         run_protocol = harness.run_protocol

@@ -19,13 +19,14 @@ from fednetsim.protocol import (
     EvalSets,
     LocalUpdate,
     RoundRecord,
-    RoundTrace,
     aggregate,
     run_protocol,
     select_participants,
     weighted_sample_without_replacement,
 )
 from fednetsim.seeding import TAG_INIT, TAG_TRAIN, spawn_seed
+
+from conftest import round_trace
 
 
 def choice_loop_sample(rng, weights, size):
@@ -321,14 +322,14 @@ class TestRunProtocol:
     def test_fixed_m_denominator_shrinks_partial_rounds(self):
         cfg, shards, spec, eval_sets, _ = small_world(rounds=1)
         keep_first = lambda ups, t: ups[:1]
-        _, (received_models,) = run_with_models(cfg, shards, spec, eval_sets, seed=12, filter_hook=keep_first)
+        _, (count_models,) = run_with_models(cfg, shards, spec, eval_sets, seed=12, filter_hook=keep_first)
         cfg_fixed = ProtocolConfig(
             m=cfg.m, rounds=1, server_lr=cfg.server_lr,
             local_epochs=cfg.local_epochs, local_lr=cfg.local_lr, batch_size=None,
             denominator_mode="fixed_m",
         )
         _, (fixed_models,) = run_with_models(cfg_fixed, shards, spec, eval_sets, seed=12, filter_hook=keep_first)
-        step_received = received_models[1] - received_models[0]
+        step_received = count_models[1] - count_models[0]
         step_fixed = fixed_models[1] - fixed_models[0]
         assert np.allclose(step_fixed * cfg.m, step_received, atol=1e-12)
 
@@ -529,37 +530,47 @@ class TestLazyRound:
         with pytest.raises(ValueError, match="exactly one"):
             LocalUpdate(0, np.zeros(2), train=lambda: np.zeros(2))
 
-    def test_sent_model_read_twice_trains_once(self, monkeypatch):
+    def test_local_model_read_twice_trains_once(self, monkeypatch):
         calls = count_training(monkeypatch)
         cfg, shards, spec, eval_sets, _ = small_world(rounds=1)
         reads = []
 
         def observe(trace):
             j = trace.participants[0]
-            reads.append((trace.sent_models[j], trace.sent_models[j]))
+            reads.append((*trace.local_models([j]), *trace.local_models([j])))
 
         run_protocol(cfg, shards, spec, eval_sets, 3, filter_hook=lambda ups, t: [], observers=[observe])
         (a, b), = reads
         assert np.array_equal(a, b)
         assert len(calls) == 1
 
-    def test_membership_and_keys_train_nothing(self, monkeypatch):
+    def test_reading_ids_trains_nothing(self, monkeypatch):
         calls = count_training(monkeypatch)
         cfg, shards, spec, eval_sets, _ = small_world(rounds=3)
         seen = []
 
         def observe(trace):
-            sent = trace.sent_models
-            assert all(j in sent for j in trace.participants)
-            assert all(j in sent.keys() for j in trace.participants)
-            assert sorted(sent.keys()) == list(trace.participants)
-            seen.append(len(sent) - len(trace.received_models))
+            seen.append(len(trace.participants) - len(trace.received))
 
         records = run_protocol(
             cfg, shards, spec, eval_sets, 6, filter_hook=lambda ups, t: ups[:2], observers=[observe]
         )
         assert seen == [cfg.m - 2] * cfg.rounds
         assert len(calls) == sum(len(r.received) for r in records)
+
+    def test_trace_ids_are_the_records(self):
+        # a filter that drops and reorders: each trace reads its record's ids
+        cfg, shards, spec, eval_sets, _ = small_world(rounds=6)
+        traces = []
+
+        def drop_reversed(ups, t):
+            return [u for u in reversed(ups) if (u.client_id + t) % 3]
+
+        records = run_protocol(cfg, shards, spec, eval_sets, 9, filter_hook=drop_reversed, observers=[traces.append])
+        assert any(r.received != r.participants for r in records)
+        assert [(tr.t, tr.participants, tr.received) for tr in traces] == [
+            (r.t, r.participants, r.received) for r in records
+        ]
 
     def test_each_client_trains_once_whichever_read_comes_first(self, monkeypatch):
         calls = count_training(monkeypatch)
@@ -572,8 +583,8 @@ class TestLazyRound:
         reads = []
 
         def observe(trace):
-            ids = list(trace.sent_models)
-            reads.append((trace, ids, trace.sent_models.read_together(ids)))
+            ids = list(trace.participants)
+            reads.append((trace, ids, trace.local_models(ids)))
 
         run_protocol(cfg, shards, spec, eval_sets, 8, filter_hook=drop_two_read_one, observers=[observe])
         assert len(calls) == len(set(calls)) == cfg.m * cfg.rounds
@@ -618,12 +629,12 @@ class TestLazyRound:
             assert np.array_equal(trace.global_after, want)
         # dropped models read after the run still start from their round's global model
         for trace in traces:
-            for j in sorted(set(trace.participants) - set(trace.received_models)):
+            for j in sorted(set(trace.participants) - set(trace.received)):
                 if j not in read:
                     continue
                 f = trace.global_before
                 delta = eager_delta(cfg, shards, spec, seed, hook, f, trace.t, j)
-                assert np.array_equal(trace.sent_models[j], f + delta)
+                assert np.array_equal(*trace.local_models([j]), f + delta)
 
 
 class TestRoundLifetime:
@@ -679,10 +690,7 @@ class TestEvaluateOnlyWhatIsRead:
         rng = np.random.default_rng(0)
         before = init_model(spec, 1)
         local = {j: before + 0.1 * rng.standard_normal(before.shape) for j in (1, 3, 4, 6, 7)}
-        trace = RoundTrace(
-            t=1, participants=(1, 3, 4, 6), global_before=before, global_after=before,
-            sent_models=local, received_models=local,
-        )
+        trace = round_trace(1, (1, 3, 4, 6), before, before, local)
         loss_before = forward_eval(before, spec, target_set).mean_loss
         expected = {j: loss_before - forward_eval(local[j], spec, target_set).mean_loss for j in (1, 3, 4, 6)}
         observer = LedgerObserver("sent", spec, target_set, 1, 5)
@@ -700,11 +708,7 @@ class TestEvaluateOnlyWhatIsRead:
         target_set = eval_sets.target_set
         before = init_model(spec, 1)
         after = before + 0.1 * np.random.default_rng(0).standard_normal(before.shape)
-        local = dict.fromkeys((1, 3, 4, 6), after)
-        trace = RoundTrace(
-            t=1, participants=(1, 3, 4, 6), global_before=before, global_after=after,
-            sent_models=local, received_models=local,
-        )
+        trace = round_trace(1, (1, 3, 4, 6), before, after)
         if observer == "aggregate_only":
             watcher = UpsamplingDefender(DefenseConfig(t_s=5, k_s=1, server_mode=observer), spec, target_set)
         else:
