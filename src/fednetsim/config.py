@@ -214,8 +214,8 @@ def validate_scenario(cfg: ScenarioConfig):
     ds, part, model, proto = cfg.dataset, cfg.partition, cfg.model, cfg.protocol
 
     _require(ds.kind in ("synthetic", "idx"), "dataset.kind: must be 'synthetic' or 'idx'")
+    _require(ds.class_count >= 2, "dataset.class_count: must be >= 2")
     if ds.kind == "synthetic":
-        _require(ds.class_count >= 2, "dataset.class_count: must be >= 2")
         _require(ds.input_dim >= 1, "dataset.input_dim: must be >= 1")
         _require(ds.per_class >= 1, "dataset.per_class: must be >= 1")
         _require(ds.eval_per_class >= 1, "dataset.eval_per_class: must be >= 1")

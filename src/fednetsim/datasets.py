@@ -1,4 +1,4 @@
-"""Synthetic data generation and non-IID client partitioning.
+"""Synthetic data generation, the IDX reader, and non-IID client partitioning.
 
 The client population is built the same way for every experiment: a small
 set of k designated clients holds the target class at a fixed fraction
@@ -7,8 +7,12 @@ all remaining slots are filled with class proportions drawn from a
 Dirichlet distribution with concentration ``alpha_d`` over the non-target
 classes. Assignment is without replacement, so no example appears in two
 shards.
+
+Real data (the paper's EMNIST) comes as IDX files: ``load_idx`` reads one
+of any dimension count, 3-d images or 1-d labels.
 """
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -214,55 +218,33 @@ def partition(
     return PartitionPlan(target_client_ids=tuple(target_ids), shards=tuple(shards))
 
 
-# IDX raster format (big-endian): magic 0x00000803 = images, 0x00000801 = labels.
-_IDX_IMAGES_MAGIC = 0x00000803
-_IDX_LABELS_MAGIC = 0x00000801
+def load_idx(path, ndim: int) -> np.ndarray:
+    """An IDX file of unsigned bytes with ``ndim`` dimensions, as a uint8 array of that shape.
 
-
-def _read_idx_header(fh, path, fmt: str) -> tuple[int, ...]:
-    size = struct.calcsize(fmt)
-    header = fh.read(size)
-    if len(header) < size:
-        raise ValueError(f"{path}: truncated IDX header ({len(header)} of {size} bytes)")
-    return struct.unpack(fmt, header)
-
-
-def _read_idx_body(fh, path, nbytes: int, what: str) -> np.ndarray:
-    """The next ``nbytes`` bytes as uint8, refused before reading if the file is shorter.
-
-    The count comes from the header, so it is checked against the file size
-    rather than trusted with an allocation.
+    IDX is big-endian: the magic word ``0x0800 | ndim`` (type 0x08, unsigned
+    byte), ``ndim`` 32-bit sizes, then the body. The body's byte count comes
+    from the header, so it is checked against the file size rather than
+    trusted with an allocation.
     """
-    available = os.fstat(fh.fileno()).st_size - fh.tell()
-    if nbytes > available:
-        raise ValueError(f"{path}: truncated {what} data (header declares {nbytes} bytes, {available} follow)")
-    return np.frombuffer(fh.read(nbytes), dtype=np.uint8)
-
-
-def load_idx_images(path) -> np.ndarray:
-    """Flattened images from an IDX file, pixel values normalized to [0, 1]."""
+    size = 4 * (ndim + 1)
     with open(path, "rb") as fh:
-        magic, count, rows, cols = _read_idx_header(fh, path, ">IIII")
-        if magic != _IDX_IMAGES_MAGIC:
-            raise ValueError(f"{path}: bad image magic 0x{magic:08x}")
-        raw = _read_idx_body(fh, path, count * rows * cols, "image")
-    return raw.reshape(count, rows * cols).astype(np.float64) / 255.0
-
-
-def load_idx_labels(path) -> np.ndarray:
-    """Label vector from an IDX file."""
-    with open(path, "rb") as fh:
-        magic, count = _read_idx_header(fh, path, ">II")
-        if magic != _IDX_LABELS_MAGIC:
-            raise ValueError(f"{path}: bad label magic 0x{magic:08x}")
-        raw = _read_idx_body(fh, path, count, "label")
-    return raw.astype(np.int64)
+        header = fh.read(size)
+        if len(header) < size:
+            raise ValueError(f"{path}: truncated IDX header ({len(header)} of {size} bytes)")
+        magic, *shape = struct.unpack(f">{ndim + 1}I", header)
+        if magic != 0x0800 | ndim:
+            raise ValueError(f"{path}: bad magic 0x{magic:08x} for {ndim}-d unsigned-byte IDX")
+        nbytes, available = math.prod(shape), os.fstat(fh.fileno()).st_size - size
+        if nbytes > available:
+            raise ValueError(f"{path}: truncated IDX data (header declares {nbytes} bytes, {available} follow)")
+        return np.frombuffer(fh.read(nbytes), dtype=np.uint8).reshape(shape)
 
 
 def load_idx_dataset(images_path, labels_path, class_count: int) -> ExampleSet:
     """Labeled examples from an IDX image/label file pair, labels checked against ``class_count``."""
-    x = load_idx_images(images_path)
-    y = load_idx_labels(labels_path)
+    images = load_idx(images_path, 3)
+    x = images.reshape(len(images), math.prod(images.shape[1:])).astype(np.float64) / 255.0
+    y = load_idx(labels_path, 1).astype(np.int64)
     if x.shape[0] != y.shape[0]:
         raise ValueError("image and label counts differ")
     _check_labels(y, class_count)

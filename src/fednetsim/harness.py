@@ -42,8 +42,6 @@ from fednetsim.seeding import (
     spawn_seed,
 )
 
-SERIES_METRICS = ("target_acc", "target_loss", "overall_acc", "nontarget_acc")
-
 
 @dataclass(frozen=True)
 class TrialSeries:
@@ -75,28 +73,14 @@ class RunSummary:
         return max(1, self.rounds // 2)
 
     def metric_at(self, metric: str, round_index: int) -> list[float]:
-        """Per-trial values of a metric at a 1-based round index."""
+        """Per-trial values of a metric at a 1-based round index in ``[1, rounds]``."""
+        if not 1 <= round_index <= self.rounds:
+            raise ValueError(f"round_index: must be in [1, {self.rounds}], got {round_index}")
         return [getattr(t, metric)[round_index - 1] for t in self.trials]
 
     def mean_at(self, metric: str, round_index: int) -> float:
         values = self.metric_at(metric, round_index)
         return float(sum(values) / len(values))
-
-    def scalars(self) -> dict:
-        half = self.half_round
-        out = {"per_trial": {}, "means": {}}
-        for metric in SERIES_METRICS + ("identified_hits",):
-            out["per_trial"][metric] = {
-                "half": self.metric_at(metric, half),
-                "final": self.metric_at(metric, self.rounds),
-            }
-            out["means"][metric] = {
-                "half": self.mean_at(metric, half),
-                "final": self.mean_at(metric, self.rounds),
-            }
-        out["half_round"] = half
-        out["final_round"] = self.rounds
-        return out
 
 
 @dataclass(frozen=True)

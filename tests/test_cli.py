@@ -558,8 +558,9 @@ def _run_argv(draw, tmp):
     data["defense"] = {"t_s": 3, "k_s": 2}
     # no rule refuses these for the other modes, and they make an encrypted_limited draw a valid run
     data["attack"] |= {"visible_size": 6, "alpha_v": 0.5}
-    # two fields changed together, so that two sections' fields can meet in one example
-    for path in draw(st.lists(st.sampled_from(sorted(RUN_EDGES)), min_size=2, max_size=2, unique=True)):
+    # zero to two fields changed: with none or only legal values drawn an example runs the
+    # scenario to exit 0, and with two, two sections' fields can meet in one example
+    for path in draw(st.lists(st.sampled_from(sorted(RUN_EDGES)), min_size=0, max_size=2, unique=True)):
         *section, key = path.split(".")
         (data[section[0]] if section else data)[key] = draw(st.sampled_from(RUN_EDGES[path]))
     cfg = tmp / "fuzz.yaml"

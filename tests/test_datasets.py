@@ -3,6 +3,7 @@
 import math
 import struct
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,9 +14,8 @@ from fednetsim.datasets import (
     ExampleSet,
     PartitionError,
     gen_synthetic,
+    load_idx,
     load_idx_dataset,
-    load_idx_images,
-    load_idx_labels,
     partition,
     synthetic_labels,
 )
@@ -244,6 +244,10 @@ class TestPartition:
             partition(labels, 5, 10, 3, 0, 0.5, 1.0, 40, seed=0)
 
 
+IMAGES = partial(load_idx, ndim=3)
+LABELS = partial(load_idx, ndim=1)
+
+
 class TestIdxLoader:
     def write_idx(self, tmp_path, images, labels, stem="data"):
         img_path = tmp_path / f"{stem}_imgs.idx"
@@ -293,7 +297,7 @@ class TestIdxLoader:
         with pytest.raises(ValueError, match="counts differ"):
             load_idx_dataset(img_path, lab2, 3)
 
-    @pytest.mark.parametrize("loader", [load_idx_images, load_idx_labels])
+    @pytest.mark.parametrize("loader", [IMAGES, LABELS], ids=["load_idx_images", "load_idx_labels"])
     @pytest.mark.parametrize("size", [0, 3, 7])
     def test_truncated_header_rejected(self, tmp_path, loader, size):
         path = tmp_path / "short.idx"
@@ -303,11 +307,28 @@ class TestIdxLoader:
         assert str(path) in str(exc.value)
 
     @pytest.mark.parametrize(
+        "ndim, data",
+        [
+            (3, struct.pack(">II", 0x00000801, 8) + bytes(8)),
+            (1, struct.pack(">IIII", 0x00000803, 1, 2, 2) + bytes(4)),
+            (1, struct.pack(">II", 0x00000D01, 2) + bytes(8)),
+        ],
+        ids=["labels_read_as_images", "images_read_as_labels", "float_type"],
+    )
+    def test_magic_must_be_unsigned_bytes_of_ndim(self, tmp_path, ndim, data):
+        # one rule, 0x0800 | ndim: the type byte 0x08 and the dimension count
+        path = tmp_path / "wrong.idx"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="bad magic") as exc:
+            load_idx(path, ndim)
+        assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize(
         "loader, header",
         [
-            (load_idx_images, struct.pack(">IIII", 0x00000803, 2**32 - 1, 0xFFFF, 0xFFFF)),
-            (load_idx_images, struct.pack(">IIII", 0x00000803, 2**20, 2**10, 2**10)),
-            (load_idx_labels, struct.pack(">II", 0x00000801, 2**32 - 1)),
+            (IMAGES, struct.pack(">IIII", 0x00000803, 2**32 - 1, 0xFFFF, 0xFFFF)),
+            (IMAGES, struct.pack(">IIII", 0x00000803, 2**20, 2**10, 2**10)),
+            (LABELS, struct.pack(">II", 0x00000801, 2**32 - 1)),
         ],
         ids=["image_dims_overflow", "image_body_2**40", "label_body_2**32"],
     )
@@ -327,8 +348,8 @@ class TestIdxLoader:
     @pytest.mark.parametrize(
         "loader, header",
         [
-            (load_idx_images, struct.pack(">IIII", 0x00000803, 2, 2, 2)),
-            (load_idx_labels, struct.pack(">II", 0x00000801, 8)),
+            (IMAGES, struct.pack(">IIII", 0x00000803, 2, 2, 2)),
+            (LABELS, struct.pack(">II", 0x00000801, 8)),
         ],
         ids=["images", "labels"],
     )

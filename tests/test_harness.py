@@ -279,6 +279,18 @@ class TestRunScenario:
             t.target_acc[-1] for t in shuffled
         )
 
+    @pytest.mark.parametrize("round_index", [0, -1, 3])
+    def test_metric_at_refuses_a_round_outside_the_run(self, tiny_cfg, round_index):
+        # rounds=2: unchecked, 0 and -1 would wrap to rounds 2 and 1, and 3 is past the end
+        cfg = replace(tiny_cfg, protocol=ProtocolConfig(m=4, rounds=2, batch_size=5), trials=1)
+        series = harness.TrialSeries([0.5, 0.75], [1.0, 0.5], [0.5, 0.5], [0.5, 0.5], [0, 1], [0, 0])
+        summary = harness.RunSummary(cfg, [series])
+        assert summary.metric_at("target_acc", 1) == [0.5] and summary.metric_at("target_acc", 2) == [0.75]
+        with pytest.raises(ValueError, match=r"round_index: must be in \[1, 2\]"):
+            summary.metric_at("target_acc", round_index)
+        with pytest.raises(ValueError, match="round_index"):
+            summary.mean_at("identified_hits", round_index)
+
     def test_no_attack_never_drops(self, tiny_cfg):
         cfg = replace(tiny_cfg, attack=None, poison=None, trials=1)
         summary = run_scenario(cfg)
@@ -614,6 +626,16 @@ class TestConfigLoading:
                 id="partition.(k+k_p)*quota",
             ),
             pytest.param({"defense": {"t_s": 0}}, r"defense\.t_s:", id="defense.t_s"),
+            # the class count is checked for every kind, not only synthetic
+            pytest.param(
+                {
+                    "dataset": {
+                        "kind": "idx", "class_count": 1, "train_images": "a.idx", "train_labels": "b.idx",
+                        "test_images": "c.idx", "test_labels": "d.idx",
+                    }
+                },
+                r"dataset\.class_count: must be >= 2", id="dataset.class_count-idx",
+            ),
             pytest.param({"defense": {"k_s": -1}}, r"defense\.k_s:", id="defense.k_s"),
             # past the float range: named, not an OverflowError from the float rules
             pytest.param(
