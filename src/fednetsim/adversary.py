@@ -148,6 +148,8 @@ class LedgerObserver:
         aggregate = self.view == "aggregate"
         ids = trace.received if self.view == "received" else trace.participants
         credited = [j for j in ids if self._sees(j)]
+        if not credited:
+            return
         compared = [trace.global_after] if aggregate else trace.local_models(credited)
         stack = np.stack([trace.global_before, *compared])
         loss_before, *losses = forward_eval(stack, self.spec, self.target_set).mean_loss

@@ -45,7 +45,7 @@ take over ``MAX_MC_STEPS`` draw steps is refused before its first draw.
 
 import functools
 import math
-from operator import mul
+from operator import add, mul
 from typing import NamedTuple
 
 import numpy as np
@@ -285,7 +285,9 @@ def _expected_batches(cdf: np.ndarray) -> float:
     batches = [0.0] * (needed + width)  # E[s] = 0 for s >= needed
     for s in range(needed - 1, -1, -1):
         stay, *moves = pmf[s].tolist()
-        batches[s] = (1.0 + sum(map(mul, moves, batches[s + 1 : s + width]))) / (1.0 - stay)
+        # left to right, as sum() adds only before Python 3.12
+        moved = functools.reduce(add, map(mul, moves, batches[s + 1 : s + width]), 0.0)
+        batches[s] = (1.0 + moved) / (1.0 - stay)
     return batches[0]
 
 
@@ -409,12 +411,13 @@ def monte_carlo_rounds(
     """Sample the identification stopping time and return mean and stderr.
 
     ``plain`` counts (fractional) batches until k_n distinct targets have
-    been drawn; ``encrypted`` counts whole rounds until enough distinct
-    non-targets have appeared in target-free batches (requires ``alpha``);
-    it raises ValueError when target-free batches are too rare for the
-    round counts to fit in 2**53. Either mode raises ValueError, before its
-    first draw, when the run is expected to take over ``MAX_MC_STEPS`` draw
-    steps.
+    been drawn, from the closed form's independent draws, not from
+    ``run_protocol``'s batches of m distinct clients; ``encrypted`` counts
+    whole rounds until enough distinct non-targets have appeared in
+    target-free batches (requires ``alpha``); it raises ValueError when
+    target-free batches are too rare for the round counts to fit in 2**53.
+    Either mode raises ValueError, before its first draw, when the run is
+    expected to take over ``MAX_MC_STEPS`` draw steps.
     """
     if trials < 100:
         raise ValueError("trials must be >= 100")

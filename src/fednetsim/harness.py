@@ -13,6 +13,8 @@ byte-deterministic for a fixed configuration.
 
 from dataclasses import dataclass
 from dataclasses import replace as dc_replace
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -79,8 +81,9 @@ class RunSummary:
         return [getattr(t, metric)[round_index - 1] for t in self.trials]
 
     def mean_at(self, metric: str, round_index: int) -> float:
+        """Mean over trials, summed left to right: the same bits on every Python version."""
         values = self.metric_at(metric, round_index)
-        return float(sum(values) / len(values))
+        return float(reduce(add, values, 0.0) / len(values))
 
 
 @dataclass(frozen=True)

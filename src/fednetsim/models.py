@@ -7,9 +7,9 @@ clipping bounds their norm. Evaluation sorts per-example losses before
 summing so reported means are exactly invariant to batch order, and a
 ``(K, P)`` stack of parameter vectors is evaluated in one forward pass.
 
-Local SGD has one kernel, over a stack of K models: ``local_train_stack``
-trains K clients from the same global model in one pass of numpy calls
-per step, and ``local_train`` is its K=1 case. Every product is one BLAS
+Local SGD is one function over a stack of K models: ``local_train`` trains
+K clients from the same global model in one pass of numpy calls per step,
+and a client trained alone is a stack of one. Every product is one BLAS
 call per model, so each row of a stack is bit-equal to training that
 client alone.
 
@@ -317,41 +317,21 @@ def loss_gradient(params: np.ndarray, spec: ModelSpec, batch: ExampleSet) -> np.
 def local_train(
     global_params: np.ndarray,
     spec: ModelSpec,
-    shard: ExampleSet,
-    epochs: int,
-    lr: float,
-    batch_size: int | None = None,
-    seed: int = 0,
-) -> np.ndarray:
-    """Delta from ``epochs`` of seeded mini-batch SGD starting at the global model.
-
-    batch_size of None (the default) takes the whole shard in one step per
-    epoch. The per-epoch shuffle order is fixed by the seed, so the result
-    is bit-reproducible. Each step is ``theta -= lr * loss_gradient(...)`` on
-    the next slice of the epoch's permutation; the shard and parameters are
-    validated once, before the first step. This is ``local_train_stack``
-    with one shard.
-    """
-    return local_train_stack(global_params, spec, [shard], epochs, lr, batch_size, [seed])[0]
-
-
-def local_train_stack(
-    global_params: np.ndarray,
-    spec: ModelSpec,
     shards: Sequence[ExampleSet],
     epochs: int,
     lr: float,
     batch_size: int | None,
     seeds: Sequence[int],
 ) -> np.ndarray:
-    """``(K, P)`` deltas, row k equal to ``local_train(..., shards[k], ..., seeds[k])`` bit for bit.
+    """``(K, P)`` deltas from ``epochs`` of seeded mini-batch SGD, row k from ``shards[k]``.
 
-    The K clients start from the same global model and their shards have
-    one length, so every step runs all K models through one pass of numpy
-    calls; each model keeps its own shuffle stream, keyed by its seed. A
-    step gathers only its own batch's ``(K, batch, input_dim)`` rows, so no
-    epoch's shuffled copy of the shards is ever held. The returned deltas
-    are the trained stack itself, the global model subtracted in place.
+    Each client starts at the global model and shuffles each epoch from its
+    own stream, keyed by its seed; ``batch_size`` of None or <= 0 takes the
+    whole shard per step. A client trained alone is a stack of one, and row
+    k is the same bits whatever else is in the stack. The shards have one
+    length, so a step runs all K models through one pass of numpy calls and
+    gathers only its own batch's rows. Inputs are validated before the first
+    step; the deltas are the trained stack, the global model subtracted in place.
     """
     if epochs < 0:
         raise ValueError("epochs must be >= 0")

@@ -59,8 +59,7 @@ def craft_poison_update(
     """
     if boost <= 0:
         raise ValueError("boost must be > 0")
-    raw = local_train(f_prev, spec, poisoned_shard, epochs, lr, batch_size, seed)
-    return boost * raw
+    return boost * local_train(f_prev, spec, [poisoned_shard], epochs, lr, batch_size, [seed])[0]
 
 
 class ModelReplacementPoisoner:

@@ -18,8 +18,8 @@ arguments; when, and whether, one is called for a dropped client is not
 part of the contract. A round's deltas have one store, which trains each
 client at most once: the received updates, once the filter has run, and
 the models an observer reads through ``RoundTrace.local_models`` train
-as one stack per shard length (``models.local_train_stack``), and a lone
-read trains one client alone; each row is bit-equal to the lone result.
+as one ``models.local_train`` stack per shard length, and a lone read is a
+stack of one; each row is the same bits in any stack.
 
 A round's state (its training, updates, evaluations and trace) lives only
 for its round: the run keeps the records and the current global model, so
@@ -35,7 +35,7 @@ import numpy as np
 
 from fednetsim.config import DENOMINATOR_MODES, ProtocolConfig
 from fednetsim.datasets import ExampleSet
-from fednetsim.models import ModelSpec, forward_eval, init_model, local_train, local_train_stack, one_blas_thread
+from fednetsim.models import ModelSpec, forward_eval, init_model, local_train, one_blas_thread
 from fednetsim.seeding import TAG_INIT, TAG_SELECT, TAG_TRAIN, spawn_rng, spawn_seed
 
 
@@ -229,11 +229,11 @@ Observer = Callable[[RoundTrace], None]
 class _RoundTraining:
     """The store of round t's deltas: local training from global model f, poison hook applied.
 
-    ``delta(j)`` trains client j alone unless it is stored; ``deltas(ids)``
-    trains the listed clients not stored yet as ``local_train_stack``
-    stacks, one per shard length. Client j's SGD stream is keyed on
-    (seed, t, j) either way, so its delta is the same bits however it was
-    trained, and each client is trained and poisoned at most once.
+    ``deltas(ids)`` trains the listed clients not stored yet as
+    ``local_train`` stacks, one per shard length, and ``delta(j)`` is
+    ``deltas([j])[0]``. Client j's SGD stream is keyed on (seed, t, j), so
+    its delta is the same bits in any stack, and each client is trained and
+    poisoned at most once.
     """
 
     cfg: ProtocolConfig
@@ -250,14 +250,7 @@ class _RoundTraining:
         self._deltas[j] = delta if poisoned is None else poisoned
 
     def delta(self, j: int) -> np.ndarray:
-        if j not in self._deltas:
-            cfg = self.cfg
-            train_seed = spawn_seed(self.seed, TAG_TRAIN, self.t, j)
-            delta = local_train(
-                self.f, self.spec, self.shards[j], cfg.local_epochs, cfg.local_lr, cfg.batch_size, train_seed
-            )
-            self._keep(j, delta)
-        return self._deltas[j]
+        return self.deltas([j])[0]
 
     def deltas(self, client_ids: Sequence[int]) -> list[np.ndarray]:
         """The deltas of ``client_ids``, in order."""
@@ -267,7 +260,7 @@ class _RoundTraining:
                 by_length.setdefault(len(self.shards[j]), []).append(j)
         cfg = self.cfg
         for ids in by_length.values():
-            stack = local_train_stack(
+            stack = local_train(
                 self.f, self.spec, [self.shards[j] for j in ids], cfg.local_epochs, cfg.local_lr,
                 cfg.batch_size, [spawn_seed(self.seed, TAG_TRAIN, self.t, j) for j in ids],
             )

@@ -27,7 +27,7 @@ TAG_SERVER_DSTAR = 304
 TAG_SYNTHETIC_DRAW = 1  # datasets.gen_synthetic: class directions, then points
 TAG_PARTITION_DRAW = 2  # datasets.partition: holders, class pools, Dirichlet fills
 TAG_INIT_DRAW = 3  # models.init_model: initial weights
-TAG_SGD_ORDER = 4  # models.local_train_stack: each epoch's shuffle
+TAG_SGD_ORDER = 4  # models.local_train: each client's shuffle, per epoch
 TAG_VISIBLE_DRAW = 5  # adversary.sample_visible_set: weights, then the set
 TAG_MC_DRAW = 6  # analysis.monte_carlo_rounds: the simulated rounds
 

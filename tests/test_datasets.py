@@ -118,7 +118,7 @@ class TestGenSynthetic:
         test, _ = gen_synthetic(4, 6, 250, 0, 0.0, seed=4)
         spec = ModelSpec(6, (), 4)
         theta = init_model(spec, 0)
-        delta = local_train(theta, spec, src, 50, 0.5, None, 0)
+        delta = local_train(theta, spec, [src], 50, 0.5, None, [0])[0]
         acc = forward_eval(theta + delta, spec, test).accuracy
         assert abs(acc - 0.25) < 0.05
 
@@ -127,7 +127,7 @@ class TestGenSynthetic:
         train, holdout = gen_synthetic(3, 8, 300, 100, 10.0, seed=5)
         spec = ModelSpec(8, (), 3)
         theta = init_model(spec, 1)
-        delta = local_train(theta, spec, train, 200, 0.5, None, 0)
+        delta = local_train(theta, spec, [train], 200, 0.5, None, [0])[0]
         acc = forward_eval(theta + delta, spec, holdout).accuracy
         assert acc >= 0.99
 

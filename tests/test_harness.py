@@ -291,6 +291,12 @@ class TestRunScenario:
         with pytest.raises(ValueError, match="round_index"):
             summary.mean_at("identified_hits", round_index)
 
+    def test_mean_at_sums_left_to_right(self, tiny_cfg):
+        # Python 3.12's sum() compensates to 0.6 here, and 0.6 / 3 is 0.19999999999999998
+        cfg = replace(tiny_cfg, protocol=ProtocolConfig(m=4, rounds=1, batch_size=5), trials=3)
+        trials = [harness.TrialSeries([acc], [1.0], [0.5], [0.5], [0], [0]) for acc in (0.1, 0.2, 0.3)]
+        assert harness.RunSummary(cfg, trials).mean_at("target_acc", 1) == 0.20000000000000004
+
     def test_no_attack_never_drops(self, tiny_cfg):
         cfg = replace(tiny_cfg, attack=None, poison=None, trials=1)
         summary = run_scenario(cfg)

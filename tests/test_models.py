@@ -15,7 +15,6 @@ from fednetsim.models import (
     forward_eval,
     init_model,
     local_train,
-    local_train_stack,
     loss_gradient,
 )
 from fednetsim.seeding import spawn_rng
@@ -178,35 +177,35 @@ class TestLocalTrain:
         self.shard = random_batch(self.rng, self.spec, 20)
 
     def test_zero_epochs_zero_delta(self):
-        delta = local_train(self.params, self.spec, self.shard, 0, 0.1, None, 0)
+        delta = local_train(self.params, self.spec, [self.shard], 0, 0.1, None, [0])[0]
         assert not delta.any()
 
     def test_vanishing_step_size(self):
-        delta = local_train(self.params, self.spec, self.shard, 1, 1e-30, None, 0)
+        delta = local_train(self.params, self.spec, [self.shard], 1, 1e-30, None, [0])[0]
         assert np.abs(delta).max() < 1e-20
 
     def test_single_step_equals_lr_times_gradient(self):
         # one epoch, full batch: exactly one SGD step
-        delta = local_train(self.params, self.spec, self.shard, 1, 0.05, None, 0)
+        delta = local_train(self.params, self.spec, [self.shard], 1, 0.05, None, [0])[0]
         numeric = finite_difference(self.params, self.spec, self.shard)
         rel = np.abs(delta - (-0.05 * numeric)) / np.maximum(1e-8, np.abs(0.05 * numeric))
         assert rel.max() < 1e-4
 
     def test_deterministic_given_seed(self):
-        a = local_train(self.params, self.spec, self.shard, 3, 0.1, 7, 99)
-        b = local_train(self.params, self.spec, self.shard, 3, 0.1, 7, 99)
+        a = local_train(self.params, self.spec, [self.shard], 3, 0.1, 7, [99])[0]
+        b = local_train(self.params, self.spec, [self.shard], 3, 0.1, 7, [99])[0]
         assert np.array_equal(a, b)
-        c = local_train(self.params, self.spec, self.shard, 3, 0.1, 7, 100)
+        c = local_train(self.params, self.spec, [self.shard], 3, 0.1, 7, [100])[0]
         assert not np.array_equal(a, c)
 
     def test_empty_shard_rejected(self):
         empty = ExampleSet(np.empty((0, 5)), np.empty(0, dtype=int))
         with pytest.raises(ValueError, match="empty local dataset"):
-            local_train(self.params, self.spec, empty, 1, 0.1, None, 0)
+            local_train(self.params, self.spec, [empty], 1, 0.1, None, [0])
 
     def test_minibatches_cover_shard(self):
         # batch_size 6 over 20 examples: 4 batches per epoch, all examples used
-        delta = local_train(self.params, self.spec, self.shard, 1, 0.1, 6, 5)
+        delta = local_train(self.params, self.spec, [self.shard], 1, 0.1, 6, [5])[0]
         assert delta.any()
 
 
@@ -253,7 +252,7 @@ class TestLocalTrainMatchesReference:
         params = init_model(spec, seed) + 0.1 * rng.standard_normal(spec.param_count())
         shard = random_batch(rng, spec, shard_size)
         batch_size = batch_size_of(batch, shard_size)
-        delta = local_train(params, spec, shard, epochs, 0.2, batch_size, seed)
+        delta = local_train(params, spec, [shard], epochs, 0.2, batch_size, [seed])[0]
         expected = reference_local_train(params, spec, shard, epochs, 0.2, batch_size, seed)
         assert np.array_equal(delta, expected)
 
@@ -273,7 +272,7 @@ class TestLocalTrainMatchesReference:
         steps = []
         monkeypatch.setattr(models, "_backprop", lambda *args: steps.append(args))
         with pytest.raises(ValueError, match=match):
-            local_train(params, spec, shard, 1, 0.1, 1, 0)
+            local_train(params, spec, [shard], 1, 0.1, 1, [0])
         assert steps == []
 
 
@@ -298,10 +297,10 @@ class TestLocalTrainStack:
         shards = [random_batch(rng, spec, shard_size) for _ in range(k)]
         batch_size = batch_size_of(batch, shard_size)
         seeds = [seed + i for i in range(k)]
-        deltas = local_train_stack(params, spec, shards, epochs, 0.2, batch_size, seeds)
+        deltas = local_train(params, spec, shards, epochs, 0.2, batch_size, seeds)
         assert deltas.shape == (k, spec.param_count())
         for delta, shard, train_seed in zip(deltas, shards, seeds):
-            alone = local_train(params, spec, shard, epochs, 0.2, batch_size, train_seed)
+            alone = local_train(params, spec, [shard], epochs, 0.2, batch_size, [train_seed])[0]
             assert delta.tobytes() == alone.tobytes()
 
     def test_shards_of_one_stack_share_a_length(self):
@@ -309,9 +308,9 @@ class TestLocalTrainStack:
         rng = np.random.default_rng(3)
         shards = [random_batch(rng, spec, 6), random_batch(rng, spec, 5)]
         with pytest.raises(ValueError, match="equal length"):
-            local_train_stack(init_model(spec, 1), spec, shards, 1, 0.1, None, [1, 2])
+            local_train(init_model(spec, 1), spec, shards, 1, 0.1, None, [1, 2])
         with pytest.raises(ValueError, match="1 seeds for 2 shards"):
-            local_train_stack(init_model(spec, 1), spec, shards[:1] * 2, 1, 0.1, None, [1])
+            local_train(init_model(spec, 1), spec, shards[:1] * 2, 1, 0.1, None, [1])
 
     def test_peak_memory_is_what_the_steps_must_hold(self):
         # a standard round's stack: 10 clients of 200 rows, batches of 100,
@@ -334,7 +333,7 @@ class TestLocalTrainStack:
         )
         tracemalloc.start()
         try:
-            local_train_stack(init_model(spec, 5), spec, shards, 2, 0.1, batch, list(range(k)))
+            local_train(init_model(spec, 5), spec, shards, 2, 0.1, batch, list(range(k)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -59,7 +59,7 @@ class TestCraftPoisonUpdate:
 
     def test_unit_boost_equals_honest_training(self):
         poison = craft_poison_update(self.f, self.spec, self.shard, 2, 0.1, 1.0, seed=5)
-        honest = local_train(self.f, self.spec, self.shard, 2, 0.1, None, seed=5)
+        honest = local_train(self.f, self.spec, [self.shard], 2, 0.1, None, [5])[0]
         assert np.array_equal(poison, honest)
 
     def test_zero_epochs_zero_delta(self):

@@ -257,7 +257,7 @@ class TestRunProtocol:
         eval_sets = EvalSets(shard, 0)
         _, models = run_with_models(cfg, [shard] * n, spec, eval_sets, seed=3)
         f0, f1 = models[0]
-        centralized = f0 + local_train(f0, spec, shard, 1, 0.1, None, 12345)
+        centralized = f0 + local_train(f0, spec, [shard], 1, 0.1, None, [12345])[0]
         assert np.allclose(f1, centralized, atol=1e-12)
 
     def test_drop_everything_fixpoint(self):
@@ -380,7 +380,7 @@ class TestRunProtocol:
 
 
 def count_training(monkeypatch):
-    """The train seed of every client the protocol trains, alone or in a stack.
+    """The train seed of every client the protocol trains.
 
     Fails any training made inside ``aggregate``.
     """
@@ -389,13 +389,8 @@ def count_training(monkeypatch):
 
     def counted(*args):
         assert not inside, "an update was trained inside aggregate"
-        calls.append(args[6])
-        return local_train(*args)
-
-    def counted_stack(*args):
-        assert not inside, "an update was trained inside aggregate"
         calls.extend(args[6])
-        return models.local_train_stack(*args)
+        return local_train(*args)
 
     def aggregating(*args, **kwargs):
         inside.append(True)
@@ -405,7 +400,6 @@ def count_training(monkeypatch):
             inside.pop()
 
     monkeypatch.setattr(protocol, "local_train", counted)
-    monkeypatch.setattr(protocol, "local_train_stack", counted_stack)
     monkeypatch.setattr(protocol, "aggregate", aggregating)
     return calls
 
@@ -413,7 +407,7 @@ def count_training(monkeypatch):
 def eager_delta(cfg, shards, spec, seed, poison_hook, f, t, j):
     """Client j's round-t delta: local SGD from f, then the poison hook's replacement, if any."""
     train_seed = spawn_seed(seed, TAG_TRAIN, t, j)
-    delta = local_train(f, spec, shards[j], cfg.local_epochs, cfg.local_lr, cfg.batch_size, train_seed)
+    delta = local_train(f, spec, [shards[j]], cfg.local_epochs, cfg.local_lr, cfg.batch_size, [train_seed])[0]
     poisoned = poison_hook(t, j, delta) if poison_hook is not None else None
     return delta if poisoned is None else poisoned
 
@@ -481,14 +475,22 @@ class TestLazyRound:
         assert len(set(calls)) == len(calls)
 
     def test_round_training_runs_as_stacks(self, monkeypatch):
-        # the plain attacker reads every sent model; the dropped ones it
-        # reads train as one stack too, so no client is trained alone
-        def alone(*args):
-            raise AssertionError("a client was trained alone")
+        # the received updates train as one stack; the plain attacker reads
+        # every sent model, so a round's dropped ones train as one more
+        stacks = []
 
-        monkeypatch.setattr(protocol, "local_train", alone)
+        def stack(*args):
+            stacks.append(args[6])
+            return local_train(*args)
+
+        monkeypatch.setattr(protocol, "local_train", stack)
         records = self.run_attacked(self.targeted("plain"))
-        assert sum(len(r.received) for r in records) < sum(len(r.participants) for r in records)
+        dropped_rounds = sum(len(r.received) < len(r.participants) for r in records)
+        assert dropped_rounds > 0
+        assert all(r.received for r in records)
+        assert len(stacks) == len(records) + dropped_rounds
+        seeds = [seed for stack in stacks for seed in stack]
+        assert len(seeds) == len(set(seeds)) == sum(len(r.participants) for r in records)
 
     def test_shards_of_three_lengths_equal_the_eager_loop(self, monkeypatch):
         _, shards, spec, eval_sets, _ = small_world(n=12)
@@ -646,9 +648,9 @@ class TestRoundLifetime:
         def stack(*args):
             assert all(ref() is None for ref in traces), "an earlier round's trace is still reachable"
             rounds_before.append(len(traces))
-            return models.local_train_stack(*args)
+            return local_train(*args)
 
-        monkeypatch.setattr(protocol, "local_train_stack", stack)
+        monkeypatch.setattr(protocol, "local_train", stack)
         run_protocol(cfg, shards, spec, eval_sets, 5, observers=[lambda trace: traces.append(weakref.ref(trace))])
         assert sorted(set(rounds_before)) == list(range(cfg.rounds))
 
@@ -721,6 +723,27 @@ class TestEvaluateOnlyWhatIsRead:
         assert passes == [len(target_set)]
         assert watcher.ledger.sums == dict.fromkeys(credited, change)
         assert watcher.ledger.counts == dict.fromkeys(credited, 1)
+
+    @pytest.mark.parametrize("observer", ["encrypted_limited", "plain_server"])
+    def test_a_party_that_credits_nobody_makes_no_forward_pass(self, monkeypatch, observer):
+        # a limited attacker that sees no participant, and a plain server
+        # in a round whose every update was dropped
+        _, _, spec, eval_sets, _ = small_world()
+        target_set = eval_sets.target_set
+        before = init_model(spec, 1)
+        after = before + 0.1 * np.random.default_rng(0).standard_normal(before.shape)
+        if observer == "plain_server":
+            trace = round_trace(1, (1, 3, 4, 6), before, before, received=())
+            watcher = UpsamplingDefender(DefenseConfig(t_s=1, k_s=1, server_mode="plain"), spec, target_set)
+        else:
+            trace = round_trace(1, (1, 3, 4, 6), before, after)
+            attack = AttackConfig(mode=observer, t_n=1, k_n=1)
+            watcher = TargetedDropAttacker(attack, spec, target_set, frozenset({0, 2, 7}))
+        passes = count_forward_passes(monkeypatch)
+        watcher.observe(trace)
+        assert passes == []
+        assert watcher.ledger.sums == watcher.ledger.counts == {}
+        assert watcher.identified == []
 
 
 @pytest.fixture
