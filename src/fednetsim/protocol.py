@@ -15,11 +15,12 @@ An update is computed only when it is aggregated or observed: a dropped
 update that no observer reads is never trained, and the poison hook is
 never called for it. Hooks must therefore be pure functions of their
 arguments; when, and whether, one is called for a dropped client is not
-part of the contract. A round's deltas have one store, which trains each
-client at most once: the received updates, once the filter has run, and
-the models an observer reads through ``RoundTrace.local_models`` train
-as one ``models.local_train`` stack per shard length, and a lone read is a
-stack of one; each row is the same bits in any stack.
+part of the contract. A round's deltas have one store, its one cache,
+which trains each client at most once: each read of it (the received
+updates once the filter has run, ``RoundTrace.local_models`` or a
+``LocalUpdate.delta``) trains the clients not stored yet as one
+``models.local_train`` stack. Every shard has one length, and each row is
+the same bits in any stack.
 
 A round's state (its training, updates, evaluations and trace) lives only
 for its round: the run keeps the records and the current global model, so
@@ -28,7 +29,6 @@ keeps the trace.
 """
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -40,34 +40,21 @@ from fednetsim.seeding import TAG_INIT, TAG_SELECT, TAG_TRAIN, spawn_rng, spawn_
 
 
 class LocalUpdate:
-    """One client's parameter delta for a round.
+    """Client ``client_id``'s parameter delta for a round, read from the round's store.
 
-    Built either from the delta itself, ``LocalUpdate(j, delta)``, or from
-    a zero-argument ``train`` callable that is run on the first read of
-    ``delta``; its result is then kept.
+    Reading ``delta`` trains the client if the store does not hold it yet;
+    the store keeps it, so a second read trains nothing.
     """
 
-    __slots__ = ("client_id", "_delta", "_train")
+    __slots__ = ("client_id", "_store")
 
-    def __init__(
-        self,
-        client_id: int,
-        delta: np.ndarray | None = None,
-        *,
-        train: Callable[[], np.ndarray] | None = None,
-    ):
-        if (delta is None) == (train is None):
-            raise ValueError("give exactly one of delta and train")
+    def __init__(self, client_id: int, store: "_RoundTraining"):
         self.client_id = client_id
-        self._delta = delta
-        self._train = train
+        self._store = store
 
     @property
     def delta(self) -> np.ndarray:
-        if self._delta is None:
-            self._delta = self._train()
-            self._train = None
-        return self._delta
+        return self._store.deltas([self.client_id])[0]
 
 
 @dataclass(frozen=True)
@@ -187,8 +174,10 @@ def aggregate(
 ) -> np.ndarray:
     """Mean aggregation of update deltas onto the previous global model.
 
-    With clipping enabled each delta is scaled by ``min(1, C/||delta||_2)``
-    before averaging. An empty update list leaves the model unchanged.
+    ``updates`` are objects with ``client_id`` and ``delta``, such as a
+    round's ``LocalUpdate``s; each delta is read once. With clipping
+    enabled each delta is scaled by ``min(1, C/||delta||_2)`` before
+    averaging. An empty update list leaves the model unchanged.
     Raises ``ValueError`` if an update or the aggregated model has a
     non-finite entry.
     """
@@ -200,13 +189,13 @@ def aggregate(
         return f_prev.copy()
     total = np.zeros_like(f_prev)
     for u in sorted(updates, key=lambda u: u.client_id):
-        if u.delta.shape != f_prev.shape:
-            raise ValueError(
-                f"update from client {u.client_id} has shape {u.delta.shape}, expected {f_prev.shape}"
-            )
-        if not np.isfinite(u.delta).all():
-            raise ValueError(f"update from client {u.client_id} contains non-finite entries")
         delta = u.delta
+        if delta.shape != f_prev.shape:
+            raise ValueError(
+                f"update from client {u.client_id} has shape {delta.shape}, expected {f_prev.shape}"
+            )
+        if not np.isfinite(delta).all():
+            raise ValueError(f"update from client {u.client_id} contains non-finite entries")
         if clip_norm is not None:
             norm = float(np.linalg.norm(delta))
             if norm > clip_norm:
@@ -229,11 +218,10 @@ Observer = Callable[[RoundTrace], None]
 class _RoundTraining:
     """The store of round t's deltas: local training from global model f, poison hook applied.
 
-    ``deltas(ids)`` trains the listed clients not stored yet as
-    ``local_train`` stacks, one per shard length, and ``delta(j)`` is
-    ``deltas([j])[0]``. Client j's SGD stream is keyed on (seed, t, j), so
-    its delta is the same bits in any stack, and each client is trained and
-    poisoned at most once.
+    It is the round's one cache: ``deltas(ids)`` trains the listed clients
+    not stored yet as one ``local_train`` stack and keeps their deltas.
+    Client j's SGD stream is keyed on (seed, t, j), so its delta is the same
+    bits in any stack, and each client is trained and poisoned at most once.
     """
 
     cfg: ProtocolConfig
@@ -245,27 +233,18 @@ class _RoundTraining:
     t: int
     _deltas: dict[int, np.ndarray] = field(default_factory=dict)
 
-    def _keep(self, j: int, delta: np.ndarray):
-        poisoned = self.poison_hook(self.t, j, delta) if self.poison_hook is not None else None
-        self._deltas[j] = delta if poisoned is None else poisoned
-
-    def delta(self, j: int) -> np.ndarray:
-        return self.deltas([j])[0]
-
     def deltas(self, client_ids: Sequence[int]) -> list[np.ndarray]:
         """The deltas of ``client_ids``, in order."""
-        by_length: dict[int, list[int]] = {}
-        for j in client_ids:
-            if j not in self._deltas:
-                by_length.setdefault(len(self.shards[j]), []).append(j)
-        cfg = self.cfg
-        for ids in by_length.values():
+        ids = [j for j in client_ids if j not in self._deltas]
+        if ids:
+            cfg = self.cfg
             stack = local_train(
                 self.f, self.spec, [self.shards[j] for j in ids], cfg.local_epochs, cfg.local_lr,
                 cfg.batch_size, [spawn_seed(self.seed, TAG_TRAIN, self.t, j) for j in ids],
             )
             for j, delta in zip(ids, stack):
-                self._keep(j, delta)
+                poisoned = self.poison_hook(self.t, j, delta) if self.poison_hook is not None else None
+                self._deltas[j] = delta if poisoned is None else poisoned
         return [self._deltas[j] for j in client_ids]
 
     def models(self, client_ids: Sequence[int]) -> list[np.ndarray]:
@@ -287,7 +266,9 @@ def run_protocol(
     """Run the full protocol for ``cfg.rounds`` rounds and record each one.
 
     Client j holds ``shards[j]``, so there are ``len(shards)`` clients, and
-    every client trains the same way. Hooks: ``resample_hook(t, n)`` may
+    every client trains the same way. Every shard has one length, as every
+    world ``harness.build_world`` makes does; ragged shards raise
+    ``ValueError`` before anything trains. Hooks: ``resample_hook(t, n)`` may
     return the selection distribution for round t (None keeps uniform);
     ``poison_hook(t, client_id, delta)`` receives a client's trained delta
     and may return a replacement for it; ``filter_hook(updates, t)``
@@ -302,6 +283,9 @@ def run_protocol(
     Each round runs in its own call, so nothing it builds outlives it
     unless an observer keeps the trace.
     """
+    lengths = {len(shard) for shard in shards}
+    if len(lengths) > 1:
+        raise ValueError(f"every shard must have one length, got lengths {sorted(lengths)}")
     n = len(shards)
     observers = tuple(observers)
     uniform = np.full(n, 1.0 / n)
@@ -314,7 +298,7 @@ def run_protocol(
         participants = select_participants(n, cfg.m, uniform if p is None else p, seed, t)
 
         training = _RoundTraining(cfg, spec, shards, poison_hook, f, seed, t)
-        updates = [LocalUpdate(j, train=partial(training.delta, j)) for j in participants]
+        updates = [LocalUpdate(j, training) for j in participants]
         received = filter_hook(list(updates), t) if filter_hook is not None else updates
         received_ids = [u.client_id for u in received]
         # train what the server receives before, not inside, aggregation

@@ -1,7 +1,8 @@
-"""Shared scenario factories for harness-level tests, and hand-built round traces."""
+"""Shared scenario factories for harness-level tests, and hand-built round traces and updates."""
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
+import numpy as np
 import pytest
 
 from fednetsim.config import (
@@ -56,3 +57,11 @@ def round_trace(t, participants, global_before, global_after, models=None, recei
         global_after=global_after,
         local_models=lambda ids: [models[j] for j in ids],
     )
+
+
+@dataclass(frozen=True)
+class Update:
+    """A hand-built update: the ``client_id`` and ``delta`` that ``aggregate`` and filters read of a ``LocalUpdate``."""
+
+    client_id: int
+    delta: np.ndarray

@@ -26,7 +26,9 @@ from fednetsim.defense import upsample_probabilities
 from fednetsim.harness import identify_bench, run_scenario
 from fednetsim.models import ModelSpec, forward_eval, init_model, loss_gradient
 from fednetsim.poisoning import craft_poison_update, flip_labels
-from fednetsim.protocol import LocalUpdate, aggregate
+from fednetsim.protocol import aggregate
+
+from conftest import Update
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 SEEDS = 5  # criteria 6-8 are 5-seed means
@@ -70,7 +72,7 @@ def battery(standard_cfg):
         summary = run_scenario(cfg)
         out[name] = {
             "target_final": summary.mean_at("target_acc", summary.rounds),
-            "target_half": summary.mean_at("target_acc", summary.rounds // 2),
+            "target_half": summary.mean_at("target_acc", summary.half_round),
             "nontarget_final": summary.mean_at("nontarget_acc", summary.rounds),
         }
     return out
@@ -155,22 +157,22 @@ class TestCriterion4AggregationIdentities:
         rng = np.random.default_rng(7)
         f = rng.standard_normal(24)
         zero_fix = np.array_equal(
-            aggregate(f, [LocalUpdate(0, np.zeros(24)), LocalUpdate(1, np.zeros(24))], 0.4), f
+            aggregate(f, [Update(0, np.zeros(24)), Update(1, np.zeros(24))], 0.4), f
         )
         u = rng.standard_normal(24)
-        single = np.array_equal(aggregate(f, [LocalUpdate(3, u)], 1.0), f + u)
+        single = np.array_equal(aggregate(f, [Update(3, u)], 1.0), f + u)
         delta = np.zeros(24)
         delta[5] = 2.0
         clip_scale = np.array_equal(
-            aggregate(f, [LocalUpdate(0, delta)], 1.0, clip_norm=1.0), f + delta / 2
+            aggregate(f, [Update(0, delta)], 1.0, clip_norm=1.0), f + delta / 2
         )
-        ups = [LocalUpdate(j, rng.standard_normal(24)) for j in range(8)]
+        ups = [Update(j, rng.standard_normal(24)) for j in range(8)]
         perm = np.array_equal(
             aggregate(f, ups, 0.3, clip_norm=0.7),
             aggregate(f, list(reversed(ups)), 0.3, clip_norm=0.7),
         )
         lr, clip = 0.25, 1.0
-        big = [LocalUpdate(j, 10 * rng.standard_normal(24)) for j in range(6)]
+        big = [Update(j, 10 * rng.standard_normal(24)) for j in range(6)]
         bound = (
             np.linalg.norm(aggregate(f, big, lr, clip_norm=clip) - f) <= lr * clip + 1e-12
         )
@@ -306,8 +308,8 @@ class TestCriterion9ClipSaturation:
         shard = flip_labels(src, 0, 1)
         base = craft_poison_update(f, spec, shard, 2, 0.1, 1.0, seed=9)
         assert np.linalg.norm(10 * base) > 1.0  # clip saturates
-        agg10 = aggregate(f, [LocalUpdate(0, 10 * base)], 1.0, clip_norm=1.0)
-        agg1000 = aggregate(f, [LocalUpdate(0, 1000 * base)], 1.0, clip_norm=1.0)
+        agg10 = aggregate(f, [Update(0, 10 * base)], 1.0, clip_norm=1.0)
+        agg1000 = aggregate(f, [Update(0, 1000 * base)], 1.0, clip_norm=1.0)
         diff = float(np.abs(agg10 - agg1000).max())
         report("criterion 9", diff < 1e-9, f"beta=10 vs beta=1000 aggregates differ by {diff:.2e}")
 

@@ -22,9 +22,8 @@ from fednetsim.config import AttackConfig
 from fednetsim.defense import UpsamplingDefender
 from fednetsim.datasets import gen_synthetic
 from fednetsim.models import ModelSpec, forward_eval, init_model
-from fednetsim.protocol import LocalUpdate
 
-from conftest import round_trace
+from conftest import Update, round_trace
 
 
 def make_ledger(entries):
@@ -209,7 +208,7 @@ class TestLedgerProperties:
 
 class TestDropFilter:
     def updates(self, ids):
-        return [LocalUpdate(j, np.zeros(3)) for j in ids]
+        return [Update(j, np.zeros(3)) for j in ids]
 
     def test_identity_before_start(self):
         ups = self.updates([1, 2, 3])
@@ -254,7 +253,7 @@ class TestTargetedDropAttacker:
         better[-3] += 2.0
         for t, parts in enumerate([(1, 4), (2, 3), (4, 5)], start=1):
             sent = {j: (better if j == helpful else w.f_before.copy()) for j in parts}
-            attacker.filter_updates([LocalUpdate(j, sent[j] - w.f_before) for j in parts], t)
+            attacker.filter_updates([Update(j, sent[j] - w.f_before) for j in parts], t)
             attacker.observe(self.make_trace(w, t, parts, sent))
         assert attacker.identified == [helpful]
 
@@ -262,13 +261,13 @@ class TestTargetedDropAttacker:
         w = LedgerWorld()
         attacker = TargetedDropAttacker(AttackConfig(mode="encrypted", t_n=1, k_n=1), w.spec, w.target_set)
         sent = {3: w.f_after.copy()}
-        attacker.filter_updates([LocalUpdate(3, np.zeros(len(w.f_before)))], 1)
+        attacker.filter_updates([Update(3, np.zeros(len(w.f_before)))], 1)
         attacker.observe(self.make_trace(w, 1, (3,), sent))
         assert attacker.identified == [3]
         seen_before = attacker.ledger.counts[3]
         # round 2: client 3 participates again, gets dropped; the attacker
         # corrupted the aggregate, so nothing may be recorded
-        kept = attacker.filter_updates([LocalUpdate(3, np.zeros(len(w.f_before)))], 2)
+        kept = attacker.filter_updates([Update(3, np.zeros(len(w.f_before)))], 2)
         assert kept == []
         attacker.observe(self.make_trace(w, 2, (3,), sent, received=()))
         assert attacker.ledger.counts[3] == seen_before
@@ -277,9 +276,9 @@ class TestTargetedDropAttacker:
         w = LedgerWorld()
         attacker = TargetedDropAttacker(AttackConfig(mode="plain", t_n=1, k_n=1), w.spec, w.target_set)
         sent = {3: w.f_after.copy()}
-        attacker.filter_updates([LocalUpdate(3, w.f_after - w.f_before)], 1)
+        attacker.filter_updates([Update(3, w.f_after - w.f_before)], 1)
         attacker.observe(self.make_trace(w, 1, (3,), sent))
-        attacker.filter_updates([LocalUpdate(3, w.f_after - w.f_before)], 2)
+        attacker.filter_updates([Update(3, w.f_after - w.f_before)], 2)
         attacker.observe(self.make_trace(w, 2, (3,), sent))
         assert attacker.ledger.counts[3] == 2
 
@@ -287,9 +286,9 @@ class TestTargetedDropAttacker:
         w = LedgerWorld()
         attack = AttackConfig(mode="encrypted", t_n=1, k_n=1, refresh=False)
         attacker = TargetedDropAttacker(attack, w.spec, w.target_set)
-        attacker.filter_updates([LocalUpdate(9, np.zeros(len(w.f_before)))], 1)
+        attacker.filter_updates([Update(9, np.zeros(len(w.f_before)))], 1)
         attacker.observe(self.make_trace(w, 1, (9,), {9: w.f_after.copy()}))
         first = list(attacker.identified)
-        attacker.filter_updates([LocalUpdate(2, np.zeros(len(w.f_before)))], 2)
+        attacker.filter_updates([Update(2, np.zeros(len(w.f_before)))], 2)
         attacker.observe(self.make_trace(w, 2, (2,), {2: w.f_after.copy()}))
         assert attacker.identified == first

@@ -12,7 +12,9 @@ from fednetsim.poisoning import (
     default_flip_to,
     flip_labels,
 )
-from fednetsim.protocol import LocalUpdate, aggregate
+from fednetsim.protocol import aggregate
+
+from conftest import Update
 
 
 class TestFlipLabels:
@@ -78,8 +80,8 @@ class TestCraftPoisonUpdate:
         # the same clipped contribution
         base = craft_poison_update(self.f, self.spec, self.shard, 2, 0.1, 1.0, seed=7)
         assert np.linalg.norm(base) > 1.0 or np.linalg.norm(10 * base) > 1.0
-        out10 = aggregate(self.f, [LocalUpdate(0, 10.0 * base)], 1.0, clip_norm=1.0)
-        out1000 = aggregate(self.f, [LocalUpdate(0, 1000.0 * base)], 1.0, clip_norm=1.0)
+        out10 = aggregate(self.f, [Update(0, 10.0 * base)], 1.0, clip_norm=1.0)
+        out1000 = aggregate(self.f, [Update(0, 1000.0 * base)], 1.0, clip_norm=1.0)
         assert np.abs(out10 - out1000).max() < 1e-9
 
     def test_invalid_boost_rejected(self):

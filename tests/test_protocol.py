@@ -17,7 +17,6 @@ from fednetsim.models import ModelSpec, forward_eval, init_model, local_train
 from fednetsim.poisoning import ModelReplacementPoisoner, PoisonPlan
 from fednetsim.protocol import (
     EvalSets,
-    LocalUpdate,
     RoundRecord,
     aggregate,
     run_protocol,
@@ -26,7 +25,7 @@ from fednetsim.protocol import (
 )
 from fednetsim.seeding import TAG_INIT, TAG_TRAIN, spawn_seed
 
-from conftest import round_trace
+from conftest import Update, round_trace
 
 
 def choice_loop_sample(rng, weights, size):
@@ -135,7 +134,7 @@ class TestAggregate:
         self.f = np.array([1.0, -2.0, 0.5, 3.0])
 
     def test_zero_updates_fixpoint(self):
-        ups = [LocalUpdate(0, np.zeros(4)), LocalUpdate(1, np.zeros(4))]
+        ups = [Update(0, np.zeros(4)), Update(1, np.zeros(4))]
         assert np.array_equal(aggregate(self.f, ups, 0.7), self.f)
 
     def test_empty_list_returns_previous(self):
@@ -146,30 +145,30 @@ class TestAggregate:
 
     def test_single_update_identity(self):
         u = np.array([0.1, 0.2, -0.3, 0.4])
-        out = aggregate(self.f, [LocalUpdate(5, u)], 1.0)
+        out = aggregate(self.f, [Update(5, u)], 1.0)
         assert np.array_equal(out, self.f + u)
 
     def test_clip_halves_norm_two_delta(self):
         delta = np.zeros(4)
         delta[0] = 2.0  # l2 norm exactly 2
-        out = aggregate(self.f, [LocalUpdate(0, delta)], 1.0, clip_norm=1.0)
+        out = aggregate(self.f, [Update(0, delta)], 1.0, clip_norm=1.0)
         assert np.array_equal(out, self.f + delta / 2)
 
     def test_clip_leaves_small_updates_alone(self):
         delta = np.array([0.1, 0.0, 0.0, 0.0])
-        out = aggregate(self.f, [LocalUpdate(0, delta)], 1.0, clip_norm=1.0)
+        out = aggregate(self.f, [Update(0, delta)], 1.0, clip_norm=1.0)
         assert np.array_equal(out, self.f + delta)
 
     def test_denominator_modes(self):
         u = np.ones(4)
-        received = aggregate(self.f, [LocalUpdate(0, u)], 1.0, denominator_mode="received_count")
-        fixed = aggregate(self.f, [LocalUpdate(0, u)], 1.0, denominator_mode="fixed_m", m=4)
+        received = aggregate(self.f, [Update(0, u)], 1.0, denominator_mode="received_count")
+        fixed = aggregate(self.f, [Update(0, u)], 1.0, denominator_mode="fixed_m", m=4)
         assert np.array_equal(received, self.f + u)
         assert np.array_equal(fixed, self.f + u / 4)
 
     def test_reordering_invariance(self):
         rng = np.random.default_rng(0)
-        ups = [LocalUpdate(j, rng.standard_normal(4)) for j in range(6)]
+        ups = [Update(j, rng.standard_normal(4)) for j in range(6)]
         a = aggregate(self.f, ups, 0.3, clip_norm=0.8)
         b = aggregate(self.f, list(reversed(ups)), 0.3, clip_norm=0.8)
         assert np.array_equal(a, b)
@@ -177,7 +176,7 @@ class TestAggregate:
     def test_clipped_step_bounded(self):
         rng = np.random.default_rng(1)
         lr, clip = 0.25, 1.0
-        ups = [LocalUpdate(j, 5 * rng.standard_normal(4)) for j in range(5)]
+        ups = [Update(j, 5 * rng.standard_normal(4)) for j in range(5)]
         out = aggregate(self.f, ups, lr, clip_norm=clip)
         assert np.linalg.norm(out - self.f) <= lr * clip + 1e-12
 
@@ -191,7 +190,7 @@ class TestAggregate:
     def test_order_invariance_and_clip_bound(self, data, count, clip, mode):
         finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
         deltas = [np.array(data.draw(st.lists(finite, min_size=4, max_size=4))) for _ in range(count)]
-        ups = [LocalUpdate(j, d) for j, d in enumerate(deltas)]
+        ups = [Update(j, d) for j, d in enumerate(deltas)]
         shuffled = data.draw(st.permutations(ups))
         m = count + 2
         a = aggregate(self.f, ups, 0.3, clip, mode, m)
@@ -204,26 +203,42 @@ class TestAggregate:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
-            aggregate(self.f, [LocalUpdate(0, np.zeros(3))], 1.0)
+            aggregate(self.f, [Update(0, np.zeros(3))], 1.0)
 
     def test_nonfinite_update_rejected(self):
         bad = np.zeros(4)
         bad[2] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            aggregate(self.f, [LocalUpdate(0, bad)], 1.0)
+            aggregate(self.f, [Update(0, bad)], 1.0)
         bad[2] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
-            aggregate(self.f, [LocalUpdate(0, bad)], 1.0)
+            aggregate(self.f, [Update(0, bad)], 1.0)
 
     def test_overflowing_aggregate_rejected(self):
         # finite updates whose step overflows float64
-        big = [LocalUpdate(j, np.full(4, 1e300)) for j in range(2)]
+        big = [Update(j, np.full(4, 1e300)) for j in range(2)]
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="aggregated model contains non-finite"):
             aggregate(self.f, big, 1e10)
 
+    def test_each_delta_is_read_once(self):
+        reads = []
+
+        class CountedUpdate:
+            def __init__(self, client_id, delta):
+                self.client_id, self._delta = client_id, delta
+
+            @property
+            def delta(self):
+                reads.append(self.client_id)
+                return self._delta
+
+        ups = [CountedUpdate(j, np.full(4, j + 1.0)) for j in range(3)]
+        aggregate(self.f, ups, 1.0, clip_norm=1.5)
+        assert sorted(reads) == [0, 1, 2]
+
     def test_fixed_m_requires_m(self):
         with pytest.raises(ValueError, match="fixed_m"):
-            aggregate(self.f, [LocalUpdate(0, np.zeros(4))], 1.0, denominator_mode="fixed_m")
+            aggregate(self.f, [Update(0, np.zeros(4))], 1.0, denominator_mode="fixed_m")
 
 
 def small_world(seed=1, n=8, k=2, classes=4, rounds=12):
@@ -422,7 +437,7 @@ def eager_reference(cfg, shards, spec, eval_sets, seed, filter_hook, poison_hook
         participants = select_participants(n, cfg.m, uniform, seed, t)
         updates = []
         for j in participants:
-            updates.append(LocalUpdate(j, eager_delta(cfg, shards, spec, seed, poison_hook, f, t, j)))
+            updates.append(Update(j, eager_delta(cfg, shards, spec, seed, poison_hook, f, t, j)))
         received = filter_hook(updates, t)
         f_next = aggregate(f, received, cfg.server_lr, cfg.clip_norm, cfg.denominator_mode, cfg.m)
         target = forward_eval(f_next, spec, eval_sets.target_set)
@@ -492,45 +507,32 @@ class TestLazyRound:
         seeds = [seed for stack in stacks for seed in stack]
         assert len(seeds) == len(set(seeds)) == sum(len(r.participants) for r in records)
 
-    def test_shards_of_three_lengths_equal_the_eager_loop(self, monkeypatch):
-        _, shards, spec, eval_sets, _ = small_world(n=12)
-        cfg = ProtocolConfig(m=10, rounds=6, server_lr=0.5, local_epochs=2, local_lr=0.1, batch_size=4)
-        lengths = (len(shards[0]), len(shards[0]) - 7, len(shards[0]) - 11)
-        shards = [shard.subset(np.arange(lengths[j % 3])) for j, shard in enumerate(shards)]
+    def test_ragged_shards_are_refused_before_training(self, monkeypatch):
         calls = count_training(monkeypatch)
-
-        def drop(ups, t):
-            return [u for u in ups if (u.client_id + t) % 4]
-
-        def scale_by_client(t, j, delta):
-            # tells the clients of one stack apart in the aggregate
-            return (1.0 + j / 8) * delta
-
-        records = run_protocol(cfg, shards, spec, eval_sets, 31, filter_hook=drop, poison_hook=scale_by_client)
-        ref_records, _ = eager_reference(cfg, shards, spec, eval_sets, 31, drop, scale_by_client)
-        assert records == ref_records
-        assert len(calls) == sum(len(r.received) for r in records)
-        assert {len(shards[j]) for r in records for j in r.received} == set(lengths)
-
-    def test_delta_read_twice_trains_once(self):
-        calls = []
-
-        def train():
-            calls.append(1)
-            return np.arange(3.0)
-
-        update = LocalUpdate(4, train=train)
+        cfg, shards, spec, eval_sets, _ = small_world()
+        shards = [shard.subset(np.arange(len(shard) - j % 3)) for j, shard in enumerate(shards)]
+        with pytest.raises(ValueError, match="one length"):
+            run_protocol(cfg, shards, spec, eval_sets, 31)
         assert not calls
-        first = update.delta
-        assert update.delta is first
-        assert len(calls) == 1
-        assert np.array_equal(LocalUpdate(4, np.arange(3.0)).delta, first)
 
-    def test_update_needs_exactly_one_source(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            LocalUpdate(0)
-        with pytest.raises(ValueError, match="exactly one"):
-            LocalUpdate(0, np.zeros(2), train=lambda: np.zeros(2))
+    def test_delta_read_twice_trains_once(self, monkeypatch):
+        # a LocalUpdate reads the round's store: building one trains nothing,
+        # the first read trains its client and the second finds it stored
+        calls = count_training(monkeypatch)
+        cfg, shards, spec, eval_sets, _ = small_world(rounds=1)
+        reads, traces = [], []
+
+        def read_twice(ups, t):
+            assert not calls
+            reads.append((ups[0].client_id, ups[0].delta, ups[0].delta))
+            return []
+
+        run_protocol(cfg, shards, spec, eval_sets, 3, filter_hook=read_twice, observers=[traces.append])
+        (j, first, second), = reads
+        assert second is first
+        assert len(calls) == 1
+        f = traces[0].global_before
+        assert np.array_equal(first, eager_delta(cfg, shards, spec, 3, None, f, 1, j))
 
     def test_local_model_read_twice_trains_once(self, monkeypatch):
         calls = count_training(monkeypatch)
