@@ -191,7 +191,10 @@ class TargetedDropAttacker(LedgerObserver):
 
 
 class FixedSetDropper:
-    """Baseline attacker dropping a fixed client set from the first round; it observes nothing."""
+    """Baseline attacker dropping a fixed client set from the first round; it observes nothing.
+
+    It takes the drop ids in any order and keeps them as sorted ints.
+    """
 
     def __init__(self, drop_ids):
         self.identified = sorted(int(i) for i in drop_ids)

@@ -126,33 +126,13 @@ def gen_synthetic(
 
 
 def _largest_remainder_counts(proportions: np.ndarray, total: int) -> np.ndarray:
-    """Integer counts summing to ``total``; ties broken by lower index."""
+    """Integer counts summing to ``total``; a stable sort gives remainder ties to the lower index."""
     raw = proportions * total
     counts = np.floor(raw).astype(np.int64)
     short = total - int(counts.sum())
     remainders = raw - counts
-    order = sorted(range(len(proportions)), key=lambda i: (-remainders[i], i))
-    for i in order[:short]:
-        counts[i] += 1
+    counts[np.argsort(-remainders, kind="stable")[:short]] += 1
     return counts
-
-
-class _ClassPools:
-    """Seeded, shuffled per-class index pools consumed front to back."""
-
-    def __init__(self, labels: np.ndarray, class_count: int, rng: np.random.Generator):
-        self._pools = [rng.permutation(np.flatnonzero(labels == c)) for c in range(class_count)]
-        self._cursor = [0] * class_count
-
-    def take(self, c: int, count: int) -> np.ndarray:
-        start = self._cursor[c]
-        if start + count > len(self._pools[c]):
-            raise PartitionError(
-                f"class {c} exhausted: requested {count} more examples, "
-                f"only {len(self._pools[c]) - start} remain"
-            )
-        self._cursor[c] = start + count
-        return self._pools[c][start : start + count]
 
 
 def partition(
@@ -174,9 +154,8 @@ def partition(
     ``ceil(alpha_t * local_size)`` target-class examples; the remainder of
     its shard, and the entirety of every other client's shard, is filled
     with proportions drawn from Dirichlet(alpha_d) over the non-target
-    classes. Raises
-    :class:`PartitionError` naming the class that ran out if any pool is
-    too small, rather than silently substituting.
+    classes. The pools are one shuffled index list per class, consumed front
+    to back; a class that runs out raises :class:`PartitionError` naming it.
     """
     if not 0 < alpha_t <= 1:
         raise ValueError("alpha_t must be in (0, 1]")
@@ -193,7 +172,18 @@ def partition(
     rng = spawn_rng(seed, TAG_PARTITION_DRAW)
     target_ids = sorted(int(i) for i in rng.choice(n, size=k, replace=False))
     target_id_set = set(target_ids)
-    pools = _ClassPools(labels, class_count, rng)
+    pools = [rng.permutation(np.flatnonzero(labels == c)) for c in range(class_count)]
+    cursors = [0] * class_count
+
+    def take(c: int, count: int) -> np.ndarray:
+        start = cursors[c]
+        if start + count > len(pools[c]):
+            raise PartitionError(
+                f"class {c} exhausted: requested {count} more examples, only {len(pools[c]) - start} remain"
+            )
+        cursors[c] = start + count
+        return pools[c][start : start + count]
+
     other_classes = [c for c in range(class_count) if c != target_class]
     if not other_classes:
         raise ValueError("need at least one non-target class")
@@ -204,16 +194,15 @@ def partition(
         parts = []
         fill = local_size
         if client in target_id_set:
-            parts.append(pools.take(target_class, target_quota))
+            parts.append(take(target_class, target_quota))
             fill -= target_quota
         if fill > 0:
             props = rng.dirichlet(np.full(len(other_classes), alpha_d))
             counts = _largest_remainder_counts(props, fill)
             for c, cnt in zip(other_classes, counts):
                 if cnt:
-                    parts.append(pools.take(c, int(cnt)))
-        shard = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        shards.append(np.sort(shard))
+                    parts.append(take(c, int(cnt)))
+        shards.append(np.sort(np.concatenate(parts)))
 
     return PartitionPlan(target_client_ids=tuple(target_ids), shards=tuple(shards))
 

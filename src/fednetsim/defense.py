@@ -23,8 +23,9 @@ def upsample_probabilities(identified, n: int, factor: float) -> np.ndarray:
 
     ``p[i] = factor / n`` for identified clients and
     ``(n - k_s * factor) / (n^2 - k_s * n)`` for the rest; the vector sums
-    to 1 analytically. Inputs with ``k_s * factor >= n`` would drive the
-    non-selected probabilities negative and are rejected.
+    to 1 analytically, and ``k_s = 0`` gives ``n / n^2 == 1.0 / n`` exactly
+    (``n^2`` is exact below ``n = 2**26``). Inputs with ``k_s * factor >= n``
+    would drive the non-selected probabilities negative and are rejected.
     """
     z = sorted(set(int(i) for i in identified))
     k_s = len(z)
@@ -32,8 +33,6 @@ def upsample_probabilities(identified, n: int, factor: float) -> np.ndarray:
         raise ValueError("identified client ids out of range")
     if k_s * factor >= n:
         raise ValueError("upsampling factor too large: need k_s * factor < n")
-    if k_s == 0:
-        return np.full(n, 1.0 / n)
     p = np.full(n, (n - k_s * factor) / (n * n - k_s * n))
     p[z] = factor / n
     return p

@@ -109,7 +109,7 @@ def build_world(cfg: ScenarioConfig, trial_seed: int) -> World:
 
     The partition reads only the training pool's labels, so only the rows
     its shards use are drawn (synthetic) or kept (IDX), end to end in shard
-    order, and each shard is a slice of them.
+    order; the shards are ``n`` equal-length views of them, in client order.
     """
     ds, part = cfg.dataset, cfg.partition
     if ds.kind == "synthetic":
@@ -154,9 +154,8 @@ def build_world(cfg: ScenarioConfig, trial_seed: int) -> World:
         activation=cfg.model.activation,
     )
 
-    holder_ids = list(plan.target_client_ids)
-    ends = np.cumsum([len(idx) for idx in plan.shards])
-    shards = [ExampleSet(train.x[a:b], train.y[a:b]) for a, b in zip([0, *ends[:-1]], ends)]
+    holder_ids = plan.target_client_ids
+    shards = [ExampleSet(x, y) for x, y in zip(np.split(train.x, part.n), np.split(train.y, part.n))]
     compromised = ()
     if k_p > 0:
         rng = spawn_rng(trial_seed, TAG_COMPROMISE)
@@ -213,13 +212,8 @@ def run_trial(cfg: ScenarioConfig, trial_seed: int, watch: tuple[AttackConfig, .
             attacker = _targeted_attacker(atk, world, part.n, trial_seed)
         else:
             rng = spawn_rng(trial_seed, TAG_ATTACK)
-            if atk.kind == "perfect_knowledge":
-                pool = list(honest_targets)
-            else:
-                pool = list(range(part.n))
-            size = min(atk.k_n, len(pool))
-            drop_ids = sorted(int(i) for i in rng.choice(pool, size=size, replace=False))
-            attacker = FixedSetDropper(drop_ids)
+            pool = honest_targets if atk.kind == "perfect_knowledge" else range(part.n)
+            attacker = FixedSetDropper(rng.choice(pool, size=min(atk.k_n, len(pool)), replace=False))
     watchers = [_targeted_attacker(w, world, part.n, trial_seed) for w in watch]
 
     poisoner = None

@@ -223,6 +223,12 @@ class TestDropFilter:
         kept = drop_filter(ups, [4, 7], t=6, t_n=5)
         assert [u.client_id for u in kept] == [2, 9]
 
+    def test_fixed_set_is_kept_as_sorted_ints(self):
+        # the one place a fixed drop set is put in order
+        dropper = FixedSetDropper(np.array([5, 1, 3]))
+        assert dropper.identified == [1, 3, 5]
+        assert all(type(i) is int for i in dropper.identified)
+
 
 class TestIdentificationScore:
     def test_perfect(self):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from fednetsim.datasets import (
     ExampleSet,
     PartitionError,
+    _largest_remainder_counts,
     gen_synthetic,
     load_idx,
     load_idx_dataset,
@@ -138,6 +139,29 @@ class TestGenSynthetic:
             gen_synthetic(3, 4, 0, 0, 1.0, seed=0)
         with pytest.raises(ValueError):
             gen_synthetic(3, 4, 10, -1, 1.0, seed=0)
+
+
+def _largest_remainder_reference(proportions, total):
+    # the per-index loop: floors, then one more for each largest remainder,
+    # equal remainders to the lower index
+    raw = proportions * total
+    counts = np.floor(raw).astype(np.int64)
+    remainders = raw - counts
+    order = sorted(range(len(proportions)), key=lambda i: (-remainders[i], i))
+    for i in order[: total - int(counts.sum())]:
+        counts[i] += 1
+    return counts
+
+
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=8).filter(any), st.integers(0, 60))
+@example([1, 1, 1], 4)
+@example([2, 1, 2, 1], 5)
+def test_largest_remainder_counts_equal_the_loop(weights, total):
+    # small integer weights make exact remainder ties common
+    proportions = np.array(weights) / sum(weights)
+    counts = _largest_remainder_counts(proportions, total)
+    assert counts.tolist() == _largest_remainder_reference(proportions, total).tolist()
+    assert int(counts.sum()) == total
 
 
 class TestPartition:

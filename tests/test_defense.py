@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fednetsim.adversary import TargetedDropAttacker
@@ -16,9 +16,20 @@ from conftest import round_trace
 
 
 class TestUpsampleProbabilities:
-    def test_empty_set_is_uniform(self):
-        p = upsample_probabilities([], 10, 2.0)
-        assert np.array_equal(p, np.full(10, 0.1))
+    @settings(deadline=None)
+    @given(st.integers(1, 10**5), st.floats(1.0, 1e6))
+    @example(10, 2.0)
+    @example(10**5, 1.0)
+    def test_empty_set_is_uniform(self, n, factor):
+        p = upsample_probabilities([], n, factor)
+        assert p.tobytes() == np.full(n, 1.0 / n).tobytes()
+
+    @given(st.integers(1, 2**26), st.floats(1.0, 1e6))
+    @example(2**26, 2.0)
+    def test_empty_set_formula_is_one_over_n(self, n, factor):
+        # the general formula at k_s = 0, as a scalar: n * n is exact, so
+        # the quotient is 1 / n rounded once
+        assert (n - 0 * factor) / (n * n - 0 * n) == 1.0 / n
 
     def test_factor_one_is_uniform_exactly(self):
         for n in (3, 10, 57):

@@ -3,6 +3,7 @@
 import json
 import math
 import pathlib
+import struct
 import tempfile
 import tracemalloc
 from dataclasses import replace
@@ -258,6 +259,23 @@ class TestBuildWorld:
             assert shard.y.tobytes() == train.y[idx].tobytes()
         assert world.eval_sets.test_set.x.tobytes() == test.x.tobytes()
 
+    @pytest.mark.parametrize("kind", ["synthetic", "idx"])
+    def test_shards_are_equal_length_views_of_one_array_in_client_order(self, kind, tmp_path):
+        cfg = self.unpoisoned() if kind == "synthetic" else idx_scenario(tmp_path)
+        part = cfg.partition
+        world = build_world(cfg, 21)
+        assert len(world.shards) == part.n
+        for field in ("x", "y"):
+            pool = getattr(world.shards[0], field).base
+            assert pool is not None and len(pool) == part.n * part.local_size
+            start = pool.__array_interface__["data"][0]
+            for j, shard in enumerate(world.shards):
+                rows = getattr(shard, field)
+                assert len(rows) == part.local_size
+                assert rows.base is pool and np.shares_memory(rows, pool)
+                offset = rows.__array_interface__["data"][0] - start
+                assert offset == j * part.local_size * pool.strides[0]
+
 
 class TestRunScenario:
     def test_series_shapes_and_config_echo(self, tiny_cfg):
@@ -456,36 +474,36 @@ class TestIdxScenario:
     def test_end_to_end_on_idx_files(self, tmp_path):
         # a real-data-style run through the raster loader, no other module
         # changes required
-        import struct
-
-        rng = np.random.default_rng(3)
-        blobs = gen_raster(rng)
-        for stem, (images, labels) in blobs.items():
-            with open(tmp_path / f"{stem}_images.idx", "wb") as fh:
-                fh.write(struct.pack(">IIII", 0x00000803, len(labels), 4, 4))
-                fh.write(images.astype(np.uint8).tobytes())
-            with open(tmp_path / f"{stem}_labels.idx", "wb") as fh:
-                fh.write(struct.pack(">II", 0x00000801, len(labels)))
-                fh.write(labels.astype(np.uint8).tobytes())
-
-        cfg = tiny_scenario(
-            dataset=DatasetConfig(
-                kind="idx",
-                class_count=3,
-                train_images=str(tmp_path / "train_images.idx"),
-                train_labels=str(tmp_path / "train_labels.idx"),
-                test_images=str(tmp_path / "test_images.idx"),
-                test_labels=str(tmp_path / "test_labels.idx"),
-            ),
-            partition=PartitionConfig(n=6, k=2, target_class=0, alpha_t=0.5, alpha_d=1.0, local_size=20),
-            model=ModelConfig(hidden_dims=()),
-            protocol=ProtocolConfig(m=3, rounds=3, batch_size=None),
-            attack=None,
-            poison=None,
-            trials=1,
-        )
-        summary = run_scenario(cfg)
+        summary = run_scenario(idx_scenario(tmp_path))
         assert len(summary.trials[0].target_acc) == 3
+
+
+def idx_scenario(tmp_path):
+    """A 6-client scenario on IDX files of ``gen_raster`` images, written to ``tmp_path``."""
+    rng = np.random.default_rng(3)
+    for stem, (images, labels) in gen_raster(rng).items():
+        with open(tmp_path / f"{stem}_images.idx", "wb") as fh:
+            fh.write(struct.pack(">IIII", 0x00000803, len(labels), 4, 4))
+            fh.write(images.astype(np.uint8).tobytes())
+        with open(tmp_path / f"{stem}_labels.idx", "wb") as fh:
+            fh.write(struct.pack(">II", 0x00000801, len(labels)))
+            fh.write(labels.astype(np.uint8).tobytes())
+    return tiny_scenario(
+        dataset=DatasetConfig(
+            kind="idx",
+            class_count=3,
+            train_images=str(tmp_path / "train_images.idx"),
+            train_labels=str(tmp_path / "train_labels.idx"),
+            test_images=str(tmp_path / "test_images.idx"),
+            test_labels=str(tmp_path / "test_labels.idx"),
+        ),
+        partition=PartitionConfig(n=6, k=2, target_class=0, alpha_t=0.5, alpha_d=1.0, local_size=20),
+        model=ModelConfig(hidden_dims=()),
+        protocol=ProtocolConfig(m=3, rounds=3, batch_size=None),
+        attack=None,
+        poison=None,
+        trials=1,
+    )
 
 
 def gen_raster(rng):

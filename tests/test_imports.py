@@ -9,7 +9,9 @@ not load PyYAML, the configuration schema or the simulator, and ``run``
 must not load the analysis layer.
 
 There is no linter in the toolchain, so an import left behind by a deletion
-is caught here: every name a module imports must be used in it.
+is caught here: every name a module imports must be used in it. So is a
+definition nothing uses any more: every top-level function and class must
+be named outside its own definition, in ``src``, ``tests`` or ``perfbench``.
 """
 
 import ast
@@ -131,3 +133,36 @@ def test_no_unused_import(module):
             imported |= {a.asname or a.name for a in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+ROOT = PACKAGE.parent.parent
+SOURCES = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
+
+
+def names_in(node):
+    """Every identifier a subtree reads, imports, or spells as a string (``setattr(mod, "name", ...)``)."""
+    names = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.append(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names += [a.name for a in sub.names]
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) and sub.value.isidentifier():
+            names.append(sub.value)
+    return names
+
+
+def test_no_unused_definition():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    named = [name for tree in trees.values() for name in names_in(tree)]
+    unused = []
+    for module in MODULES:
+        path = PACKAGE / f"{module}.py"
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                # uses inside the definition itself, such as recursion, do not count
+                if named.count(node.name) == names_in(node).count(node.name):
+                    unused.append(f"{module}.{node.name}")
+    assert unused == []

@@ -1,10 +1,14 @@
 """Derived random streams: the key tuple names the stream exactly as numpy would."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fednetsim.seeding as seeding
 from fednetsim.seeding import spawn_rng, spawn_seed
 
 KEYS = st.one_of(
@@ -29,3 +33,16 @@ def test_negative_key_rejected():
         spawn_rng(1, -1)
     with pytest.raises(ValueError):
         spawn_seed(-2)
+
+
+def test_every_tag_is_distinct_and_used():
+    tags = {name: value for name, value in vars(seeding).items() if name.startswith("TAG_")}
+    assert len(set(tags.values())) == len(tags)
+    package = pathlib.Path(seeding.__file__).parent
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name != "seeding.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            used |= {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+            used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert sorted(set(tags) - used) == []
