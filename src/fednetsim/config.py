@@ -18,12 +18,12 @@ Unknown keys anywhere are errors. Failures raise :class:`ConfigError`
 with the dotted path of the offending field.
 """
 
-import math
 import sys
 import types
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import Any, get_args, get_origin
 
+from fednetsim.datasets import holder_quota
 from fednetsim.errors import ConfigError
 from fednetsim.models import ACTIVATIONS
 
@@ -195,6 +195,8 @@ def load_scenario(path) -> ScenarioConfig:
             data = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     if data is None:
         raise ConfigError(f"{path}: empty configuration")
     return scenario_from_dict(data)
@@ -230,7 +232,7 @@ def validate_scenario(cfg: ScenarioConfig):
     _require(0 < part.alpha_t <= 1, "partition.alpha_t: must be in (0, 1]")
     _require(part.alpha_d > 0, "partition.alpha_d: must be > 0")
     _require(part.local_size >= 1, "partition.local_size: must be >= 1")
-    # the partition's target quota is ceil(alpha_t * local_size), in float arithmetic
+    # the partition's target quota (datasets.holder_quota) is computed in float arithmetic
     _require(part.local_size <= sys.float_info.max, "partition.local_size: must be within the float range")
 
     _require(model.activation in ACTIVATIONS, f"model.activation: must be one of {ACTIVATIONS}")
@@ -297,7 +299,7 @@ def validate_scenario(cfg: ScenarioConfig):
         # replacement: the k + k_p holders' quotas from the target class, and
         # every other row from the non-target classes.
         holders = part.k + (cfg.poison.k_p if cfg.poison is not None else 0)
-        quotas = holders * math.ceil(part.alpha_t * part.local_size)
+        quotas = holders * holder_quota(part.alpha_t, part.local_size)
         pool = (ds.class_count - 1) * ds.per_class
         _require(
             part.n * part.local_size - quotas <= pool,

@@ -135,6 +135,11 @@ def _largest_remainder_counts(proportions: np.ndarray, total: int) -> np.ndarray
     return counts
 
 
+def holder_quota(alpha_t: float, local_size: int) -> int:
+    """A target holder's target-class examples: ``ceil(alpha_t * local_size)``, in float arithmetic."""
+    return math.ceil(alpha_t * local_size)
+
+
 def partition(
     labels: np.ndarray,
     class_count: int,
@@ -151,11 +156,12 @@ def partition(
     The example pool is given by its labels alone and the plan's shards are
     indices into it, so a caller can draw or keep the features of just the
     rows the shards use. Each of the k target clients receives
-    ``ceil(alpha_t * local_size)`` target-class examples; the remainder of
-    its shard, and the entirety of every other client's shard, is filled
-    with proportions drawn from Dirichlet(alpha_d) over the non-target
-    classes. The pools are one shuffled index list per class, consumed front
-    to back; a class that runs out raises :class:`PartitionError` naming it.
+    ``holder_quota(alpha_t, local_size)`` target-class examples; the
+    remainder of its shard, and the entirety of every other client's shard,
+    is filled with proportions drawn from Dirichlet(alpha_d) over the
+    non-target classes. The pools are one shuffled index list per class,
+    consumed front to back; a class that runs out raises
+    :class:`PartitionError` naming it.
     """
     if not 0 < alpha_t <= 1:
         raise ValueError("alpha_t must be in (0, 1]")
@@ -188,7 +194,7 @@ def partition(
     if not other_classes:
         raise ValueError("need at least one non-target class")
 
-    target_quota = int(np.ceil(alpha_t * local_size))
+    target_quota = holder_quota(alpha_t, local_size)
     shards: list[np.ndarray] = []
     for client in range(n):
         parts = []

@@ -4,6 +4,7 @@
 ``run_trial`` wires the attack into the protocol's filter hook, poisoning
 into the poison hook, the defense into the resample hook, and any passive
 watchers (targeted attackers that observe but never drop) in as observers.
+The trial's ``TrialSeries`` is filled by one more observer, after theirs.
 ``sweep_grid`` crosses dropped-client and poisoned-client counts, and
 ``identify_bench`` is a run with a plain and an encrypted watcher.
 
@@ -197,7 +198,10 @@ def run_trial(cfg: ScenarioConfig, trial_seed: int, watch: tuple[AttackConfig, .
 
     Each ``watch`` section is built into a targeted attacker that observes
     but is never the filter hook, so it leaves the run as it is; its
-    per-round hits are the series' ``watched_hits``.
+    per-round hits are the series' ``watched_hits``. Every per-round value
+    of the series comes from one observer, run after every party's: the
+    round's evaluation and dropped count off the ``RoundTrace``, and each
+    scored party's hits once it has observed the round.
     """
     part = cfg.partition
     world = build_world(cfg, trial_seed)
@@ -233,16 +237,18 @@ def run_trial(cfg: ScenarioConfig, trial_seed: int, watch: tuple[AttackConfig, .
             proto = dc_replace(proto, clip_norm=dfn.clip_norm)
 
     scored = [attacker, *watchers]
-    hits: list[list[int]] = [[] for _ in scored]
+    series = TrialSeries([], [], [], [], [], [], watched_hits=tuple([] for _ in watchers))
+
+    def record_round(trace: RoundTrace):
+        for name in ("target_acc", "target_loss", "overall_acc", "nontarget_acc"):
+            getattr(series, name).append(getattr(trace, name))
+        series.dropped_count.append(len(trace.participants) - len(trace.received))
+        for hits, s in zip((series.identified_hits, *series.watched_hits), scored):
+            hits.append(0 if s is None else identification_score(s.identified, honest_targets))
+
+    # the series observes last, so a round's hits score what the parties identified after it
     observers = [p.observe for p in (*scored, defender) if isinstance(p, LedgerObserver)]
-
-    def snapshot_hits(trace: RoundTrace):
-        for series, s in zip(hits, scored):
-            series.append(0 if s is None else identification_score(s.identified, honest_targets))
-
-    observers.append(snapshot_hits)
-
-    records = run_protocol(
+    run_protocol(
         proto,
         world.shards,
         spec,
@@ -251,18 +257,9 @@ def run_trial(cfg: ScenarioConfig, trial_seed: int, watch: tuple[AttackConfig, .
         filter_hook=attacker.filter_updates if attacker is not None else None,
         poison_hook=poisoner.poison_update if poisoner is not None else None,
         resample_hook=defender.resample if defender is not None else None,
-        observers=observers,
+        observers=[*observers, record_round],
     )
-
-    return TrialSeries(
-        target_acc=[r.target_acc for r in records],
-        target_loss=[r.target_loss for r in records],
-        overall_acc=[r.overall_acc for r in records],
-        nontarget_acc=[r.nontarget_acc for r in records],
-        identified_hits=hits[0],
-        dropped_count=[len(r.participants) - len(r.received) for r in records],
-        watched_hits=tuple(hits[1:]),
-    )
+    return series
 
 
 def run_scenario(cfg: ScenarioConfig, watch: tuple[AttackConfig, ...] = ()) -> RunSummary:

@@ -5,7 +5,9 @@ train each locally, let the attack hooks replace trained deltas (poisoning)
 or remove updates (dropping), then apply mean aggregation
 ``f_t = f_{t-1} + lr * sum(deltas) / denom`` with optional per-update L2
 clipping. The denominator is either the configured m (``fixed_m``) or the
-number of updates that actually arrived (``received_count``).
+number of updates that actually arrived (``received_count``). The new
+global model is then evaluated on the held-out data, and the round leaves
+through one ``RoundTrace``, evaluation included, handed to each observer.
 
 Deltas are summed in ascending client-id order and every random draw comes
 from a stream keyed on (seed, round, client), so a run is a pure function
@@ -23,9 +25,9 @@ updates once the filter has run, ``RoundTrace.local_models`` or a
 the same bits in any stack.
 
 A round's state (its training, updates, evaluations and trace) lives only
-for its round: the run keeps the records and the current global model, so
-round t's arrays are freed before round t+1 trains, unless an observer
-keeps the trace.
+for its round: the run keeps only the current global model, so round t's
+arrays are freed before round t+1 trains, unless an observer keeps the
+trace.
 """
 
 from dataclasses import dataclass, field
@@ -58,31 +60,23 @@ class LocalUpdate:
 
 
 @dataclass(frozen=True)
-class RoundRecord:
-    """What happened in one round, including post-round evaluation."""
-
-    t: int
-    participants: tuple[int, ...]
-    received: tuple[int, ...]
-    target_loss: float
-    target_acc: float
-    overall_acc: float
-    nontarget_acc: float
-
-
-@dataclass(frozen=True)
 class RoundTrace:
-    """What a party can see of one round, handed to observers (attacker, defender).
+    """Everything that leaves round t, handed to each observer in turn.
 
     ``participants`` are the ids that took part and ``received`` the ones
-    whose update survived adversarial dropping, both sorted as in
-    ``RoundRecord``. ``local_models(ids)`` returns the local models of
-    ``ids``, in order, as their clients transmitted them; in a protocol run
-    it reads the round's one store of deltas, so a model that is not also
-    received is trained only if an observer reads it, and the ones read
-    together train together. The hooks that produce the updates must be
-    pure functions of their arguments; the poison hook may not be called
-    for a dropped client.
+    whose update survived adversarial dropping, both sorted.
+    ``local_models(ids)`` returns the local models of ``ids``, in order, as
+    their clients transmitted them; in a protocol run it reads the round's
+    one store of deltas, so a model that is not also received is trained
+    only if an observer reads it, and the ones read together train
+    together. The hooks that produce the updates must be pure functions of
+    their arguments; the poison hook may not be called for a dropped client.
+
+    The last four fields evaluate ``global_after`` on the ``EvalSets``
+    (``nontarget_acc`` is 0.0 when every row is of the target class); only
+    the harness's per-trial series reads them. A party (attacker or
+    defending server, a ``LedgerObserver``) reads only its view: ``t``,
+    the ids, the global models and ``local_models``.
     """
 
     t: int
@@ -91,6 +85,10 @@ class RoundTrace:
     global_before: np.ndarray
     global_after: np.ndarray
     local_models: Callable[[Sequence[int]], list[np.ndarray]]
+    target_loss: float
+    target_acc: float
+    overall_acc: float
+    nontarget_acc: float
 
 
 @dataclass(frozen=True)
@@ -262,8 +260,8 @@ def run_protocol(
     poison_hook: PoisonHook | None = None,
     resample_hook: ResampleHook | None = None,
     observers: Iterable[Observer] = (),
-) -> list[RoundRecord]:
-    """Run the full protocol for ``cfg.rounds`` rounds and record each one.
+) -> None:
+    """Run the full protocol for ``cfg.rounds`` rounds, handing each round's trace to the observers.
 
     Client j holds ``shards[j]``, so there are ``len(shards)`` clients, and
     every client trains the same way. Every shard has one length, as every
@@ -276,7 +274,10 @@ def run_protocol(
     the updates it is handed; reading an update's delta trains it, so a
     filter that decides by client id alone saves the training of what it
     drops. All hooks default to identity behavior.
-    A global model whose target loss is not finite raises ``ValueError``.
+    Each round's ``RoundTrace``, evaluation included, goes to the
+    ``observers`` in order; it is all a run reports, so a caller that wants
+    a round's values observes them. A global model whose target loss is not
+    finite raises ``ValueError`` before any observer sees its round.
     The rounds run on one OpenBLAS thread (``models.one_blas_thread``); the
     previous thread count is back when this returns or raises.
 
@@ -290,8 +291,8 @@ def run_protocol(
     observers = tuple(observers)
     uniform = np.full(n, 1.0 / n)
 
-    def play_round(t: int, f: np.ndarray) -> tuple[RoundRecord, np.ndarray]:
-        """Round t from global model f: its record and the next global model."""
+    def play_round(t: int, f: np.ndarray) -> np.ndarray:
+        """Round t from global model f: observe its trace and return the next global model."""
         p = None
         if resample_hook is not None:
             p = resample_hook(t, n)
@@ -325,28 +326,19 @@ def run_protocol(
             global_before=f,
             global_after=f_next,
             local_models=training.models,
-        )
-        for obs in observers:
-            obs(trace)
-
-        record = RoundRecord(
-            t=t,
-            participants=trace.participants,
-            received=trace.received,
             target_loss=target_eval.mean_loss,
             target_acc=target_eval.accuracy,
             overall_acc=correct / len(eval_sets.test_set),
             nontarget_acc=nontarget_acc,
         )
-        return record, f_next
+        for obs in observers:
+            obs(trace)
+        return f_next
 
     f = init_model(spec, spawn_seed(seed, TAG_INIT))
-    records = []
     # One BLAS thread, so the bits do not depend on the core count; a
     # diverging model ends the run through the finiteness checks, not
     # through numpy's overflow warnings.
     with one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, cfg.rounds + 1):
-            record, f = play_round(t, f)
-            records.append(record)
-    return records
+            f = play_round(t, f)

@@ -47,6 +47,7 @@ def round_trace(t, participants, global_before, global_after, models=None, recei
     """A ``RoundTrace`` whose ``local_models`` reads client models from the dict ``models``.
 
     ``received`` defaults to every participant; both are sorted, as in a run.
+    A party never reads the round's evaluation, so it is NaN.
     """
     models = {} if models is None else models
     return RoundTrace(
@@ -56,6 +57,10 @@ def round_trace(t, participants, global_before, global_after, models=None, recei
         global_before=global_before,
         global_after=global_after,
         local_models=lambda ids: [models[j] for j in ids],
+        target_loss=float("nan"),
+        target_acc=float("nan"),
+        overall_acc=float("nan"),
+        nontarget_acc=float("nan"),
     )
 
 

@@ -102,6 +102,15 @@ class TestRun:
         assert rc == 1
         assert "configuration error" in capsys.readouterr().err
 
+    def test_config_that_is_not_utf8_exits_one_naming_the_file(self, tmp_path, capsys):
+        # it used to exit 2 with the decoder's message and no path
+        bad = tmp_path / "binary.yaml"
+        bad.write_bytes(b"\xff\xfe\x00bad")
+        rc = main(["run", "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"configuration error: {bad}: not UTF-8 text" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "override",
         [

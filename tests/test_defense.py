@@ -181,18 +181,13 @@ class TestUpsamplingDefender:
         eval_sets = EvalSets(src, 0)
         cfg = ProtocolConfig(m=3, rounds=8, server_lr=0.3, local_epochs=1, local_lr=0.1, batch_size=None)
         defender = UpsamplingDefender(DefenseConfig(t_s=2, k_s=0, upsample_factor=2.0), spec, eval_sets.target_set)
-        models = {"defended": [], "undefended": []}
-
-        def keep(name):
-            return lambda trace: models[name].append(trace.global_after)
-
-        defended = run_protocol(
+        defended, undefended = [], []
+        run_protocol(
             cfg, shards, spec, eval_sets, seed=6,
-            resample_hook=defender.resample, observers=[defender.observe, keep("defended")],
+            resample_hook=defender.resample, observers=[defender.observe, defended.append],
         )
-        undefended = run_protocol(cfg, shards, spec, eval_sets, seed=6, observers=[keep("undefended")])
+        run_protocol(cfg, shards, spec, eval_sets, seed=6, observers=[undefended.append])
+        assert len(defended) == len(undefended) == cfg.rounds
         for a, b in zip(defended, undefended):
             assert a.participants == b.participants
-        assert len(models["defended"]) == cfg.rounds
-        for a, b in zip(models["defended"], models["undefended"]):
-            assert np.array_equal(a, b)
+            assert np.array_equal(a.global_after, b.global_after)

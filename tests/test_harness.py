@@ -37,6 +37,7 @@ from fednetsim.harness import (
     run_trial,
     sweep_grid,
 )
+from fednetsim.adversary import identification_score
 from fednetsim.datasets import gen_synthetic, partition
 from fednetsim.poisoning import craft_poison_update
 from fednetsim.seeding import TAG_DATA, TAG_PARTITION, TAG_TRAIN, spawn_seed
@@ -335,6 +336,35 @@ class TestRunScenario:
         assert sum(series.dropped_count) > 0
         # every dropped update belongs to a round where a chosen target appeared
         assert max(series.dropped_count) <= 3
+
+    def test_hits_of_a_round_score_the_ranking_after_it(self, tiny_cfg, monkeypatch):
+        # identified_hits[t - 1] is the attacker's score once it has observed
+        # round t: 0 before t_n, and round t_n's own ranking at t_n
+        t_n = tiny_cfg.attack.t_n
+        cfg = replace(
+            tiny_cfg,
+            attack=replace(tiny_cfg.attack, k_n=3),
+            poison=None,
+            protocol=replace(tiny_cfg.protocol, rounds=t_n + 3),
+        )
+        seed = cfg.base_seed
+        honest_targets = build_world(cfg, seed).honest_targets
+        after_round = []
+        run_protocol = harness.run_protocol
+
+        def observed(*args, observers=(), filter_hook=None, **kwargs):
+            attacker = filter_hook.__self__  # the hook is the trial's attacker's bound filter_updates
+
+            def score(trace):
+                after_round.append(identification_score(attacker.identified, honest_targets))
+
+            return run_protocol(*args, observers=[*observers, score], filter_hook=filter_hook, **kwargs)
+
+        monkeypatch.setattr(harness, "run_protocol", observed)
+        series = run_trial(cfg, seed)
+        assert after_round[: t_n - 1] == [0] * (t_n - 1)
+        assert after_round[t_n - 1] > 0
+        assert series.identified_hits == after_round
 
     def test_random_drop_counts_hits_against_targets(self, tiny_cfg):
         cfg = replace(

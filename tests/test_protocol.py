@@ -17,7 +17,6 @@ from fednetsim.models import ModelSpec, forward_eval, init_model, local_train
 from fednetsim.poisoning import ModelReplacementPoisoner, PoisonPlan
 from fednetsim.protocol import (
     EvalSets,
-    RoundRecord,
     aggregate,
     run_protocol,
     select_participants,
@@ -252,12 +251,11 @@ def small_world(seed=1, n=8, k=2, classes=4, rounds=12):
     return cfg, shards, spec, eval_sets, plan
 
 
-def run_with_models(*args, **kwargs):
-    """``run_protocol`` records plus each round's (global_before, global_after)."""
-    models = []
-    observers = [lambda trace: models.append((trace.global_before, trace.global_after))]
-    records = run_protocol(*args, observers=observers, **kwargs)
-    return records, models
+def run_traces(*args, observers=(), **kwargs):
+    """Each round's ``RoundTrace`` of a ``run_protocol`` run, after the ``observers`` saw it."""
+    traces = []
+    run_protocol(*args, observers=[*observers, traces.append], **kwargs)
+    return traces
 
 
 class TestRunProtocol:
@@ -270,46 +268,46 @@ class TestRunProtocol:
         n = 5
         cfg = ProtocolConfig(m=n, rounds=1, server_lr=1.0, local_epochs=1, local_lr=0.1, batch_size=None)
         eval_sets = EvalSets(shard, 0)
-        _, models = run_with_models(cfg, [shard] * n, spec, eval_sets, seed=3)
-        f0, f1 = models[0]
+        (trace,) = run_traces(cfg, [shard] * n, spec, eval_sets, seed=3)
+        f0 = trace.global_before
         centralized = f0 + local_train(f0, spec, [shard], 1, 0.1, None, [12345])[0]
-        assert np.allclose(f1, centralized, atol=1e-12)
+        assert np.allclose(trace.global_after, centralized, atol=1e-12)
 
     def test_drop_everything_fixpoint(self):
         cfg, shards, spec, eval_sets, _ = small_world()
-        records, models = run_with_models(cfg, shards, spec, eval_sets, seed=5, filter_hook=lambda ups, t: [])
-        assert np.array_equal(models[-1][1], models[0][0])
-        assert all(len(r.received) == 0 for r in records)
+        traces = run_traces(cfg, shards, spec, eval_sets, seed=5, filter_hook=lambda ups, t: [])
+        assert np.array_equal(traces[-1].global_after, traces[0].global_before)
+        assert all(len(tr.received) == 0 for tr in traces)
 
     def test_bit_identical_reruns(self):
         cfg, shards, spec, eval_sets, _ = small_world()
-        a, models_a = run_with_models(cfg, shards, spec, eval_sets, seed=8)
-        b, models_b = run_with_models(cfg, shards, spec, eval_sets, seed=8)
-        for (_, fa), (_, fb) in zip(models_a, models_b):
-            assert np.array_equal(fa, fb)
-        for ra, rb in zip(a, b):
-            assert ra.target_loss == rb.target_loss
-            assert ra.participants == rb.participants
+        a = run_traces(cfg, shards, spec, eval_sets, seed=8)
+        b = run_traces(cfg, shards, spec, eval_sets, seed=8)
+        assert len(a) == len(b) == cfg.rounds
+        for ta, tb in zip(a, b):
+            assert np.array_equal(ta.global_after, tb.global_after)
+            assert ta.target_loss == tb.target_loss
+            assert ta.participants == tb.participants
 
     def test_received_subset_of_participants(self):
+        # a filter that drops and reorders: the trace's ids are still sorted
         cfg, shards, spec, eval_sets, _ = small_world()
         drop_id = 3
 
-        def drop_three(ups, t):
-            return [u for u in ups if u.client_id != drop_id]
+        def drop_three_reversed(ups, t):
+            return [u for u in reversed(ups) if u.client_id != drop_id]
 
-        records = run_protocol(cfg, shards, spec, eval_sets, seed=9, filter_hook=drop_three)
-        for r in records:
-            assert set(r.received) <= set(r.participants)
-            assert drop_id not in r.received
+        for tr in run_traces(cfg, shards, spec, eval_sets, seed=9, filter_hook=drop_three_reversed):
+            assert set(tr.received) <= set(tr.participants)
+            assert drop_id not in tr.received
+            assert list(tr.received) == sorted(tr.received)
 
     def test_resample_hook_changes_selection(self):
         cfg, shards, spec, eval_sets, _ = small_world()
         p = np.zeros(len(shards))
         p[:4] = 0.25
-        records = run_protocol(cfg, shards, spec, eval_sets, seed=10, resample_hook=lambda t, n: p)
-        for r in records:
-            assert set(r.participants) == {0, 1, 2, 3}
+        for tr in run_traces(cfg, shards, spec, eval_sets, seed=10, resample_hook=lambda t, n: p):
+            assert set(tr.participants) == {0, 1, 2, 3}
 
     def test_poison_hook_replaces_update(self):
         # the hook sees client 1's trained delta and zeroes it; keeping only
@@ -324,37 +322,35 @@ class TestRunProtocol:
         def keep_only_one(ups, t):
             return [u for u in ups if u.client_id == 1]
 
-        records, models = run_with_models(
-            cfg, shards, spec, eval_sets, seed=11, poison_hook=poison, filter_hook=keep_only_one
-        )
-        arrived = [i for i, r in enumerate(records) if 1 in r.received]
+        traces = run_traces(cfg, shards, spec, eval_sets, seed=11, poison_hook=poison, filter_hook=keep_only_one)
+        arrived = [tr for tr in traces if 1 in tr.received]
         assert arrived
-        for i in arrived:
-            f, t = models[i][0], records[i].t
-            assert np.array_equal(models[i][1], f)
+        for tr in arrived:
+            f, t = tr.global_before, tr.t
+            assert np.array_equal(tr.global_after, f)
             assert np.array_equal(seen[t, 1], eager_delta(cfg, shards, spec, 11, None, f, t, 1))
 
     def test_fixed_m_denominator_shrinks_partial_rounds(self):
         cfg, shards, spec, eval_sets, _ = small_world(rounds=1)
         keep_first = lambda ups, t: ups[:1]
-        _, (count_models,) = run_with_models(cfg, shards, spec, eval_sets, seed=12, filter_hook=keep_first)
+        (count,) = run_traces(cfg, shards, spec, eval_sets, seed=12, filter_hook=keep_first)
         cfg_fixed = ProtocolConfig(
             m=cfg.m, rounds=1, server_lr=cfg.server_lr,
             local_epochs=cfg.local_epochs, local_lr=cfg.local_lr, batch_size=None,
             denominator_mode="fixed_m",
         )
-        _, (fixed_models,) = run_with_models(cfg_fixed, shards, spec, eval_sets, seed=12, filter_hook=keep_first)
-        step_received = count_models[1] - count_models[0]
-        step_fixed = fixed_models[1] - fixed_models[0]
+        (fixed,) = run_traces(cfg_fixed, shards, spec, eval_sets, seed=12, filter_hook=keep_first)
+        step_received = count.global_after - count.global_before
+        step_fixed = fixed.global_after - fixed.global_before
         assert np.allclose(step_fixed * cfg.m, step_received, atol=1e-12)
 
     def test_overall_acc_is_accuracy_on_the_whole_test_set(self):
         cfg, shards, spec, eval_sets, _ = small_world()
-        records, models = run_with_models(cfg, shards, spec, eval_sets, seed=4)
-        for r, (_, after) in zip(records, models):
-            assert r.overall_acc == forward_eval(after, spec, eval_sets.test_set).accuracy
-            assert r.target_acc == forward_eval(after, spec, eval_sets.target_set).accuracy
-            assert r.nontarget_acc == forward_eval(after, spec, eval_sets.nontarget_set).accuracy
+        for tr in run_traces(cfg, shards, spec, eval_sets, seed=4):
+            after = tr.global_after
+            assert tr.overall_acc == forward_eval(after, spec, eval_sets.test_set).accuracy
+            assert tr.target_acc == forward_eval(after, spec, eval_sets.target_set).accuracy
+            assert tr.nontarget_acc == forward_eval(after, spec, eval_sets.nontarget_set).accuracy
 
     def test_eval_sets_split_the_test_set_by_target_class(self):
         _, _, _, eval_sets, _ = small_world()
@@ -427,12 +423,23 @@ def eager_delta(cfg, shards, spec, seed, poison_hook, f, t, j):
     return delta if poisoned is None else poisoned
 
 
+# what a round reports besides its models
+ROUND_VALUES = ("t", "participants", "received", "target_loss", "target_acc", "overall_acc", "nontarget_acc")
+
+
+def round_values(trace):
+    return tuple(getattr(trace, name) for name in ROUND_VALUES)
+
+
 def eager_reference(cfg, shards, spec, eval_sets, seed, filter_hook, poison_hook=None):
-    """Reference round loop: train every participant, then filter, aggregate, evaluate."""
+    """Reference round loop: train every participant, then filter, aggregate, evaluate.
+
+    Returns each round's ``ROUND_VALUES`` and its new global model.
+    """
     f = init_model(spec, spawn_seed(seed, TAG_INIT))
     n = len(shards)
     uniform = np.full(n, 1.0 / n)
-    records, afters = [], []
+    rounds, afters = [], []
     for t in range(1, cfg.rounds + 1):
         participants = select_participants(n, cfg.m, uniform, seed, t)
         updates = []
@@ -442,20 +449,20 @@ def eager_reference(cfg, shards, spec, eval_sets, seed, filter_hook, poison_hook
         f_next = aggregate(f, received, cfg.server_lr, cfg.clip_norm, cfg.denominator_mode, cfg.m)
         target = forward_eval(f_next, spec, eval_sets.target_set)
         nontarget = forward_eval(f_next, spec, eval_sets.nontarget_set)
-        records.append(
-            RoundRecord(
-                t=t,
-                participants=tuple(participants),
-                received=tuple(sorted(u.client_id for u in received)),
-                target_loss=target.mean_loss,
-                target_acc=target.accuracy,
-                overall_acc=(target.correct + nontarget.correct) / len(eval_sets.test_set),
-                nontarget_acc=nontarget.accuracy,
+        rounds.append(
+            (
+                t,
+                tuple(participants),
+                tuple(sorted(u.client_id for u in received)),
+                target.mean_loss,
+                target.accuracy,
+                (target.correct + nontarget.correct) / len(eval_sets.test_set),
+                nontarget.accuracy,
             )
         )
         afters.append(f_next)
         f = f_next
-    return records, afters
+    return rounds, afters
 
 
 class TestLazyRound:
@@ -463,7 +470,7 @@ class TestLazyRound:
 
     def run_attacked(self, attacker, seed=21):
         cfg, shards, spec, eval_sets, _ = small_world(rounds=12)
-        return run_protocol(
+        return run_traces(
             cfg, shards, spec, eval_sets, seed,
             filter_hook=attacker.filter_updates,
             observers=[attacker.observe] if isinstance(attacker, LedgerObserver) else [],
@@ -477,16 +484,16 @@ class TestLazyRound:
     def test_blind_droppers_train_only_received_updates(self, make, monkeypatch):
         calls = count_training(monkeypatch)
         attacker = self.targeted("encrypted") if make == "encrypted" else FixedSetDropper([0, 1, 5])
-        records = self.run_attacked(attacker)
-        received = sum(len(r.received) for r in records)
-        assert received < sum(len(r.participants) for r in records), "nothing was dropped"
+        traces = self.run_attacked(attacker)
+        received = sum(len(tr.received) for tr in traces)
+        assert received < sum(len(tr.participants) for tr in traces), "nothing was dropped"
         assert len(calls) == received
 
     def test_plain_attacker_trains_every_participant(self, monkeypatch):
         calls = count_training(monkeypatch)
-        records = self.run_attacked(self.targeted("plain"))
-        assert sum(len(r.received) for r in records) < sum(len(r.participants) for r in records)
-        assert len(calls) == sum(len(r.participants) for r in records)
+        traces = self.run_attacked(self.targeted("plain"))
+        assert sum(len(tr.received) for tr in traces) < sum(len(tr.participants) for tr in traces)
+        assert len(calls) == sum(len(tr.participants) for tr in traces)
         assert len(set(calls)) == len(calls)
 
     def test_round_training_runs_as_stacks(self, monkeypatch):
@@ -499,13 +506,13 @@ class TestLazyRound:
             return local_train(*args)
 
         monkeypatch.setattr(protocol, "local_train", stack)
-        records = self.run_attacked(self.targeted("plain"))
-        dropped_rounds = sum(len(r.received) < len(r.participants) for r in records)
+        traces = self.run_attacked(self.targeted("plain"))
+        dropped_rounds = sum(len(tr.received) < len(tr.participants) for tr in traces)
         assert dropped_rounds > 0
-        assert all(r.received for r in records)
-        assert len(stacks) == len(records) + dropped_rounds
+        assert all(tr.received for tr in traces)
+        assert len(stacks) == len(traces) + dropped_rounds
         seeds = [seed for stack in stacks for seed in stack]
-        assert len(seeds) == len(set(seeds)) == sum(len(r.participants) for r in records)
+        assert len(seeds) == len(set(seeds)) == sum(len(tr.participants) for tr in traces)
 
     def test_ragged_shards_are_refused_before_training(self, monkeypatch):
         calls = count_training(monkeypatch)
@@ -556,25 +563,9 @@ class TestLazyRound:
         def observe(trace):
             seen.append(len(trace.participants) - len(trace.received))
 
-        records = run_protocol(
-            cfg, shards, spec, eval_sets, 6, filter_hook=lambda ups, t: ups[:2], observers=[observe]
-        )
+        traces = run_traces(cfg, shards, spec, eval_sets, 6, filter_hook=lambda ups, t: ups[:2], observers=[observe])
         assert seen == [cfg.m - 2] * cfg.rounds
-        assert len(calls) == sum(len(r.received) for r in records)
-
-    def test_trace_ids_are_the_records(self):
-        # a filter that drops and reorders: each trace reads its record's ids
-        cfg, shards, spec, eval_sets, _ = small_world(rounds=6)
-        traces = []
-
-        def drop_reversed(ups, t):
-            return [u for u in reversed(ups) if (u.client_id + t) % 3]
-
-        records = run_protocol(cfg, shards, spec, eval_sets, 9, filter_hook=drop_reversed, observers=[traces.append])
-        assert any(r.received != r.participants for r in records)
-        assert [(tr.t, tr.participants, tr.received) for tr in traces] == [
-            (r.t, r.participants, r.received) for r in records
-        ]
+        assert len(calls) == sum(len(tr.received) for tr in traces)
 
     def test_each_client_trains_once_whichever_read_comes_first(self, monkeypatch):
         calls = count_training(monkeypatch)
@@ -622,12 +613,9 @@ class TestLazyRound:
             ).poison_update,
         }
         hook = hooks[poison]
-        traces = []
-        records = run_protocol(
-            cfg, shards, spec, eval_sets, seed, filter_hook=drop, poison_hook=hook, observers=[traces.append]
-        )
-        ref_records, ref_afters = eager_reference(cfg, shards, spec, eval_sets, seed, drop, hook)
-        assert records == ref_records
+        traces = run_traces(cfg, shards, spec, eval_sets, seed, filter_hook=drop, poison_hook=hook)
+        ref_rounds, ref_afters = eager_reference(cfg, shards, spec, eval_sets, seed, drop, hook)
+        assert [round_values(trace) for trace in traces] == ref_rounds
         assert len(traces) == len(ref_afters)
         for trace, want in zip(traces, ref_afters):
             assert np.array_equal(trace.global_after, want)
@@ -671,7 +659,7 @@ def count_forward_passes(monkeypatch):
 
 
 class TestEvaluateOnlyWhatIsRead:
-    """A round evaluates only what its record or an observer reads."""
+    """A round evaluates only what its trace carries or an observer reads."""
 
     def test_losses_are_computed_on_the_target_pass_only(self, monkeypatch):
         cfg, shards, spec, eval_sets, _ = small_world(rounds=5)
@@ -683,10 +671,10 @@ class TestEvaluateOnlyWhatIsRead:
             return real(logits, y)
 
         monkeypatch.setattr(models, "_per_example_losses", counted)
-        records = run_protocol(cfg, shards, spec, eval_sets, 3)
+        traces = run_traces(cfg, shards, spec, eval_sets, 3)
         assert len(eval_sets.target_set) != len(eval_sets.nontarget_set)
         assert rows == [len(eval_sets.target_set)] * cfg.rounds
-        assert all(r.target_loss > 0 for r in records)
+        assert all(tr.target_loss > 0 for tr in traces)
 
     def test_plain_record_round_makes_one_forward_pass(self, monkeypatch):
         _, _, spec, eval_sets, _ = small_world()
