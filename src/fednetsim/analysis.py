@@ -158,10 +158,13 @@ def expected_rounds_encrypted(n: int, m: int, k: int, alpha: float) -> float:
     ``(1 - k/n)^m`` converts that into total batches observed. It is an
     upper bound on the true cost only while ``(1 - k/n)^m`` is close to the
     exact ``C(n-k, m) / C(n, m)``; as m nears n - k it falls below the true
-    cost by orders of magnitude.
+    cost by orders of magnitude. Nothing to clear (``ceil(k/alpha) == n``)
+    costs 0.0 rounds, even when no batch can avoid the targets.
     """
     _check_counts(n, m, k, min_m=1)
     clear_to = _clear_to(n, k, alpha)
+    if clear_to == n:
+        return 0.0
     p = prob_nontarget_batch(n, k, m)
     if p == 0.0:
         raise ValueError("no batch can avoid target clients (k = n)")

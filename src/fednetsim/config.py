@@ -14,8 +14,9 @@ coerced), and :func:`validate_scenario` checks ranges and cross-field
 consistency whenever a :class:`ScenarioConfig` is built, so a scenario
 that exists is valid: one loaded from a file, and one derived from
 another with ``dataclasses.replace``, is checked where it is made.
-Unknown keys anywhere are errors. Failures raise :class:`ConfigError`
-with the dotted path of the offending field.
+Unknown keys anywhere are errors, and so is a key given twice in one
+mapping. Failures raise :class:`ConfigError` with the dotted path of the
+offending field, or the file's line for a YAML error.
 """
 
 import sys
@@ -183,8 +184,21 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
 
 
 def load_scenario(path) -> ScenarioConfig:
-    """Load and validate a scenario YAML file."""
+    """Load and validate a scenario YAML file; a key given twice in one mapping is invalid YAML."""
     import yaml  # only loading a file needs PyYAML
+
+    class UniqueKeyLoader(yaml.SafeLoader):
+        def construct_mapping(self, node, deep=False):
+            seen = set()
+            for key_node, _ in node.value:
+                # a merge key (<<) keeps its meaning: explicit keys override merged ones
+                if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                    key = self.construct_object(key_node)
+                    if key in seen:
+                        mark = key_node.start_mark
+                        raise yaml.constructor.ConstructorError(None, None, f"found duplicate key {key!r}", mark)
+                    seen.add(key)
+            return super().construct_mapping(node, deep)
 
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -192,7 +206,7 @@ def load_scenario(path) -> ScenarioConfig:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     with fh:
         try:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=UniqueKeyLoader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
         except UnicodeDecodeError as exc:

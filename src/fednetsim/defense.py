@@ -6,8 +6,10 @@ only the aggregated model under MPC-style secure aggregation
 (``aggregate_only``), which is what an encrypted attacker sees. Identified
 high-contribution clients get their selection probability raised to
 ``lam / n`` while everyone else drops to ``(n - k_s * lam) / (n^2 - k_s * n)``,
-which keeps the distribution normalized exactly. Update clipping, the other
-defense, is part of aggregation (``fednetsim.protocol.aggregate``).
+which keeps the distribution normalized exactly; while nobody is
+identified, as before round ``t_s`` is observed, it is the uniform ``1 / n``.
+Update clipping, the other defense, is part of aggregation
+(``fednetsim.protocol.aggregate``).
 """
 
 import numpy as np
@@ -53,7 +55,6 @@ class UpsamplingDefender(LedgerObserver):
         super().__init__(view, spec, valid_set, defense.k_s, defense.t_s)
         self.factor = defense.upsample_factor
 
-    def resample(self, t: int, n: int) -> np.ndarray | None:
-        if t <= self.start or not self.identified:
-            return None
+    def resample(self, t: int, n: int) -> np.ndarray:
+        """Round t's selection distribution over n clients; uniform while nobody is identified."""
         return upsample_probabilities(self.identified, n, self.factor)

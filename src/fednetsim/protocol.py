@@ -1,6 +1,6 @@
 """Federated Averaging engine.
 
-Each round: sample m participants from the current selection distribution,
+Each round: sample m participants from the round's selection distribution,
 train each locally, let the attack hooks replace trained deltas (poisoning)
 or remove updates (dropping), then apply mean aggregation
 ``f_t = f_{t-1} + lr * sum(deltas) / denom`` with optional per-update L2
@@ -17,12 +17,12 @@ An update is computed only when it is aggregated or observed: a dropped
 update that no observer reads is never trained, and the poison hook is
 never called for it. Hooks must therefore be pure functions of their
 arguments; when, and whether, one is called for a dropped client is not
-part of the contract. A round's deltas have one store, its one cache,
-which trains each client at most once: each read of it (the received
-updates once the filter has run, ``RoundTrace.local_models`` or a
+part of the contract. A round keeps its deltas in its own store, which
+trains each client at most once: each read of it (the received updates
+once the filter has run, ``RoundTrace.local_models`` or a
 ``LocalUpdate.delta``) trains the clients not stored yet as one
-``models.local_train`` stack. Every shard has one length, and each row is
-the same bits in any stack.
+``models.local_train`` stack and applies the poison hook to each. Every
+shard has one length, and each row is the same bits in any stack.
 
 A round's state (its training, updates, evaluations and trace) lives only
 for its round: the run keeps only the current global model, so round t's
@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from fednetsim.config import DENOMINATOR_MODES, ProtocolConfig
+from fednetsim.config import ProtocolConfig
 from fednetsim.datasets import ExampleSet
 from fednetsim.models import ModelSpec, forward_eval, init_model, local_train, one_blas_thread
 from fednetsim.seeding import TAG_INIT, TAG_SELECT, TAG_TRAIN, spawn_rng, spawn_seed
@@ -44,19 +44,20 @@ from fednetsim.seeding import TAG_INIT, TAG_SELECT, TAG_TRAIN, spawn_rng, spawn_
 class LocalUpdate:
     """Client ``client_id``'s parameter delta for a round, read from the round's store.
 
-    Reading ``delta`` trains the client if the store does not hold it yet;
-    the store keeps it, so a second read trains nothing.
+    ``deltas(ids)`` is the round's store: it returns the deltas of ``ids``,
+    in order. Reading ``delta`` trains the client if the store does not
+    hold it yet; the store keeps it, so a second read trains nothing.
     """
 
-    __slots__ = ("client_id", "_store")
+    __slots__ = ("client_id", "_deltas")
 
-    def __init__(self, client_id: int, store: "_RoundTraining"):
+    def __init__(self, client_id: int, deltas: Callable[[Sequence[int]], list[np.ndarray]]):
         self.client_id = client_id
-        self._store = store
+        self._deltas = deltas
 
     @property
     def delta(self) -> np.ndarray:
-        return self._store.deltas([self.client_id])[0]
+        return self._deltas([self.client_id])[0]
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ class RoundTrace:
     whose update survived adversarial dropping, both sorted.
     ``local_models(ids)`` returns the local models of ``ids``, in order, as
     their clients transmitted them; in a protocol run it reads the round's
-    one store of deltas, so a model that is not also received is trained
+    own store of deltas, so a model that is not also received is trained
     only if an observer reads it, and the ones read together train
     together. The hooks that produce the updates must be pure functions of
     their arguments; the poison hook may not be called for a dropped client.
@@ -167,22 +168,18 @@ def aggregate(
     updates: Sequence[LocalUpdate],
     server_lr: float,
     clip_norm: float | None = None,
-    denominator_mode: str = "received_count",
-    m: int | None = None,
+    denominator: int | None = None,
 ) -> np.ndarray:
     """Mean aggregation of update deltas onto the previous global model.
 
     ``updates`` are objects with ``client_id`` and ``delta``, such as a
     round's ``LocalUpdate``s; each delta is read once. With clipping
     enabled each delta is scaled by ``min(1, C/||delta||_2)`` before
-    averaging. An empty update list leaves the model unchanged.
-    Raises ``ValueError`` if an update or the aggregated model has a
-    non-finite entry.
+    averaging. The summed deltas are divided by ``denominator``, or by the
+    received count ``len(updates)`` when it is None. An empty update list
+    leaves the model unchanged. Raises ``ValueError`` if an update or the
+    aggregated model has a non-finite entry.
     """
-    if denominator_mode not in DENOMINATOR_MODES:
-        raise ValueError(f"denominator_mode must be one of {DENOMINATOR_MODES}")
-    if denominator_mode == "fixed_m" and m is None:
-        raise ValueError("fixed_m mode requires m")
     if not updates:
         return f_prev.copy()
     total = np.zeros_like(f_prev)
@@ -199,8 +196,9 @@ def aggregate(
             if norm > clip_norm:
                 delta = delta * (clip_norm / norm)
         total += delta
-    denom = m if denominator_mode == "fixed_m" else len(updates)
-    f_next = f_prev + server_lr * (total / denom)
+    if denominator is None:
+        denominator = len(updates)
+    f_next = f_prev + server_lr * (total / denominator)
     if not np.isfinite(f_next).all():
         raise ValueError("aggregated model contains non-finite entries")
     return f_next
@@ -208,46 +206,8 @@ def aggregate(
 
 FilterHook = Callable[[list[LocalUpdate], int], list[LocalUpdate]]
 PoisonHook = Callable[[int, int, np.ndarray], np.ndarray | None]
-ResampleHook = Callable[[int, int], np.ndarray | None]
+ResampleHook = Callable[[int, int], np.ndarray]
 Observer = Callable[[RoundTrace], None]
-
-
-@dataclass
-class _RoundTraining:
-    """The store of round t's deltas: local training from global model f, poison hook applied.
-
-    It is the round's one cache: ``deltas(ids)`` trains the listed clients
-    not stored yet as one ``local_train`` stack and keeps their deltas.
-    Client j's SGD stream is keyed on (seed, t, j), so its delta is the same
-    bits in any stack, and each client is trained and poisoned at most once.
-    """
-
-    cfg: ProtocolConfig
-    spec: ModelSpec
-    shards: Sequence[ExampleSet]
-    poison_hook: PoisonHook | None
-    f: np.ndarray
-    seed: int
-    t: int
-    _deltas: dict[int, np.ndarray] = field(default_factory=dict)
-
-    def deltas(self, client_ids: Sequence[int]) -> list[np.ndarray]:
-        """The deltas of ``client_ids``, in order."""
-        ids = [j for j in client_ids if j not in self._deltas]
-        if ids:
-            cfg = self.cfg
-            stack = local_train(
-                self.f, self.spec, [self.shards[j] for j in ids], cfg.local_epochs, cfg.local_lr,
-                cfg.batch_size, [spawn_seed(self.seed, TAG_TRAIN, self.t, j) for j in ids],
-            )
-            for j, delta in zip(ids, stack):
-                poisoned = self.poison_hook(self.t, j, delta) if self.poison_hook is not None else None
-                self._deltas[j] = delta if poisoned is None else poisoned
-        return [self._deltas[j] for j in client_ids]
-
-    def models(self, client_ids: Sequence[int]) -> list[np.ndarray]:
-        """The local models ``f + delta`` of ``client_ids``, in order."""
-        return [self.f + delta for delta in self.deltas(client_ids)]
 
 
 def run_protocol(
@@ -266,8 +226,8 @@ def run_protocol(
     Client j holds ``shards[j]``, so there are ``len(shards)`` clients, and
     every client trains the same way. Every shard has one length, as every
     world ``harness.build_world`` makes does; ragged shards raise
-    ``ValueError`` before anything trains. Hooks: ``resample_hook(t, n)`` may
-    return the selection distribution for round t (None keeps uniform);
+    ``ValueError`` before anything trains. Hooks: ``resample_hook(t, n)``
+    returns round t's selection distribution (uniform without the hook);
     ``poison_hook(t, client_id, delta)`` receives a client's trained delta
     and may return a replacement for it; ``filter_hook(updates, t)``
     removes dropped updates before aggregation and returns a sub-list of
@@ -290,21 +250,38 @@ def run_protocol(
     n = len(shards)
     observers = tuple(observers)
     uniform = np.full(n, 1.0 / n)
+    denominator = cfg.m if cfg.denominator_mode == "fixed_m" else None
 
     def play_round(t: int, f: np.ndarray) -> np.ndarray:
         """Round t from global model f: observe its trace and return the next global model."""
-        p = None
-        if resample_hook is not None:
-            p = resample_hook(t, n)
-        participants = select_participants(n, cfg.m, uniform if p is None else p, seed, t)
+        p = resample_hook(t, n) if resample_hook is not None else uniform
+        participants = select_participants(n, cfg.m, p, seed, t)
 
-        training = _RoundTraining(cfg, spec, shards, poison_hook, f, seed, t)
-        updates = [LocalUpdate(j, training) for j in participants]
+        stored: dict[int, np.ndarray] = {}
+
+        def deltas(ids: Sequence[int]) -> list[np.ndarray]:
+            """The deltas of ``ids``, in order: the round's store, trained and poisoned once per client.
+
+            The ids not stored yet train as one stack; client j's SGD stream
+            is keyed on (seed, t, j), so its delta is the same bits in any stack.
+            """
+            new = [j for j in ids if j not in stored]
+            if new:
+                stack = local_train(
+                    f, spec, [shards[j] for j in new], cfg.local_epochs, cfg.local_lr,
+                    cfg.batch_size, [spawn_seed(seed, TAG_TRAIN, t, j) for j in new],
+                )
+                for j, delta in zip(new, stack):
+                    poisoned = poison_hook(t, j, delta) if poison_hook is not None else None
+                    stored[j] = delta if poisoned is None else poisoned
+            return [stored[j] for j in ids]
+
+        updates = [LocalUpdate(j, deltas) for j in participants]
         received = filter_hook(list(updates), t) if filter_hook is not None else updates
         received_ids = [u.client_id for u in received]
         # train what the server receives before, not inside, aggregation
-        training.deltas(received_ids)
-        f_next = aggregate(f, received, cfg.server_lr, cfg.clip_norm, cfg.denominator_mode, cfg.m)
+        deltas(received_ids)
+        f_next = aggregate(f, received, cfg.server_lr, cfg.clip_norm, denominator)
 
         # The target and non-target rows partition the test set, so their
         # correct counts give the overall accuracy without a third pass;
@@ -325,7 +302,7 @@ def run_protocol(
             received=tuple(sorted(received_ids)),
             global_before=f,
             global_after=f_next,
-            local_models=training.models,
+            local_models=lambda ids: [f + delta for delta in deltas(ids)],
             target_loss=target_eval.mean_loss,
             target_acc=target_eval.accuracy,
             overall_acc=correct / len(eval_sets.test_set),

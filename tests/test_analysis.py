@@ -53,6 +53,17 @@ def expected_rounds_encrypted_exact(n, m, k, alpha):
     return batches[0] / prob_nontarget_batch_exact(n, k, m)
 
 
+@st.composite
+def nothing_to_clear(draw):
+    """An encrypted point (n, m, k, alpha) whose precision target ``ceil(k/alpha)`` is n."""
+    n = draw(st.integers(1, 200))
+    m = draw(st.integers(1, n))
+    k = draw(st.integers(1, n))
+    alpha = draw(st.floats(k / n, min(1.0, k / max(n - 1, 1))))
+    assume(math.ceil(k / alpha) == n)
+    return n, m, k, alpha
+
+
 def clipped_pmf(free, m, needed, s):
     """P(j new clears | s cleared) by ``math.comb``, counts from needed - s on lumped there."""
     pmf = [math.comb(free - s, j) * math.comb(s, m - j) / math.comb(free, m) for j in range(m + 1)]
@@ -257,6 +268,17 @@ class TestExpectedRoundsEncrypted:
         # 20000 rows x 1001 columns: past the 2**22-entry table limit
         with pytest.raises(ValueError, match="20020000 entries"):
             analysis.expected_rounds_encrypted_exact(20000, 1000, 0, 1.0)
+
+    @settings(deadline=None, max_examples=200)
+    @given(nothing_to_clear())
+    @example((10, 3, 10, 1.0))  # k = n: no batch avoids the targets, yet nothing needs clearing
+    def test_nothing_to_clear_costs_no_rounds(self, point):
+        # ceil(k/alpha) == n: the estimate, the exact mean and the encrypted
+        # Monte-Carlo all read 0.0
+        n, m, k, alpha = point
+        assert expected_rounds_encrypted(n, m, k, alpha) == 0.0
+        assert analysis.expected_rounds_encrypted_exact(n, m, k, alpha) == 0.0
+        assert monte_carlo_rounds(n, m, k, 0, "encrypted", 100, seed=0, alpha=alpha) == (0.0, 0.0)
 
     def test_not_an_upper_bound_when_m_nears_n_minus_k(self):
         # the independent-draw p = 3.2e-6 overstates the exact 3.0e-13, so the

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from fednetsim import analysis
 from fednetsim.cli import main
+from fednetsim.config import load_scenario
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -110,6 +111,35 @@ class TestRun:
         assert rc == 1
         assert f"configuration error: {bad}: not UTF-8 text" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [("trials: 1\n", "trials: 1\ntrials: 2\n", "trials"), ("  k_n: 3\n", "  k_n: 3\n  k_n: 0\n", "k_n")],
+        ids=["top level", "in a section"],
+    )
+    def test_key_given_twice_exits_one_naming_its_line(self, tmp_path, capsys, old, new, key):
+        text = (CONFIGS / "smoke.yaml").read_text()
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+        line = text.splitlines().index(new.splitlines()[1]) + 1
+        bad = tmp_path / "twice.yaml"
+        bad.write_text(text)
+        rc = main(["run", "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"configuration error: {bad}: invalid YAML" in err
+        assert f"found duplicate key '{key}'" in err
+        assert f"line {line}," in err
+        assert not (tmp_path / "out").exists()
+
+    def test_merge_key_keeps_its_override_meaning(self, tmp_path):
+        text = (CONFIGS / "smoke.yaml").read_text()
+        merged = text.replace("protocol:\n  m: 4\n", "protocol:\n  <<: {m: 4, rounds: 99}\n")
+        assert merged != text
+        cfg = tmp_path / "merged.yaml"
+        cfg.write_text(merged)
+        loaded = load_scenario(cfg)
+        assert loaded.protocol.m == 4 and loaded.protocol.rounds == 10
 
     @pytest.mark.parametrize(
         "override",
@@ -309,6 +339,15 @@ class TestAnalyze:
         assert rc == 0
         assert builds == [(45, 10, 10)]
         assert "encrypted rounds (exact, m distinct, alpha=0.3): 23.63" in capsys.readouterr().out
+
+    def test_nothing_to_clear_prints_zero_rounds(self, capsys):
+        # alpha = 1 with k = n: ceil(k / alpha) == n, so nothing needs
+        # clearing, although no batch avoids the targets
+        rc = main(["analyze", "--n", "10", "--m", "3", "--k", "10", "--kn", "2", "--alpha", "1", "--mc-trials", "100"])
+        assert rc == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("encrypted rounds")]
+        assert len(lines) == 3
+        assert all(": 0.00" in line for line in lines)
 
     def test_invalid_inputs_exit_one(self, capsys):
         rc = main(["analyze", "--n", "60", "--m", "10", "--k", "15", "--kn", "20"])

@@ -128,16 +128,16 @@ class TestUpsamplingDefender:
     def test_uniform_before_warmup(self):
         spec, valid, f0 = self.world()
         defender = UpsamplingDefender(DefenseConfig(t_s=3, k_s=2, upsample_factor=2.0), spec, valid)
-        assert defender.resample(1, 10) is None
+        uniform = np.full(10, 1.0 / 10)
+        assert np.array_equal(defender.resample(1, 10), uniform)
         defender.observe(self.make_trace(f0, 1, (0, 1), (0, 1)))
-        assert defender.resample(2, 10) is None
+        assert np.array_equal(defender.resample(2, 10), uniform)
 
     def test_upsamples_after_warmup(self):
         spec, valid, f0 = self.world()
         defender = UpsamplingDefender(DefenseConfig(t_s=1, k_s=2, upsample_factor=2.0), spec, valid)
         defender.observe(self.make_trace(f0, 1, (4, 7), (4, 7)))
         p = defender.resample(2, 10)
-        assert p is not None
         assert p[4] == 0.2 and p[7] == 0.2
 
     def test_plain_server_skips_dropped_clients(self):
@@ -168,9 +168,18 @@ class TestUpsamplingDefender:
         assert defender.ledger.counts == attacker.ledger.counts
         assert defender.ledger.sums == attacker.ledger.sums
 
-    def test_empty_identified_set_is_a_noop(self):
-        # k_s = 0 never reweights, so a defended run is bitwise identical to
-        # an undefended one
+    @pytest.mark.parametrize(
+        "dfn",
+        [
+            DefenseConfig(t_s=2, k_s=0, upsample_factor=2.0),
+            DefenseConfig(t_s=9, k_s=2, upsample_factor=2.0),
+        ],
+        ids=["k_s=0", "t_s_past_the_run"],
+    )
+    def test_empty_identified_set_is_a_noop(self, dfn):
+        # A defender that identifies nobody (k_s = 0, or t_s after the last
+        # round) answers every round with the uniform distribution, so a
+        # defended run is bitwise identical to an undefended one
         from fednetsim.datasets import partition
         from fednetsim.protocol import EvalSets, run_protocol
 
@@ -180,7 +189,7 @@ class TestUpsamplingDefender:
         shards = [src.subset(idx) for idx in plan.shards]
         eval_sets = EvalSets(src, 0)
         cfg = ProtocolConfig(m=3, rounds=8, server_lr=0.3, local_epochs=1, local_lr=0.1, batch_size=None)
-        defender = UpsamplingDefender(DefenseConfig(t_s=2, k_s=0, upsample_factor=2.0), spec, eval_sets.target_set)
+        defender = UpsamplingDefender(dfn, spec, eval_sets.target_set)
         defended, undefended = [], []
         run_protocol(
             cfg, shards, spec, eval_sets, seed=6,

@@ -555,22 +555,22 @@ class TestEmitMetrics:
         cfg = replace(tiny_cfg, protocol=ProtocolConfig(m=4, rounds=2, batch_size=5), trials=1)
         summary = run_scenario(cfg)
         csv_path, json_path = emit_metrics(summary, tmp_path)
-        lines = open(csv_path).read().splitlines()
+        lines = pathlib.Path(csv_path).read_text().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + 2  # header + rounds*trials
 
     def test_json_config_roundtrip(self, tiny_cfg, tmp_path):
         cfg = replace(tiny_cfg, protocol=ProtocolConfig(m=4, rounds=2, batch_size=5), trials=1)
         _, json_path = emit_metrics(run_scenario(cfg), tmp_path)
-        payload = json.load(open(json_path))
+        payload = json.loads(pathlib.Path(json_path).read_text())
         assert scenario_from_dict(payload["config"]) == cfg
 
     def test_byte_identical_reruns(self, tiny_cfg, tmp_path):
         cfg = replace(tiny_cfg, protocol=ProtocolConfig(m=4, rounds=4, batch_size=5), trials=2)
         a_csv, a_json = emit_metrics(run_scenario(cfg), tmp_path / "a")
         b_csv, b_json = emit_metrics(run_scenario(cfg), tmp_path / "b")
-        assert open(a_csv, "rb").read() == open(b_csv, "rb").read()
-        assert open(a_json, "rb").read() == open(b_json, "rb").read()
+        assert pathlib.Path(a_csv).read_bytes() == pathlib.Path(b_csv).read_bytes()
+        assert pathlib.Path(a_json).read_bytes() == pathlib.Path(b_json).read_bytes()
 
 
 class TestConfigLoading:
@@ -778,7 +778,7 @@ class TestSweep:
         direct = run_scenario(replace(base, poison=None))
         a = emit_metrics(cell, tmp_path / "cell")[0]
         b = emit_metrics(direct, tmp_path / "direct")[0]
-        assert open(a).read() == open(b).read()
+        assert pathlib.Path(a).read_text() == pathlib.Path(b).read_text()
 
     def test_target_accuracy_nonincreasing_in_kn(self):
         base = tiny_scenario()
@@ -794,7 +794,7 @@ class TestSweep:
         direct = run_scenario(replace(base, poison=None))
         assert cell.config.protocol.clip_norm == 0.5
         for a, b in zip(emit_metrics(cell, tmp_path / "cell"), emit_metrics(direct, tmp_path / "direct")):
-            assert open(a).read() == open(b).read()
+            assert pathlib.Path(a).read_text() == pathlib.Path(b).read_text()
 
     def test_clipping_blunts_poison_axis(self):
         base = tiny_scenario()
@@ -836,7 +836,7 @@ class TestSweep:
         base = tiny_scenario(trials=1, protocol=ProtocolConfig(m=4, rounds=3, batch_size=5))
         res = sweep_grid(base, (0, 1), (0,))
         matrix = emit_sweep(res, tmp_path)
-        lines = open(matrix).read().splitlines()
+        lines = pathlib.Path(matrix).read_text().splitlines()
         assert lines[0].startswith("k_n,k_p,")
         assert len(lines) == 3
         assert (tmp_path / "cell_kn0_kp0.csv").exists()

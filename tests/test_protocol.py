@@ -139,7 +139,7 @@ class TestAggregate:
     def test_empty_list_returns_previous(self):
         out = aggregate(self.f, [], 0.5)
         assert np.array_equal(out, self.f)
-        out_fixed = aggregate(self.f, [], 0.5, denominator_mode="fixed_m", m=10)
+        out_fixed = aggregate(self.f, [], 0.5, denominator=10)
         assert np.array_equal(out_fixed, self.f)
 
     def test_single_update_identity(self):
@@ -160,8 +160,8 @@ class TestAggregate:
 
     def test_denominator_modes(self):
         u = np.ones(4)
-        received = aggregate(self.f, [Update(0, u)], 1.0, denominator_mode="received_count")
-        fixed = aggregate(self.f, [Update(0, u)], 1.0, denominator_mode="fixed_m", m=4)
+        received = aggregate(self.f, [Update(0, u)], 1.0, denominator=None)
+        fixed = aggregate(self.f, [Update(0, u)], 1.0, denominator=4)
         assert np.array_equal(received, self.f + u)
         assert np.array_equal(fixed, self.f + u / 4)
 
@@ -184,16 +184,15 @@ class TestAggregate:
         st.data(),
         st.integers(1, 8),
         st.one_of(st.none(), st.floats(1e-3, 10.0)),
-        st.sampled_from(["received_count", "fixed_m"]),
     )
-    def test_order_invariance_and_clip_bound(self, data, count, clip, mode):
+    def test_order_invariance_and_clip_bound(self, data, count, clip):
         finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
         deltas = [np.array(data.draw(st.lists(finite, min_size=4, max_size=4))) for _ in range(count)]
         ups = [Update(j, d) for j, d in enumerate(deltas)]
         shuffled = data.draw(st.permutations(ups))
-        m = count + 2
-        a = aggregate(self.f, ups, 0.3, clip, mode, m)
-        assert np.array_equal(a, aggregate(self.f, shuffled, 0.3, clip, mode, m))
+        denominator = data.draw(st.sampled_from([None, count + 2]))
+        a = aggregate(self.f, ups, 0.3, clip, denominator)
+        assert np.array_equal(a, aggregate(self.f, shuffled, 0.3, clip, denominator))
         if clip is not None:
             # each clipped delta alone: lr 1, denominator 1
             for u in ups:
@@ -234,10 +233,6 @@ class TestAggregate:
         ups = [CountedUpdate(j, np.full(4, j + 1.0)) for j in range(3)]
         aggregate(self.f, ups, 1.0, clip_norm=1.5)
         assert sorted(reads) == [0, 1, 2]
-
-    def test_fixed_m_requires_m(self):
-        with pytest.raises(ValueError, match="fixed_m"):
-            aggregate(self.f, [Update(0, np.zeros(4))], 1.0, denominator_mode="fixed_m")
 
 
 def small_world(seed=1, n=8, k=2, classes=4, rounds=12):
@@ -446,7 +441,8 @@ def eager_reference(cfg, shards, spec, eval_sets, seed, filter_hook, poison_hook
         for j in participants:
             updates.append(Update(j, eager_delta(cfg, shards, spec, seed, poison_hook, f, t, j)))
         received = filter_hook(updates, t)
-        f_next = aggregate(f, received, cfg.server_lr, cfg.clip_norm, cfg.denominator_mode, cfg.m)
+        denominator = cfg.m if cfg.denominator_mode == "fixed_m" else None
+        f_next = aggregate(f, received, cfg.server_lr, cfg.clip_norm, denominator)
         target = forward_eval(f_next, spec, eval_sets.target_set)
         nontarget = forward_eval(f_next, spec, eval_sets.nontarget_set)
         rounds.append(
