@@ -159,9 +159,12 @@ def partition(
     ``holder_quota(alpha_t, local_size)`` target-class examples; the
     remainder of its shard, and the entirety of every other client's shard,
     is filled with proportions drawn from Dirichlet(alpha_d) over the
-    non-target classes. The pools are one shuffled index list per class,
-    consumed front to back; a class that runs out raises
-    :class:`PartitionError` naming it.
+    non-target classes, one draw per client with rows left, in client order.
+    The plan is one (n, class_count) count matrix, and each class's shuffled
+    pool is cut once, in client order. Pools are checked per class after the
+    fills are drawn: the lowest class whose column total exceeds its pool
+    raises :class:`PartitionError`, "class c exhausted: d examples
+    requested, a available".
     """
     if not 0 < alpha_t <= 1:
         raise ValueError("alpha_t must be in (0, 1]")
@@ -177,40 +180,26 @@ def partition(
 
     rng = spawn_rng(seed, TAG_PARTITION_DRAW)
     target_ids = sorted(int(i) for i in rng.choice(n, size=k, replace=False))
-    target_id_set = set(target_ids)
     pools = [rng.permutation(np.flatnonzero(labels == c)) for c in range(class_count)]
-    cursors = [0] * class_count
-
-    def take(c: int, count: int) -> np.ndarray:
-        start = cursors[c]
-        if start + count > len(pools[c]):
-            raise PartitionError(
-                f"class {c} exhausted: requested {count} more examples, only {len(pools[c]) - start} remain"
-            )
-        cursors[c] = start + count
-        return pools[c][start : start + count]
-
     other_classes = [c for c in range(class_count) if c != target_class]
     if not other_classes:
         raise ValueError("need at least one non-target class")
 
-    target_quota = holder_quota(alpha_t, local_size)
-    shards: list[np.ndarray] = []
-    for client in range(n):
-        parts = []
-        fill = local_size
-        if client in target_id_set:
-            parts.append(take(target_class, target_quota))
-            fill -= target_quota
+    counts = np.zeros((n, class_count), dtype=np.int64)
+    counts[target_ids, target_class] = holder_quota(alpha_t, local_size)
+    for row, fill in zip(counts, local_size - counts.sum(axis=1)):
         if fill > 0:
             props = rng.dirichlet(np.full(len(other_classes), alpha_d))
-            counts = _largest_remainder_counts(props, fill)
-            for c, cnt in zip(other_classes, counts):
-                if cnt:
-                    parts.append(take(c, int(cnt)))
-        shards.append(np.sort(np.concatenate(parts)))
-
-    return PartitionPlan(target_client_ids=tuple(target_ids), shards=tuple(shards))
+            row[other_classes] = _largest_remainder_counts(props, int(fill))
+    for c, (demand, pool) in enumerate(zip(counts.sum(axis=0), pools)):
+        if demand > len(pool):
+            raise PartitionError(f"class {c} exhausted: {demand} examples requested, {len(pool)} available")
+    ends = np.cumsum(counts, axis=0)
+    shards = tuple(
+        np.sort(np.concatenate([pool[end - cnt : end] for pool, end, cnt in zip(pools, row_ends, row)]))
+        for row_ends, row in zip(ends, counts)
+    )
+    return PartitionPlan(target_client_ids=tuple(target_ids), shards=shards)
 
 
 def load_idx(path, ndim: int) -> np.ndarray:

@@ -213,6 +213,15 @@ class TestRun:
         assert "configuration error: partition.n:" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_class_run_dry_by_the_drawn_fills_exits_two(self, tmp_path):
+        # 345 non-target rows cover the 340 that validation counts, but at the
+        # smoke seed the Dirichlet fills ask class 2 for more rows than it has
+        proc = run_smoke_with(tmp_path, {"dataset": {"per_class": 115}})
+        assert proc.returncode == 2, proc.stderr
+        assert "class 2 exhausted" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_missing_data_file_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "idx.yaml"
         cfg.write_text(

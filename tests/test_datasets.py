@@ -1,6 +1,7 @@
 """Synthetic generation, non-IID partitioning, and the IDX loader."""
 
 import math
+import re
 import struct
 import tracemalloc
 from functools import partial
@@ -15,13 +16,14 @@ from fednetsim.datasets import (
     PartitionError,
     _largest_remainder_counts,
     gen_synthetic,
+    holder_quota,
     load_idx,
     load_idx_dataset,
     partition,
     synthetic_labels,
 )
 from fednetsim.models import ModelSpec, forward_eval, init_model, local_train
-from fednetsim.seeding import TAG_SYNTHETIC_DRAW, spawn_rng
+from fednetsim.seeding import TAG_PARTITION_DRAW, TAG_SYNTHETIC_DRAW, spawn_rng
 
 
 def _pooled_reference(class_count, input_dim, per_class, eval_per_class, separation, seed):
@@ -162,6 +164,121 @@ def test_largest_remainder_counts_equal_the_loop(weights, total):
     counts = _largest_remainder_counts(proportions, total)
     assert counts.tolist() == _largest_remainder_reference(proportions, total).tolist()
     assert int(counts.sum()) == total
+
+
+def _partition_reference(labels, class_count, n, k, target_class, alpha_t, alpha_d, local_size, seed):
+    # the cursor allocator: each client's parts taken front to back from
+    # per-class cursors, every take checked against what its pool has left
+    rng = spawn_rng(seed, TAG_PARTITION_DRAW)
+    target_ids = sorted(int(i) for i in rng.choice(n, size=k, replace=False))
+    pools = [rng.permutation(np.flatnonzero(labels == c)) for c in range(class_count)]
+    cursors = [0] * class_count
+
+    def take(c, count):
+        start = cursors[c]
+        if start + count > len(pools[c]):
+            raise PartitionError(
+                f"class {c} exhausted: requested {count} more examples, only {len(pools[c]) - start} remain"
+            )
+        cursors[c] = start + count
+        return pools[c][start : start + count]
+
+    other_classes = [c for c in range(class_count) if c != target_class]
+    quota = holder_quota(alpha_t, local_size)
+    shards = []
+    for client in range(n):
+        parts = []
+        fill = local_size
+        if client in target_ids:
+            parts.append(take(target_class, quota))
+            fill -= quota
+        if fill > 0:
+            props = rng.dirichlet(np.full(len(other_classes), alpha_d))
+            for c, cnt in zip(other_classes, _largest_remainder_counts(props, fill)):
+                if cnt:
+                    parts.append(take(c, int(cnt)))
+        shards.append(np.sort(np.concatenate(parts)))
+    return tuple(target_ids), tuple(shards)
+
+
+def _column_totals(labels, class_count, n, k, target_class, alpha_t, alpha_d, local_size, seed):
+    # the rows each class is asked for, replaying the allocator's draws
+    # (target ids, class pools, one Dirichlet per client with rows left)
+    rng = spawn_rng(seed, TAG_PARTITION_DRAW)
+    target_ids = set(rng.choice(n, size=k, replace=False).tolist())
+    for c in range(class_count):
+        rng.permutation(np.flatnonzero(labels == c))
+    other_classes = [c for c in range(class_count) if c != target_class]
+    quota = holder_quota(alpha_t, local_size)
+    totals = np.zeros(class_count, dtype=np.int64)
+    for client in range(n):
+        fill = local_size
+        if client in target_ids:
+            totals[target_class] += quota
+            fill -= quota
+        if fill > 0:
+            props = rng.dirichlet(np.full(len(other_classes), alpha_d))
+            totals[other_classes] += _largest_remainder_counts(props, fill)
+    return totals
+
+
+@st.composite
+def _partition_inputs(draw):
+    classes = draw(st.integers(2, 4))
+    n = draw(st.integers(0, 6))
+    return dict(
+        labels=np.array(draw(st.lists(st.integers(0, classes - 1), max_size=120)), dtype=np.int64),
+        class_count=classes,
+        n=n,
+        k=draw(st.integers(0, n)),
+        target_class=draw(st.integers(0, classes - 1)),
+        alpha_t=draw(st.sampled_from([1.0]) | st.floats(0.01, 1.0)),
+        alpha_d=draw(st.sampled_from([1e-300, 0.05, 1.0, 1e6])),
+        local_size=draw(st.integers(1, 8)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+def _inputs(labels, n, k, alpha_t, alpha_d, local_size=6, seed=3):
+    return dict(
+        labels=np.asarray(labels, dtype=np.int64),
+        class_count=3,
+        n=n,
+        k=k,
+        target_class=0,
+        alpha_t=alpha_t,
+        alpha_d=alpha_d,
+        local_size=local_size,
+        seed=seed,
+    )
+
+
+@settings(deadline=None, max_examples=300)
+@given(_partition_inputs())
+@example(_inputs(synthetic_labels(3, 40), n=5, k=5, alpha_t=1.0, alpha_d=0.05))  # holders with no fill
+@example(_inputs(synthetic_labels(3, 40), n=5, k=0, alpha_t=0.5, alpha_d=1e-300))
+@example(_inputs(synthetic_labels(3, 40), n=6, k=6, alpha_t=0.5, alpha_d=1e6))
+@example(_inputs(synthetic_labels(3, 5), n=6, k=2, alpha_t=0.5, alpha_d=1.0))  # runs a pool dry
+def test_partition_equals_the_cursor_allocator(inputs):
+    try:
+        expected = _partition_reference(**inputs)
+    except PartitionError:
+        with pytest.raises(PartitionError) as raised:
+            partition(**inputs)
+        match = re.fullmatch(r"class (\d+) exhausted: (\d+) examples requested, (\d+) available", str(raised.value))
+        assert match, str(raised.value)
+        c, demand, available = map(int, match.groups())
+        totals = _column_totals(**inputs)
+        pool_sizes = np.bincount(inputs["labels"], minlength=inputs["class_count"])
+        assert c == np.flatnonzero(totals > pool_sizes)[0]
+        assert (demand, available) == (totals[c], pool_sizes[c])
+        return
+    plan = partition(**inputs)
+    assert plan.target_client_ids == expected[0]
+    assert len(plan.shards) == len(expected[1])
+    for shard, reference in zip(plan.shards, expected[1]):
+        assert shard.dtype == reference.dtype
+        assert np.array_equal(shard, reference)
 
 
 class TestPartition:
