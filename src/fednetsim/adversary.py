@@ -23,7 +23,7 @@ import numpy as np
 
 from fednetsim.config import AttackConfig
 from fednetsim.datasets import ExampleSet
-from fednetsim.models import ModelSpec, forward_eval
+from fednetsim.models import ModelSpec, forward_eval, mean_loss
 from fednetsim.protocol import LocalUpdate, RoundTrace, weighted_sample_without_replacement
 from fednetsim.seeding import TAG_VISIBLE_DRAW, spawn_rng
 
@@ -152,7 +152,7 @@ class LedgerObserver:
             return
         compared = [trace.global_after] if aggregate else trace.local_models(credited)
         stack = np.stack([trace.global_before, *compared])
-        loss_before, *losses = forward_eval(stack, self.spec, self.target_set).mean_loss
+        loss_before, *losses = mean_loss(forward_eval(stack, self.spec, self.target_set), self.target_set.y)
         if aggregate:
             losses *= len(credited)  # the one global change is every credited client's
         for j, loss in zip(credited, losses):

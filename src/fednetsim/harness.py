@@ -5,8 +5,11 @@
 into the poison hook, the defense into the resample hook, and any passive
 watchers (targeted attackers that observe but never drop) in as observers.
 The trial's ``TrialSeries`` is filled by one more observer, after theirs.
-``sweep_grid`` crosses dropped-client and poisoned-client counts, and
-``identify_bench`` is a run with a plain and an encrypted watcher.
+Before the first trial, every trial's partition is cut from the labels
+alone, so a pool that a trial's fills run dry is a configuration error,
+not a failure after earlier trials have run. ``sweep_grid`` crosses
+dropped-client and poisoned-client counts, and ``identify_bench`` is a run
+with a plain and an encrypted watcher.
 
 Results are returned, not written: ``fednetsim.emit`` writes them to files,
 byte-deterministic for a fixed configuration.
@@ -27,7 +30,15 @@ from fednetsim.adversary import (
     sample_visible_set,
 )
 from fednetsim.config import AttackConfig, PoisonConfig, ScenarioConfig
-from fednetsim.datasets import ExampleSet, gen_synthetic, load_idx_dataset, partition, synthetic_labels
+from fednetsim.datasets import (
+    ExampleSet,
+    PartitionError,
+    PartitionPlan,
+    gen_synthetic,
+    load_idx_dataset,
+    partition,
+    synthetic_labels,
+)
 from fednetsim.defense import UpsamplingDefender
 from fednetsim.errors import ConfigError
 from fednetsim.models import ModelSpec
@@ -105,6 +116,42 @@ class World:
     eval_sets: EvalSets
 
 
+def _partition(cfg: ScenarioConfig, labels: np.ndarray, trial_seed: int) -> PartitionPlan:
+    """The trial's partition (k + k_p holders): the one call ``build_world`` and ``_check_pools`` share."""
+    part = cfg.partition
+    k_p = cfg.poison.k_p if cfg.poison is not None else 0
+    return partition(
+        labels,
+        cfg.dataset.class_count,
+        part.n,
+        part.k + k_p,
+        part.target_class,
+        part.alpha_t,
+        part.alpha_d,
+        part.local_size,
+        spawn_seed(trial_seed, TAG_PARTITION),
+    )
+
+
+def _check_pools(cfg: ScenarioConfig):
+    """Cut every trial's partition from the training pool's labels; a dry pool is a ``ConfigError``.
+
+    Validation bounds only the pools' totals, and a trial's Dirichlet fills
+    can still run a class dry; the error names that trial's seed.
+    """
+    ds = cfg.dataset
+    if ds.kind == "synthetic":
+        labels = synthetic_labels(ds.class_count, ds.per_class)
+    else:
+        # read with its images, so a bad image file is reported as ``build_world`` reports it
+        labels = load_idx_dataset(ds.train_images, ds.train_labels, ds.class_count).y
+    for trial_seed in range(cfg.base_seed, cfg.base_seed + cfg.trials):
+        try:
+            _partition(cfg, labels, trial_seed)
+        except PartitionError as exc:
+            raise ConfigError(f"trial seed {trial_seed}: {exc}") from exc
+
+
 def build_world(cfg: ScenarioConfig, trial_seed: int) -> World:
     """Data, model spec, partition (k + k_p holders), poisoners' flipped shards, eval sets.
 
@@ -121,17 +168,7 @@ def build_world(cfg: ScenarioConfig, trial_seed: int) -> World:
         labels = train.y
 
     k_p = cfg.poison.k_p if cfg.poison is not None else 0
-    plan = partition(
-        labels,
-        ds.class_count,
-        part.n,
-        part.k + k_p,
-        part.target_class,
-        part.alpha_t,
-        part.alpha_d,
-        part.local_size,
-        spawn_seed(trial_seed, TAG_PARTITION),
-    )
+    plan = _partition(cfg, labels, trial_seed)
     keep = np.concatenate(plan.shards)
     if ds.kind == "synthetic":
         # One draw per trial: class by class, c's training rows and then its
@@ -264,6 +301,7 @@ def run_trial(cfg: ScenarioConfig, trial_seed: int, watch: tuple[AttackConfig, .
 
 def run_scenario(cfg: ScenarioConfig, watch: tuple[AttackConfig, ...] = ()) -> RunSummary:
     """Run all trials of a scenario (seeds ``base_seed + i``), each with the ``watch`` watchers."""
+    _check_pools(cfg)
     trials = [run_trial(cfg, cfg.base_seed + i, watch) for i in range(cfg.trials)]
     return RunSummary(config=cfg, trials=trials)
 
@@ -283,8 +321,10 @@ def sweep_grid(base: ScenarioConfig, k_n_values, k_p_values) -> dict[tuple[int, 
     k_ps = sorted(set(int(v) for v in k_p_values))
     if not k_ns or not k_ps:
         raise ConfigError("sweep needs at least one --kn and one --kp value")
-    # a cell is checked as it is built, so a bad one is refused before any trial runs
+    # a cell is checked as it is built, and its pools after, so a bad one is refused before any trial runs
     cells = {(k_n, k_p): _cell_config(base, k_n, k_p) for k_n in k_ns for k_p in k_ps}
+    for cfg in cells.values():
+        _check_pools(cfg)
     return {cell: run_scenario(cfg) for cell, cfg in cells.items()}
 
 

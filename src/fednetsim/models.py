@@ -3,9 +3,10 @@
 Model parameters live in a single float64 vector (weights then bias per
 layer, layers in order), which is the unit every other module works with:
 local updates are parameter-vector deltas, aggregation averages them, and
-clipping bounds their norm. Evaluation sorts per-example losses before
-summing so reported means are exactly invariant to batch order, and a
-``(K, P)`` stack of parameter vectors is evaluated in one forward pass.
+clipping bounds their norm. Evaluation is one forward pass that returns
+logits, for one model or for a ``(K, P)`` stack of parameter vectors;
+``mean_loss`` and ``correct_count`` read them. The loss sorts per-example
+losses before summing, so a mean is exactly invariant to batch order.
 
 Local SGD is one function over a stack of K models: ``local_train`` trains
 K clients from the same global model in one pass of numpy calls per step,
@@ -23,7 +24,7 @@ import ctypes
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -248,54 +249,26 @@ def _per_example_losses(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
     return lse - logits[..., np.arange(len(y)), y]
 
 
-def _mean_loss(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Mean cross-entropy per model, summed over value-sorted per-example losses."""
+def mean_loss(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mean cross-entropy per model of ``(..., rows, classes)`` logits, over value-sorted per-example losses."""
     return np.sort(_per_example_losses(logits, y), axis=-1).sum(axis=-1) / len(y)
 
 
-class EvalResult:
-    """Mean loss, accuracy and correct count of one model, or of each model of a stack, on a batch.
-
-    For one model they are a float, a float and an int; for a ``(K, P)``
-    stack, arrays of K values. ``mean_loss`` and ``correct`` are each
-    computed from the logits on first read and then kept, so a caller pays
-    only for what it reads.
-    """
-
-    def __init__(self, logits: np.ndarray, y: np.ndarray):
-        self._logits = logits
-        self._y = y
-
-    @cached_property
-    def mean_loss(self) -> float | np.ndarray:
-        loss = _mean_loss(self._logits, self._y)
-        return loss if loss.ndim else float(loss)
-
-    @cached_property
-    def correct(self) -> int | np.ndarray:
-        correct = (self._logits.argmax(axis=-1) == self._y).sum(axis=-1)
-        return correct if correct.ndim else int(correct)
-
-    @property
-    def accuracy(self) -> float | np.ndarray:
-        return self.correct / len(self._y)
+def correct_count(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per model, the rows whose logits' argmax is the label; argmax ties go to the lowest class."""
+    return (logits.argmax(axis=-1) == y).sum(axis=-1)
 
 
-def forward_eval(params: np.ndarray, spec: ModelSpec, batch: ExampleSet) -> EvalResult:
-    """Mean softmax cross-entropy, argmax accuracy and correct count on a batch.
+def forward_eval(params: np.ndarray, spec: ModelSpec, batch: ExampleSet) -> np.ndarray:
+    """Logits on a batch: ``(rows, classes)`` for a ``(P,)`` model, ``(K, rows, classes)`` for a stack.
 
-    Ties in the argmax go to the lowest class id. The loss mean is computed
-    over value-sorted per-example losses, so permuting the batch cannot
-    change the result. The forward pass runs here; the loss and the correct
-    count are each computed on first read.
-
-    ``params`` is one ``(P,)`` vector or a ``(K, P)`` stack. One forward
-    pass evaluates all K models; each model's product is its own BLAS call,
-    so every value equals the one-model result bit for bit.
+    One forward pass evaluates all K models; each model's product is its
+    own BLAS call, so every model's logits equal its one-model logits bit
+    for bit. ``mean_loss`` and ``correct_count`` read them.
     """
     _check_batch(spec, batch, "evaluation set")
     logits, _ = _forward(_layer_views(np.atleast_2d(params), spec), spec.activation, batch.x)
-    return EvalResult(logits[0] if params.ndim == 1 else logits, batch.y)
+    return logits[0] if params.ndim == 1 else logits
 
 
 def loss_gradient(params: np.ndarray, spec: ModelSpec, batch: ExampleSet) -> np.ndarray:

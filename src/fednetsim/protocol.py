@@ -37,7 +37,7 @@ import numpy as np
 
 from fednetsim.config import ProtocolConfig
 from fednetsim.datasets import ExampleSet
-from fednetsim.models import ModelSpec, forward_eval, init_model, local_train, one_blas_thread
+from fednetsim.models import ModelSpec, correct_count, forward_eval, init_model, local_train, mean_loss, one_blas_thread
 from fednetsim.seeding import TAG_INIT, TAG_SELECT, TAG_TRAIN, spawn_rng, spawn_seed
 
 
@@ -284,17 +284,19 @@ def run_protocol(
         f_next = aggregate(f, received, cfg.server_lr, cfg.clip_norm, denominator)
 
         # The target and non-target rows partition the test set, so their
-        # correct counts give the overall accuracy without a third pass;
-        # the non-target pass is read for its correct count only, so no
-        # loss is computed on it.
-        target_eval = forward_eval(f_next, spec, eval_sets.target_set)
-        if not np.isfinite(target_eval.mean_loss):
+        # correct counts give the overall accuracy without a third pass.
+        # The loss and the target count read one logits array; the
+        # non-target logits are read for their correct count only, so no
+        # loss is computed on them.
+        target, nontarget = eval_sets.target_set, eval_sets.nontarget_set
+        logits = forward_eval(f_next, spec, target)
+        target_loss = float(mean_loss(logits, target.y))
+        if not np.isfinite(target_loss):
             raise ValueError(f"round {t}: the global model's target loss is not finite (the model diverged)")
-        correct, nontarget_acc = target_eval.correct, 0.0
-        if eval_sets.nontarget_set is not None:
-            nontarget_eval = forward_eval(f_next, spec, eval_sets.nontarget_set)
-            correct += nontarget_eval.correct
-            nontarget_acc = nontarget_eval.accuracy
+        target_correct = int(correct_count(logits, target.y))
+        nontarget_correct = 0
+        if nontarget is not None:
+            nontarget_correct = int(correct_count(forward_eval(f_next, spec, nontarget), nontarget.y))
 
         trace = RoundTrace(
             t=t,
@@ -303,10 +305,10 @@ def run_protocol(
             global_before=f,
             global_after=f_next,
             local_models=lambda ids: [f + delta for delta in deltas(ids)],
-            target_loss=target_eval.mean_loss,
-            target_acc=target_eval.accuracy,
-            overall_acc=correct / len(eval_sets.test_set),
-            nontarget_acc=nontarget_acc,
+            target_loss=target_loss,
+            target_acc=target_correct / len(target),
+            overall_acc=(target_correct + nontarget_correct) / len(eval_sets.test_set),
+            nontarget_acc=nontarget_correct / len(nontarget) if nontarget is not None else 0.0,
         )
         for obs in observers:
             obs(trace)

@@ -1,10 +1,11 @@
-"""Shared scenario factories for harness-level tests, and hand-built round traces and updates."""
+"""Shared scenario factories for harness-level tests, hand-built round traces and updates, and one-model evaluation."""
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
+import fednetsim.harness as harness
 from fednetsim.config import (
     AttackConfig,
     DatasetConfig,
@@ -14,6 +15,7 @@ from fednetsim.config import (
     ProtocolConfig,
     ScenarioConfig,
 )
+from fednetsim.models import correct_count, forward_eval, mean_loss
 from fednetsim.protocol import RoundTrace
 
 
@@ -43,6 +45,20 @@ def tiny_cfg():
     return tiny_scenario()
 
 
+@pytest.fixture
+def trial_calls(monkeypatch):
+    """The seeds of every ``harness.run_trial`` call, in call order."""
+    calls = []
+    run_trial = harness.run_trial
+
+    def counted(cfg, trial_seed, *args):
+        calls.append(trial_seed)
+        return run_trial(cfg, trial_seed, *args)
+
+    monkeypatch.setattr(harness, "run_trial", counted)
+    return calls
+
+
 def round_trace(t, participants, global_before, global_after, models=None, received=None) -> RoundTrace:
     """A ``RoundTrace`` whose ``local_models`` reads client models from the dict ``models``.
 
@@ -62,6 +78,16 @@ def round_trace(t, participants, global_before, global_after, models=None, recei
         overall_acc=float("nan"),
         nontarget_acc=float("nan"),
     )
+
+
+def loss_on(params, spec, batch) -> float:
+    """One model's mean loss on a batch."""
+    return float(mean_loss(forward_eval(params, spec, batch), batch.y))
+
+
+def accuracy_on(params, spec, batch) -> float:
+    """One model's accuracy on a batch: its correct count over the row count."""
+    return int(correct_count(forward_eval(params, spec, batch), batch.y)) / len(batch)
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,11 @@ from fednetsim.config import AttackConfig, DefenseConfig, PoisonConfig, load_sce
 from fednetsim.datasets import ExampleSet, gen_synthetic
 from fednetsim.defense import upsample_probabilities
 from fednetsim.harness import identify_bench, run_scenario
-from fednetsim.models import ModelSpec, forward_eval, init_model, loss_gradient
+from fednetsim.models import ModelSpec, init_model, loss_gradient
 from fednetsim.poisoning import craft_poison_update, flip_labels
 from fednetsim.protocol import aggregate
 
-from conftest import Update
+from conftest import Update, loss_on
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 SEEDS = 5  # criteria 6-8 are 5-seed means
@@ -143,10 +143,7 @@ class TestCriterion3GradientCorrectness:
                 plus[i] += h
                 minus = params.copy()
                 minus[i] -= h
-                fd = (
-                    forward_eval(plus, spec, batch).mean_loss
-                    - forward_eval(minus, spec, batch).mean_loss
-                ) / (2 * h)
+                fd = (loss_on(plus, spec, batch) - loss_on(minus, spec, batch)) / (2 * h)
                 rel = abs(analytic[i] - fd) / max(1e-8, abs(analytic[i]), abs(fd))
                 worst = max(worst, rel)
         report("criterion 3", worst < 1e-4, f"100 models: worst relative gradient error {worst:.2e}")

@@ -21,9 +21,9 @@ from fednetsim.adversary import (
 from fednetsim.config import AttackConfig
 from fednetsim.defense import UpsamplingDefender
 from fednetsim.datasets import gen_synthetic
-from fednetsim.models import ModelSpec, forward_eval, init_model
+from fednetsim.models import ModelSpec, init_model
 
-from conftest import Update, round_trace
+from conftest import Update, loss_on, round_trace
 
 
 def make_ledger(entries):
@@ -84,7 +84,7 @@ class LedgerWorld:
         self.f_after = self.f_before + 0.05
 
     def loss(self, params):
-        return forward_eval(params, self.spec, self.target_set).mean_loss
+        return loss_on(params, self.spec, self.target_set)
 
     def trace(self, participants, local_models=None, t=1):
         return round_trace(t, participants, self.f_before, self.f_after, local_models)

@@ -31,8 +31,8 @@ def run_cli(*argv, timeout, env=None):
     return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=timeout)
 
 
-def run_smoke_with(tmp_path, override, env=None):
-    """``run`` on ``smoke.yaml`` with ``override``'s sections merged in and top-level values replaced."""
+def smoke_with(tmp_path, override):
+    """Path of ``smoke.yaml`` with ``override``'s sections merged in and top-level values replaced."""
     data = yaml.safe_load((CONFIGS / "smoke.yaml").read_text())
     for key, value in override.items():
         if isinstance(value, dict):
@@ -41,6 +41,12 @@ def run_smoke_with(tmp_path, override, env=None):
             data[key] = value
     cfg = tmp_path / "override.yaml"
     cfg.write_text(yaml.safe_dump(data))
+    return cfg
+
+
+def run_smoke_with(tmp_path, override, env=None):
+    """``run`` on ``smoke_with(tmp_path, override)``."""
+    cfg = smoke_with(tmp_path, override)
     return run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out"), timeout=60, env=env)
 
 
@@ -213,14 +219,27 @@ class TestRun:
         assert "configuration error: partition.n:" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_class_run_dry_by_the_drawn_fills_exits_two(self, tmp_path):
+    def test_class_run_dry_by_the_drawn_fills_exits_one(self, tmp_path):
         # 345 non-target rows cover the 340 that validation counts, but at the
-        # smoke seed the Dirichlet fills ask class 2 for more rows than it has
+        # smoke seed the Dirichlet fills ask class 2 for more rows than it has;
+        # it used to exit 2, from inside the trial
         proc = run_smoke_with(tmp_path, {"dataset": {"per_class": 115}})
-        assert proc.returncode == 2, proc.stderr
-        assert "class 2 exhausted" in proc.stderr
+        assert proc.returncode == 1, proc.stderr
+        assert "configuration error: trial seed 7: class 2 exhausted" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
+
+    def test_class_run_dry_in_a_later_trial_exits_one_before_the_first(self, tmp_path, trial_calls, capsys):
+        # seed 7's fills fit 128 rows per class, seed 8's do not; the first
+        # trial used to run in full before the run exited 2
+        cfg = str(smoke_with(tmp_path, {"dataset": {"per_class": 128}}))
+        assert main(["run", "--config", cfg, "--trials", "2", "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error: trial seed 8: class 3 exhausted: 135 examples requested, 128 available" in err
+        assert trial_calls == []
+        assert not (tmp_path / "out").exists()
+        assert main(["run", "--config", cfg, "--trials", "1", "--out", str(tmp_path / "one")]) == 0
+        assert trial_calls == [7]
 
     def test_missing_data_file_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "idx.yaml"
@@ -498,6 +517,18 @@ class TestSweepCommand:
         assert proc.returncode == 1, proc.stderr
         assert "configuration error: poison.k_p: must be >= 0" in proc.stderr
         assert not (tmp_path / "out").exists()
+
+    def test_class_run_dry_in_a_later_cell_exits_one_before_any_cell(self, tmp_path, trial_calls, capsys):
+        # at 131 rows per class the k_p = 1 cell's fills fit and the k_p = 2 cell's do not
+        cfg = str(smoke_with(tmp_path, {"dataset": {"per_class": 131}}))
+        argv = ["sweep", "--config", cfg, "--kn", "3", "--out", str(tmp_path / "out")]
+        assert main([*argv, "--kp", "1,2"]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error: trial seed 7: class 2 exhausted: 132 examples requested, 131 available" in err
+        assert trial_calls == []
+        assert not (tmp_path / "out").exists()
+        assert main([*argv, "--kp", "1"]) == 0
+        assert trial_calls == [7]
 
     def test_clip_flag_is_gone(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

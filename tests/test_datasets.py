@@ -22,8 +22,10 @@ from fednetsim.datasets import (
     partition,
     synthetic_labels,
 )
-from fednetsim.models import ModelSpec, forward_eval, init_model, local_train
+from fednetsim.models import ModelSpec, init_model, local_train
 from fednetsim.seeding import TAG_PARTITION_DRAW, TAG_SYNTHETIC_DRAW, spawn_rng
+
+from conftest import accuracy_on
 
 
 def _pooled_reference(class_count, input_dim, per_class, eval_per_class, separation, seed):
@@ -122,7 +124,7 @@ class TestGenSynthetic:
         spec = ModelSpec(6, (), 4)
         theta = init_model(spec, 0)
         delta = local_train(theta, spec, [src], 50, 0.5, None, [0])[0]
-        acc = forward_eval(theta + delta, spec, test).accuracy
+        acc = accuracy_on(theta + delta, spec, test)
         assert abs(acc - 0.25) < 0.05
 
     def test_large_separation_is_separable(self):
@@ -131,7 +133,7 @@ class TestGenSynthetic:
         spec = ModelSpec(8, (), 3)
         theta = init_model(spec, 1)
         delta = local_train(theta, spec, [train], 200, 0.5, None, [0])[0]
-        acc = forward_eval(theta + delta, spec, holdout).accuracy
+        acc = accuracy_on(theta + delta, spec, holdout)
         assert acc >= 0.99
 
     def test_rejects_bad_arguments(self):

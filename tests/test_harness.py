@@ -758,19 +758,6 @@ class TestConfigLoading:
         assert smoke.protocol.rounds == 10
 
 
-@pytest.fixture
-def trial_calls(monkeypatch):
-    """The seeds of every ``harness.run_trial`` call, in call order."""
-    calls = []
-
-    def counted(cfg, trial_seed, *args):
-        calls.append(trial_seed)
-        return run_trial(cfg, trial_seed, *args)
-
-    monkeypatch.setattr(harness, "run_trial", counted)
-    return calls
-
-
 class TestSweep:
     def test_zero_cell_equals_base_run(self, tmp_path):
         base = tiny_scenario(trials=1)

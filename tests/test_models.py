@@ -12,12 +12,16 @@ import fednetsim.models as models
 from fednetsim.datasets import ExampleSet
 from fednetsim.models import (
     ModelSpec,
+    correct_count,
     forward_eval,
     init_model,
     local_train,
     loss_gradient,
+    mean_loss,
 )
 from fednetsim.seeding import spawn_rng
+
+from conftest import accuracy_on, loss_on
 
 
 def random_batch(rng, spec, size):
@@ -35,10 +39,7 @@ def finite_difference(params, spec, batch, h=1e-5):
         plus[i] += h
         minus = params.copy()
         minus[i] -= h
-        grad[i] = (
-            forward_eval(plus, spec, batch).mean_loss
-            - forward_eval(minus, spec, batch).mean_loss
-        ) / (2 * h)
+        grad[i] = (loss_on(plus, spec, batch) - loss_on(minus, spec, batch)) / (2 * h)
     return grad
 
 
@@ -81,8 +82,7 @@ class TestForwardEval:
         for class_count in (2, 3, 7):
             spec = ModelSpec(5, (), class_count)
             batch = random_batch(rng, spec, 17)
-            res = forward_eval(np.zeros(spec.param_count()), spec, batch)
-            assert abs(res.mean_loss - math.log(class_count)) < 1e-12
+            assert abs(loss_on(np.zeros(spec.param_count()), spec, batch) - math.log(class_count)) < 1e-12
 
     def test_saturated_softmax(self):
         spec = ModelSpec(2, (), 3)
@@ -90,9 +90,8 @@ class TestForwardEval:
         params = np.zeros(9)
         params[7] = 60.0
         batch = ExampleSet(np.zeros((1, 2)), np.array([1]))
-        res = forward_eval(params, spec, batch)
-        assert res.mean_loss < 1e-9
-        assert res.accuracy == 1.0
+        assert loss_on(params, spec, batch) < 1e-9
+        assert accuracy_on(params, spec, batch) == 1.0
 
     def test_binary_logistic_matches_closed_form(self):
         # one example, hand-set weights; loss must equal -ln sigmoid(z1 - z0)
@@ -103,29 +102,25 @@ class TestForwardEval:
         b = params[4:]
         z = x[0] @ w + b
         expected = math.log1p(math.exp(z[0] - z[1]))
-        res = forward_eval(params, spec, ExampleSet(x, np.array([1])))
-        assert abs(res.mean_loss - expected) < 1e-12
+        assert abs(loss_on(params, spec, ExampleSet(x, np.array([1]))) - expected) < 1e-12
 
     def test_argmax_tie_breaks_to_lowest_class(self):
         spec = ModelSpec(2, (), 3)
         batch = ExampleSet(np.zeros((1, 2)), np.array([0]))
-        res = forward_eval(np.zeros(9), spec, batch)  # all logits equal
-        assert res.accuracy == 1.0
+        assert accuracy_on(np.zeros(9), spec, batch) == 1.0  # all logits equal
         batch2 = ExampleSet(np.zeros((1, 2)), np.array([2]))
-        assert forward_eval(np.zeros(9), spec, batch2).accuracy == 0.0
+        assert accuracy_on(np.zeros(9), spec, batch2) == 0.0
 
     def test_permutation_invariance_exact(self):
         rng = np.random.default_rng(5)
         spec = ModelSpec(6, (8,), 4)
         params = init_model(spec, 3) + 0.5 * rng.standard_normal(spec.param_count())
         batch = random_batch(rng, spec, 40)
-        base = forward_eval(params, spec, batch)
         for _ in range(5):
             perm = rng.permutation(len(batch))
             shuffled = ExampleSet(batch.x[perm], batch.y[perm])
-            res = forward_eval(params, spec, shuffled)
-            assert res.mean_loss == base.mean_loss
-            assert res.accuracy == base.accuracy
+            assert loss_on(params, spec, shuffled) == loss_on(params, spec, batch)
+            assert accuracy_on(params, spec, shuffled) == accuracy_on(params, spec, batch)
 
     def test_loss_nonnegative(self):
         rng = np.random.default_rng(11)
@@ -133,7 +128,7 @@ class TestForwardEval:
         for _ in range(20):
             params = rng.standard_normal(spec.param_count()) * 3
             batch = random_batch(rng, spec, 8)
-            assert forward_eval(params, spec, batch).mean_loss >= 0.0
+            assert loss_on(params, spec, batch) >= 0.0
 
     def test_empty_batch_rejected(self):
         spec = ModelSpec(3, (), 2)
@@ -343,10 +338,9 @@ class TestLocalTrainStack:
 
 
 class TestMeanLossesMatchForwardEval:
-    """A stack's ``forward_eval`` values match the one-model loop's, bit for bit."""
+    """A stack's logits, losses and correct counts match the one-model loop's, bit for bit."""
 
-    @settings(deadline=None, max_examples=60)
-    @given(
+    stacks = dict(
         activation=st.sampled_from(["relu", "tanh"]),
         hidden=st.lists(st.integers(1, 6), min_size=0, max_size=2),
         class_count=st.integers(2, 4),
@@ -354,17 +348,36 @@ class TestMeanLossesMatchForwardEval:
         rows=st.integers(1, 17),
         seed=st.integers(0, 2**31),
     )
-    def test_bit_equal_to_per_model_loop(self, activation, hidden, class_count, k, rows, seed):
+
+    @staticmethod
+    def random_stack(activation, hidden, class_count, k, rows, seed):
         spec = ModelSpec(3, tuple(hidden), class_count, activation)
         rng = np.random.default_rng(seed)
         stack = init_model(spec, seed) + 0.5 * rng.standard_normal((k, spec.param_count()))
-        batch = random_batch(rng, spec, rows)
-        res = forward_eval(stack, spec, batch)
+        return spec, stack, random_batch(rng, spec, rows)
+
+    @settings(deadline=None, max_examples=60)
+    @given(**stacks)
+    def test_bit_equal_to_per_model_loop(self, **draw):
+        spec, stack, batch = self.random_stack(**draw)
+        logits = forward_eval(stack, spec, batch)
         singles = [forward_eval(p, spec, batch) for p in stack]
-        assert res.mean_loss.shape == res.correct.shape == (k,)
-        assert np.array_equal(res.mean_loss, [r.mean_loss for r in singles])
-        assert np.array_equal(res.correct, [r.correct for r in singles])
-        assert np.array_equal(res.accuracy, [r.accuracy for r in singles])
+        assert logits.shape == (len(stack), len(batch), spec.class_count)
+        assert np.array_equal(logits, singles)
+        losses, correct = mean_loss(logits, batch.y), correct_count(logits, batch.y)
+        assert losses.shape == correct.shape == (len(stack),)
+        assert np.array_equal(losses, [mean_loss(z, batch.y) for z in singles])
+        assert np.array_equal(correct, [correct_count(z, batch.y) for z in singles])
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data(), **stacks)
+    def test_each_models_loss_is_invariant_to_row_order(self, data, **draw):
+        spec, stack, batch = self.random_stack(**draw)
+        perm = np.array(data.draw(st.permutations(range(len(batch)))))
+        shuffled = ExampleSet(batch.x[perm], batch.y[perm])
+        losses = mean_loss(forward_eval(stack, spec, shuffled), shuffled.y)
+        assert np.array_equal(losses, mean_loss(forward_eval(stack, spec, batch), batch.y))
+        assert np.array_equal(losses, [mean_loss(forward_eval(p, spec, shuffled), shuffled.y) for p in stack])
 
     @pytest.mark.parametrize(
         "params_len, x_dim, labels, match",
@@ -390,23 +403,10 @@ class TestMeanLossesMatchForwardEval:
         params = init_model(spec, 3)
         batch = random_batch(np.random.default_rng(1), spec, 9)
         one = forward_eval(params, spec, batch)
-        assert type(one.mean_loss) is float and type(one.correct) is int
+        assert one.shape == (9, 3)
+        assert mean_loss(one, batch.y).ndim == correct_count(one, batch.y).ndim == 0
         stacked = forward_eval(params[None, :], spec, batch)
-        assert stacked.mean_loss.shape == stacked.correct.shape == (1,)
-        assert stacked.mean_loss[0] == one.mean_loss and stacked.correct[0] == one.correct
-
-
-class TestEvalResultIsLazy:
-    def test_each_value_is_computed_on_first_read_only(self, monkeypatch):
-        spec = ModelSpec(5, (7,), 3)
-        batch = random_batch(np.random.default_rng(2), spec, 9)
-        params = init_model(spec, 4)
-        losses = []
-        real = models._per_example_losses
-        monkeypatch.setattr(models, "_per_example_losses", lambda *a: losses.append(1) or real(*a))
-        res = forward_eval(params, spec, batch)
-        assert res.accuracy == res.correct / 9
-        assert losses == []
-        first = res.mean_loss
-        assert res.mean_loss == first
-        assert losses == [1]
+        assert stacked.shape == (1, 9, 3) and np.array_equal(stacked[0], one)
+        assert mean_loss(stacked, batch.y).shape == correct_count(stacked, batch.y).shape == (1,)
+        assert mean_loss(stacked, batch.y)[0] == mean_loss(one, batch.y)
+        assert correct_count(stacked, batch.y)[0] == correct_count(one, batch.y)

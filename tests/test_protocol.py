@@ -13,7 +13,7 @@ from fednetsim.adversary import FixedSetDropper, LedgerObserver, TargetedDropAtt
 from fednetsim.config import AttackConfig, DefenseConfig, ProtocolConfig
 from fednetsim.datasets import ExampleSet, gen_synthetic, partition
 from fednetsim.defense import UpsamplingDefender
-from fednetsim.models import ModelSpec, forward_eval, init_model, local_train
+from fednetsim.models import ModelSpec, correct_count, forward_eval, init_model, local_train
 from fednetsim.poisoning import ModelReplacementPoisoner, PoisonPlan
 from fednetsim.protocol import (
     EvalSets,
@@ -24,7 +24,7 @@ from fednetsim.protocol import (
 )
 from fednetsim.seeding import TAG_INIT, TAG_TRAIN, spawn_seed
 
-from conftest import Update, round_trace
+from conftest import Update, accuracy_on, loss_on, round_trace
 
 
 def choice_loop_sample(rng, weights, size):
@@ -343,9 +343,9 @@ class TestRunProtocol:
         cfg, shards, spec, eval_sets, _ = small_world()
         for tr in run_traces(cfg, shards, spec, eval_sets, seed=4):
             after = tr.global_after
-            assert tr.overall_acc == forward_eval(after, spec, eval_sets.test_set).accuracy
-            assert tr.target_acc == forward_eval(after, spec, eval_sets.target_set).accuracy
-            assert tr.nontarget_acc == forward_eval(after, spec, eval_sets.nontarget_set).accuracy
+            assert tr.overall_acc == accuracy_on(after, spec, eval_sets.test_set)
+            assert tr.target_acc == accuracy_on(after, spec, eval_sets.target_set)
+            assert tr.nontarget_acc == accuracy_on(after, spec, eval_sets.nontarget_set)
 
     def test_eval_sets_split_the_test_set_by_target_class(self):
         _, _, _, eval_sets, _ = small_world()
@@ -443,17 +443,18 @@ def eager_reference(cfg, shards, spec, eval_sets, seed, filter_hook, poison_hook
         received = filter_hook(updates, t)
         denominator = cfg.m if cfg.denominator_mode == "fixed_m" else None
         f_next = aggregate(f, received, cfg.server_lr, cfg.clip_norm, denominator)
-        target = forward_eval(f_next, spec, eval_sets.target_set)
-        nontarget = forward_eval(f_next, spec, eval_sets.nontarget_set)
+        target, nontarget = eval_sets.target_set, eval_sets.nontarget_set
+        target_correct = int(correct_count(forward_eval(f_next, spec, target), target.y))
+        nontarget_correct = int(correct_count(forward_eval(f_next, spec, nontarget), nontarget.y))
         rounds.append(
             (
                 t,
                 tuple(participants),
                 tuple(sorted(u.client_id for u in received)),
-                target.mean_loss,
-                target.accuracy,
-                (target.correct + nontarget.correct) / len(eval_sets.test_set),
-                nontarget.accuracy,
+                loss_on(f_next, spec, target),
+                target_correct / len(target),
+                (target_correct + nontarget_correct) / len(eval_sets.test_set),
+                nontarget_correct / len(nontarget),
             )
         )
         afters.append(f_next)
@@ -679,8 +680,8 @@ class TestEvaluateOnlyWhatIsRead:
         before = init_model(spec, 1)
         local = {j: before + 0.1 * rng.standard_normal(before.shape) for j in (1, 3, 4, 6, 7)}
         trace = round_trace(1, (1, 3, 4, 6), before, before, local)
-        loss_before = forward_eval(before, spec, target_set).mean_loss
-        expected = {j: loss_before - forward_eval(local[j], spec, target_set).mean_loss for j in (1, 3, 4, 6)}
+        loss_before = loss_on(before, spec, target_set)
+        expected = {j: loss_before - loss_on(local[j], spec, target_set) for j in (1, 3, 4, 6)}
         observer = LedgerObserver("sent", spec, target_set, 1, 5)
         passes = count_forward_passes(monkeypatch)
         observer.observe(trace)
@@ -703,7 +704,7 @@ class TestEvaluateOnlyWhatIsRead:
             visible = frozenset({3, 6, 7}) if observer == "encrypted_limited" else None
             watcher = TargetedDropAttacker(AttackConfig(mode=observer, t_n=5, k_n=1), spec, target_set, visible)
         credited = (3, 6) if observer == "encrypted_limited" else (1, 3, 4, 6)
-        change = forward_eval(before, spec, target_set).mean_loss - forward_eval(after, spec, target_set).mean_loss
+        change = loss_on(before, spec, target_set) - loss_on(after, spec, target_set)
         passes = count_forward_passes(monkeypatch)
         watcher.observe(trace)
         assert passes == [len(target_set)]
